@@ -11,7 +11,7 @@ Usage: python scripts/find_fixture_seeds.py [n] [max_seed]
 
 import sys
 
-from lotcert import certify_lof, certify_relative, enumerate_sub_lots
+from lotcert import bad_sub_lot_witnesses, certify_lof, certify_relative
 from lotcert.oracle import random_reduced_injective_lot
 
 
@@ -22,7 +22,7 @@ def main() -> int:
     generic = 0
     for seed in range(max_seed):
         log = random_reduced_injective_lot(n, seed)
-        bad = [s for s in enumerate_sub_lots(log) if not s.is_boundary_reduced]
+        bad = bad_sub_lot_witnesses(log)
         if not bad:
             continue
         hits += 1

@@ -36,10 +36,12 @@ from .log_model import (
     LogClass,
     ParseError,
     SubLog,
+    bad_sub_lot_witnesses,
     block_reorient,
     classify,
     enumerate_sub_lots,
     make_log,
+    maximal_proper_sub_lots,
     non_label_vertices,
     parse_log,
     quotient_lof,

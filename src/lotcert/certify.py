@@ -12,10 +12,13 @@ The relative pipeline collapses the maximal proper sub-LOTs, certifies the
 quotient, lifts the sign choice, and verifies the relative coloring test;
 parts are then certified recursively after boundary reduction.
 
-Certificates are JSON documents (schema 1) with canonical serialization:
-sorted keys, arrays in deterministic construction order.  Verdicts computed
-here are labeled "witnessed"; asphericity-style conclusions are labeled
-"by-citation" and name the published result they rely on.
+Certificates are JSON documents (schema 2) with canonical serialization:
+sorted keys, arrays in deterministic construction order.  The hypothesis
+lists its bad sub-LOTs as closure witnesses: the distinct smallest sub-LOTs
+around single edges that are not boundary reduced, rather than every bad
+sub-LOT.  Verdicts computed here are labeled "witnessed"; asphericity-style
+conclusions are labeled "by-citation" and name the published result they
+rely on.
 """
 
 from __future__ import annotations
@@ -46,8 +49,9 @@ from .log_model import (
     Edge,
     Log,
     SubLog,
+    bad_sub_lot_witnesses,
     classify,
-    enumerate_sub_lots,
+    maximal_proper_sub_lots,
     non_label_vertices,
     quotient_lof,
     reduce_log,
@@ -60,7 +64,7 @@ from .log_model import (
     _UnionFind,
 )
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 HYPOTHESIS_FAILED = "hypothesis-failed"
 NON_GENERIC = "non-generic: ad hoc analysis required"
@@ -166,10 +170,6 @@ def _components(log: Log) -> list[tuple[str, ...]]:
     return [tuple(vs) for vs in sorted(comps.values(), key=lambda vs: log.vertex_index()[vs[0]])]
 
 
-def _has_bad_sub_lot(log: Log) -> bool:
-    return any(not s.is_boundary_reduced for s in enumerate_sub_lots(log))
-
-
 def embed_into_lot(log: Log) -> tuple[Log, list]:
     """Join the components of a LOF into a LOT by fresh connecting edges.
 
@@ -230,7 +230,7 @@ def embed_into_lot(log: Log) -> tuple[Log, list]:
         for (x1, x2) in pairs:
             for y in free_names:
                 candidate = Log(work.vertices, work.edges + (Edge(eid, x1, x2, y),))
-                if not _has_bad_sub_lot(candidate):
+                if not bad_sub_lot_witnesses(candidate):
                     chosen = (x1, x2, y)
                     break
             if chosen:
@@ -356,22 +356,21 @@ def _verdict_scaffold(value) -> tuple[dict, dict, dict]:
 # plain pipeline
 
 
-def _hypothesis_section(log: Log) -> tuple[dict, list[SubLog]]:
+def _hypothesis_section(log: Log) -> dict:
+    """The hypothesis report; the sub-LOT scan runs only on a LOF, since a
+    cycle already fails the hypothesis and closures need a forest."""
     rep = reducedness_report(log)
-    cls = classify(log)
-    subs = enumerate_sub_lots(log)
-    bad = [s for s in subs if not s.is_boundary_reduced]
-    ok = rep.reduced and rep.injective.ok and cls.kind in ("LOT", "LOF") and not bad
-    section = {
-        "satisfied": ok,
+    forest = classify(log).kind in ("LOT", "LOF")
+    bad = bad_sub_lot_witnesses(log) if forest else ()
+    return {
+        "satisfied": rep.reduced and rep.injective.ok and forest and not bad,
         "reduced": rep.reduced,
         "injective": rep.injective.ok,
-        "forest": cls.kind in ("LOT", "LOF"),
-        "all_sub_lots_boundary_reduced": not bad,
+        "forest": forest,
+        "all_sub_lots_boundary_reduced": (not bad) if forest else NOT_EVALUATED,
         "bad_sub_lots": [_sublog_dict(s) for s in bad],
         "note": "sub-LOT conditions range over connected subtrees with at least one edge",
     }
-    return section, bad
 
 
 def _certify_lot_core(lot: Log) -> dict:
@@ -418,7 +417,7 @@ def certify_lof(log: Log) -> Certificate:
     delta=1 cut of the selection graph is included and the relative pipeline
     is suggested.
     """
-    hypothesis, bad = _hypothesis_section(log)
+    hypothesis = _hypothesis_section(log)
     flags = _flags_section(log)
     witnesses: dict = {}
 
@@ -452,7 +451,7 @@ def certify_lof(log: Log) -> Certificate:
             continue
         hat, added = embed_into_lot(glog)
         if added:
-            hat_hyp, _ = _hypothesis_section(hat)
+            hat_hyp = _hypothesis_section(hat)
             embeddings.append(
                 {
                     "group": list(group),
@@ -540,18 +539,6 @@ def certify_lof(log: Log) -> Certificate:
 # relative pipeline
 
 
-def _maximal_proper_sub_lots(log: Log) -> list[SubLog]:
-    subs = enumerate_sub_lots(log)
-    all_edges = frozenset(e.eid for e in log.edges)
-    proper = [s for s in subs if frozenset(s.edge_ids) != all_edges]
-    maximal = []
-    for s in proper:
-        es = set(s.edge_ids)
-        if not any(es < set(t.edge_ids) for t in proper):
-            maximal.append(s)
-    return maximal
-
-
 def _pairwise_disjoint(parts: Sequence[SubLog]) -> bool:
     seen: set[str] = set()
     for p in parts:
@@ -610,7 +597,7 @@ def certify_relative(log: Log, parts: Optional[Sequence[SubLog]] = None) -> Cert
             raise ValueError("parts are not vertex-disjoint")
         part_list = list(parts)
     else:
-        part_list = _maximal_proper_sub_lots(work)
+        part_list = list(maximal_proper_sub_lots(work))
 
     if not part_list:
         cert = certify_lof(work)

@@ -21,6 +21,7 @@ assigned in order, skipping ids that appear explicitly elsewhere.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -115,9 +116,19 @@ def _check_token(tok: str, what: str, line: int, col: int) -> str:
     return tok
 
 
+_TOKEN = re.compile(r"\S+")
+
+
+def _tokens(line: str, start: int, end: Optional[int] = None) -> list[tuple[str, int]]:
+    """Whitespace-separated tokens of line[start:end] with their 1-based columns."""
+    end = len(line) if end is None else end
+    return [(m.group(), m.start() + 1) for m in _TOKEN.finditer(line, start, end)]
+
+
 def parse_log(text: str) -> Log:
     """Parse the text format; raises ParseError with line/column on bad input."""
     vertices: list[str] = []
+    vertex_set: set[str] = set()
     header_seen = False
     raw_edges: list[tuple[Optional[str], str, str, str, int]] = []
     explicit_ids: set[str] = set()
@@ -132,36 +143,37 @@ def parse_log(text: str) -> Log:
             if not stripped.startswith("vertices:"):
                 raise ParseError("expected 'vertices:' header", lineno, col)
             header_seen = True
-            for tok in stripped[len("vertices:"):].split():
-                _check_token(tok, "vertex name", lineno, line.index(tok) + 1)
-                if tok in vertices:
-                    raise ParseError(f"duplicate vertex {tok!r}", lineno, line.index(tok) + 1)
+            for tok, tcol in _tokens(line, col - 1 + len("vertices:")):
+                _check_token(tok, "vertex name", lineno, tcol)
+                if tok in vertex_set:
+                    raise ParseError(f"duplicate vertex {tok!r}", lineno, tcol)
                 vertices.append(tok)
+                vertex_set.add(tok)
             continue
         if not stripped.startswith("edge"):
             raise ParseError("expected an 'edge' line", lineno, col)
-        head, sep, rest = stripped.partition(":")
+        head, sep, _ = stripped.partition(":")
         if not sep:
             raise ParseError("missing ':' after edge id", lineno, col)
-        id_toks = head[len("edge"):].split()
+        id_toks = _tokens(line, col - 1 + len("edge"), col - 1 + len(head))
         if len(id_toks) > 1:
             raise ParseError("malformed edge id", lineno, col)
-        eid = id_toks[0] if id_toks else None
+        eid = id_toks[0][0] if id_toks else None
         if eid is not None:
-            _check_token(eid, "edge id", lineno, col)
+            _check_token(eid, "edge id", lineno, id_toks[0][1])
             if eid in explicit_ids:
-                raise ParseError(f"duplicate edge id {eid!r}", lineno, col)
+                raise ParseError(f"duplicate edge id {eid!r}", lineno, id_toks[0][1])
             explicit_ids.add(eid)
-        toks = rest.split()
-        if len(toks) != 5 or toks[1] != "->" or toks[3] != ":":
+        toks = _tokens(line, col + len(head))
+        if len(toks) != 5 or toks[1][0] != "->" or toks[3][0] != ":":
             raise ParseError("expected '<src> -> <tgt> : <label>'", lineno, col)
-        src, tgt, lab = toks[0], toks[2], toks[4]
-        for tok in (src, tgt, lab):
-            _check_token(tok, "vertex name", lineno, line.index(tok) + 1)
-        for tok in (src, tgt, lab):
-            if tok not in vertices:
-                raise ParseError(f"unknown vertex {tok!r}", lineno, line.index(tok) + 1)
-        raw_edges.append((eid, src, tgt, lab, lineno))
+        ends = (toks[0], toks[2], toks[4])
+        for tok, tcol in ends:
+            _check_token(tok, "vertex name", lineno, tcol)
+        for tok, tcol in ends:
+            if tok not in vertex_set:
+                raise ParseError(f"unknown vertex {tok!r}", lineno, tcol)
+        raw_edges.append((eid, ends[0][0], ends[1][0], ends[2][0], lineno))
 
     if not header_seen:
         raise ParseError("empty document, expected 'vertices:' header", max(1, text.count("\n") + 1))
@@ -419,25 +431,37 @@ class SubLog:
     is_boundary_reduced: bool
 
 
-def _sublog_from_edges(log: Log, eids: Sequence[str]) -> SubLog:
-    edges = [log.edge(eid) for eid in eids]
+def _has_bad_leaf(edges: Sequence[Edge]) -> bool:
+    """Does the subtree on these edges have a leaf that labels none of them?"""
+    deg: dict[str, int] = {}
+    for e in edges:
+        deg[e.src] = deg.get(e.src, 0) + 1
+        deg[e.tgt] = deg.get(e.tgt, 0) + 1
+    labels_inside = {e.lab for e in edges}
+    return any(d == 1 and v not in labels_inside for v, d in deg.items())
+
+
+def _sub_lot(log: Log, indices: Sequence[int]) -> SubLog:
+    """The SubLog on the edges at these ascending indices of log.edges."""
+    edges = [log.edges[i] for i in indices]
     vset = {v for e in edges for v in (e.src, e.tgt)}
     vertices = tuple(v for v in log.vertices if v in vset)
-    labels_inside = {e.lab for e in edges}
-    deg = {v: 0 for v in vertices}
-    for e in edges:
-        deg[e.src] += 1
-        deg[e.tgt] += 1
-    boundary_ok = all(deg[v] != 1 or v in labels_inside for v in vertices)
-    order = {e.eid: i for i, e in enumerate(log.edges)}
-    return SubLog(vertices, tuple(sorted(eids, key=order.__getitem__)), True, boundary_ok)
+    return SubLog(vertices, tuple(e.eid for e in edges), True, not _has_bad_leaf(edges))
+
+
+def _by_size(found) -> list[tuple[int, ...]]:
+    """Distinct ascending edge-index tuples, smallest first, then lexicographic."""
+    return sorted(set(found), key=lambda t: (len(t), t))
 
 
 def enumerate_sub_lots(log: Log, max_size: Optional[int] = None) -> tuple[SubLog, ...]:
     """All connected subtrees with >= 1 edge whose labels stay inside them.
 
-    Exhaustive up to max_size vertices (unbounded when absent).  When the
-    whole graph is itself a tree closed under labels it is included.
+    Reference only: the count is exponential in the size of the tree, so no
+    production path calls this; tests anchor bad_sub_lot_witnesses and
+    maximal_proper_sub_lots to it.  Exhaustive up to max_size vertices
+    (unbounded when absent).  When the whole graph is itself a tree closed
+    under labels it is included.
     """
     edges = log.edges
     by_vertex: dict[str, list[int]] = {v: [] for v in log.vertices}
@@ -476,8 +500,137 @@ def enumerate_sub_lots(log: Log, max_size: Optional[int] = None) -> tuple[SubLog
                         seen.add(fs)
                         stack.append((fs, vset | {other}))
 
-    found.sort(key=lambda t: (len(t), t))
-    return tuple(_sublog_from_edges(log, [edges[i].eid for i in t]) for t in found)
+    return tuple(_sub_lot(log, t) for t in _by_size(found))
+
+
+@dataclass(frozen=True)
+class _RootedForest:
+    """Each tree of a LOF rooted at its first declared vertex; by vertex index."""
+
+    index: dict[str, int]
+    parent: list[int]  # -1 at a root
+    parent_edge: list[int]  # index into log.edges, -1 at a root
+    depth: list[int]
+    component: list[int]  # index of the component's root
+    label: list[int]  # label vertex of each edge
+
+
+def _rooted_forest(log: Log) -> _RootedForest:
+    index = log.vertex_index()
+    n = len(log.vertices)
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for i, e in enumerate(log.edges):
+        u, w = index[e.src], index[e.tgt]
+        adj[u].append((i, w))
+        adj[w].append((i, u))
+    parent, parent_edge, depth, component = [-1] * n, [-1] * n, [0] * n, [-1] * n
+    roots = 0
+    for r in range(n):
+        if component[r] >= 0:
+            continue
+        roots += 1
+        component[r] = r
+        stack = [r]
+        while stack:
+            u = stack.pop()
+            for i, w in adj[u]:
+                if component[w] < 0:
+                    component[w], parent[w], parent_edge[w] = r, u, i
+                    depth[w] = depth[u] + 1
+                    stack.append(w)
+    # a spanning forest has n - roots edges; any further edge closes a cycle
+    if len(log.edges) != n - roots:
+        raise ValueError("sub-LOT closures need a LOF (the underlying graph has a cycle)")
+    label = [index[e.lab] for e in log.edges]
+    return _RootedForest(index, parent, parent_edge, depth, component, label)
+
+
+def _closure(log: Log, forest: _RootedForest, start: int) -> Optional[tuple[int, ...]]:
+    """Edge indices of the smallest sub-LOT containing edge `start`, if any.
+
+    Adds each label together with the tree path joining it to the current
+    subtree until every label lies inside.  The path is found by walking the
+    label and the subtree's top vertex upward, deeper one first, so every
+    step adds a vertex: O(n) per closure.  None when a label lies in another
+    component, since then no sub-LOT contains the edge.
+    """
+    parent, parent_edge, depth, label = forest.parent, forest.parent_edge, forest.depth, forest.label
+    e = log.edges[start]
+    u, w = forest.index[e.src], forest.index[e.tgt]
+    top = u if depth[u] <= depth[w] else w
+    inside = {u, w}
+    eset = [start]
+    pending = [label[start]]
+    while pending:
+        x = pending.pop()
+        if x in inside:
+            continue
+        if forest.component[x] != forest.component[top]:
+            return None
+        joined = len(eset)
+        path = []
+        while x not in inside:
+            if depth[x] > depth[top]:
+                path.append(x)
+                x = parent[x]
+            else:  # x is not below top, so the path runs through top's parent
+                eset.append(parent_edge[top])
+                top = parent[top]
+                inside.add(top)
+        for y in path:
+            eset.append(parent_edge[y])
+            inside.add(y)
+        pending.extend(label[i] for i in eset[joined:])
+    return tuple(sorted(eset))
+
+
+def bad_sub_lot_witnesses(log: Log) -> tuple[SubLog, ...]:
+    """The distinct edge closures of a LOF that are not boundary reduced.
+
+    Empty iff every sub-LOT is boundary reduced: a sub-LOT with a leaf v
+    that labels none of its edges contains the closure of v's edge, and v
+    is such a leaf of that closure too.  Ordered like enumerate_sub_lots;
+    at most one witness per edge.  Raises ValueError unless log is a LOF.
+    """
+    forest = _rooted_forest(log)
+    closures = {_closure(log, forest, i) for i in range(len(log.edges))} - {None}
+    bad = [t for t in closures if _has_bad_leaf([log.edges[j] for j in t])]
+    return tuple(_sub_lot(log, t) for t in _by_size(bad))
+
+
+def maximal_proper_sub_lots(log: Log) -> tuple[SubLog, ...]:
+    """The inclusion-maximal sub-LOTs other than the whole LOF.
+
+    Every proper sub-LOT avoids some edge f.  Inside the forest without f,
+    the sub-LOTs are covered by the components of a greatest fixpoint:
+    dropping every edge whose label lies outside its component, until none
+    is dropped, keeps each sub-LOT, and each surviving component with an
+    edge is a sub-LOT.  Ordered like enumerate_sub_lots.  Raises ValueError
+    unless log is a LOF.
+    """
+    _rooted_forest(log)  # raises unless log is a LOF
+    edges = log.edges
+    found = []
+    for f in range(len(edges)):
+        kept = [i for i in range(len(edges)) if i != f]
+        while True:
+            uf = _UnionFind(log.vertices)
+            for i in kept:
+                uf.union(edges[i].src, edges[i].tgt)
+            closed = [i for i in kept if uf.find(edges[i].lab) == uf.find(edges[i].src)]
+            if len(closed) == len(kept):
+                break
+            kept = closed
+        parts: dict[str, list[int]] = {}
+        for i in kept:
+            parts.setdefault(uf.find(edges[i].src), []).append(i)
+        found.extend(tuple(p) for p in parts.values())
+    ordered = _by_size(found)
+    maximal: list[set[int]] = []
+    for t in reversed(ordered):  # a strict superset is longer, so it comes first
+        if not any(m.issuperset(t) for m in maximal):
+            maximal.append(set(t))
+    return tuple(_sub_lot(log, t) for t in ordered if set(t) in maximal)
 
 
 def sub_log_as_log(log: Log, sub: SubLog) -> Log:

@@ -18,13 +18,14 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from . import certify
-from .arborescence import Branching, verify_branching
+from .arborescence import Branching, cut_delta, verify_branching
 from .link_complex import MINUS, PLUS, Multigraph
 from .log_model import Log, make_log, reducedness_report
 from .selection import SelectionGraph
 
 DEFAULT_LBF_CAP = 16
 DEFAULT_BRANCHING_CAP = 20
+DEFAULT_CUT_CAP = 16
 
 
 class CapExceeded(RuntimeError):
@@ -164,6 +165,21 @@ def exhaustive_lbf_search(log: Log, cap: Optional[int] = None) -> list[dict]:
         if certify.lbf_check(log, eps).ok:
             hits.append(eps)
     return hits
+
+
+def exhaustive_cut_condition(sel: SelectionGraph, root: str, cap: Optional[int] = None) -> bool:
+    """Is every nonempty vertex set avoiding the root entered by >= 2 arcs?
+
+    Checks all 2^(n-1) such sets; the cap bounds n - 1.
+    """
+    others = [v for v in sel.nodes if v != root]
+    if len(others) > _cap(cap, DEFAULT_CUT_CAP):
+        raise CapExceeded(f"{len(others)} non-root vertices exceed the cut-search cap")
+    return all(
+        cut_delta(sel, combo) >= 2
+        for r in range(1, len(others) + 1)
+        for combo in itertools.combinations(others, r)
+    )
 
 
 def exhaustive_branching_search(

@@ -1,10 +1,12 @@
 import itertools
 import json
+import time
 
 import pytest
 
 from conftest import BADSUB, NONCOMP, PATH3, PATH3_RHO, TRIV
 from lotcert import (
+    bad_sub_lot_witnesses,
     build_link,
     certify_lof,
     certify_relative,
@@ -26,7 +28,7 @@ from lotcert.certify import (
 )
 from lotcert.link_complex import CORNER_KINDS
 from lotcert.log_model import reducedness_report
-from lotcert.oracle import exhaustive_lbf_search, random_reduced_injective_lot
+from lotcert.oracle import exhaustive_lbf_search, random_log, random_reduced_injective_lot
 
 
 # ---------------------------------------------------------------------------
@@ -150,6 +152,28 @@ def test_certify_non_forest_fails_hypothesis():
     assert cert.hypothesis["forest"] is False
 
 
+def test_certify_general_log_skips_the_sub_lot_scan():
+    # 32 edges on 16 vertices: never a forest, so no closure scan runs
+    for seed in range(5):
+        t0 = time.monotonic()
+        cert = certify_lof(random_log(16, 32, seed))
+        assert time.monotonic() - t0 < 1.0
+        assert cert.hypothesis["forest"] is False
+        assert cert.hypothesis["all_sub_lots_boundary_reduced"] == NOT_EVALUATED
+        assert cert.hypothesis["bad_sub_lots"] == []
+        assert cert.verdicts["DR_claim"] == HYPOTHESIS_FAILED
+
+
+def test_certify_scales_past_exhaustive_enumeration():
+    # exhaustive sub-LOT enumeration ran out of memory from n=48 on
+    lot = random_reduced_injective_lot(128, 1)
+    t0 = time.monotonic()
+    cert = certify_lof(lot)
+    assert time.monotonic() - t0 < 20.0
+    assert cert.input["vertices"] == 128
+    assert cert.verdicts["DR_claim"] in (True, HYPOTHESIS_FAILED)
+
+
 def test_certified_cells_have_two_zero_corners():
     for seed in range(6):
         lot = random_reduced_injective_lot(6, seed)
@@ -204,9 +228,7 @@ def test_embedding_connects_mutually_labeling_components():
     assert len(added) == 1
     hat_rep = reducedness_report(hat)
     assert hat_rep.reduced and hat_rep.injective.ok
-    from lotcert.certify import _has_bad_sub_lot
-
-    assert not _has_bad_sub_lot(hat)
+    assert bad_sub_lot_witnesses(hat) == ()
     cert = certify_lof(log)
     assert cert.verdicts["lbf"] is True
     assert cert.verdicts["DR_claim"] is True
@@ -352,7 +374,7 @@ def test_certificate_json_round_trips():
     cert = certify_lof(PATH3)
     text = cert.to_json()
     data = json.loads(text)
-    assert data["schema"] == 1
+    assert data["schema"] == 2
     assert data["verdicts"]["DR_claim"] is True
     assert text == certify_lof(PATH3).to_json()
 

@@ -1,11 +1,12 @@
 import json
+import os
 from pathlib import Path
 
 import pytest
 
 from conftest import BADSUB, NONCOMP, PATH3, TRIV
 from lotcert.cli import main
-from lotcert.log_model import serialize_log
+from lotcert.log_model import bad_sub_lot_witnesses, parse_log, serialize_log
 
 
 @pytest.fixture
@@ -57,10 +58,22 @@ def test_certify_writes_canonical_json(files, tmp_path, capsys):
     out = tmp_path / "cert.json"
     assert main(["certify", files["path3"], "--json", str(out)]) == 0
     data = json.loads(out.read_text())
-    assert data["schema"] == 1 and data["verdicts"]["DR_claim"] is True
+    assert data["schema"] == 2 and data["verdicts"]["DR_claim"] is True
     again = tmp_path / "cert2.json"
     main(["certify", files["path3"], "--json", str(again)])
     assert out.read_bytes() == again.read_bytes()
+
+
+def test_certify_json_overwrites_a_longer_file(files, tmp_path, capsys):
+    out = tmp_path / "cert.json"
+    assert main(["certify", files["badsub"], "--relative", "--json", str(out)]) == 0
+    longer = out.read_bytes()
+    fresh = tmp_path / "fresh.json"
+    assert main(["certify", files["triv"], "--json", str(fresh)]) == 0
+    assert len(fresh.read_bytes()) < len(longer)
+    main(["certify", files["triv"], "--json", str(out)])
+    assert out.read_bytes() == fresh.read_bytes()
+    assert main(["certify", files["triv"], "--json", os.devnull]) == 0
 
 
 def test_certify_dot_exports(files, tmp_path):
@@ -112,6 +125,18 @@ def test_generate_finds_bad_sub_lots_at_scale(tmp_path):
     )
 
 
+def test_generate_counts_closure_witnesses(tmp_path):
+    d = tmp_path / "corpus"
+    assert main(["generate", "8", "40", "11", str(d)]) == 0
+    manifest = json.loads((d / "manifest.json").read_text())
+    assert manifest["schema"] == 2
+    for inst in manifest["instances"]:
+        log = parse_log((d / inst["file"]).read_text(encoding="utf-8"))
+        flags = inst["flags"]
+        assert flags["bad_sub_lot_count"] == len(bad_sub_lot_witnesses(log))
+        assert flags["all_sub_lots_boundary_reduced"] == (flags["bad_sub_lot_count"] == 0)
+
+
 def test_certify_dot_without_witnesses(files, tmp_path):
     # a hypothesis-failed certificate still exports unstyled graphs
     dotdir = tmp_path / "dots"
@@ -125,6 +150,17 @@ def test_oracle_check(files, capsys):
     out = capsys.readouterr().out
     assert "PASS" in out and "FAIL" not in out
     assert main(["oracle-check", files["badsub"]]) == 0
+
+
+def test_oracle_check_skips_subset_enumeration_above_the_cap(files, capsys, monkeypatch):
+    monkeypatch.setenv("LOT_ORACLE_CAP", "6")
+    assert main(["oracle-check", files["badsub"]]) == 0
+    out = capsys.readouterr().out
+    assert "cut-condition-vs-subset-enumeration" not in out
+    assert "branchings-iff-cut-condition: PASS" in out
+    monkeypatch.setenv("LOT_ORACLE_CAP", "7")
+    assert main(["oracle-check", files["badsub"]]) == 0
+    assert "cut-condition-vs-subset-enumeration: PASS" in capsys.readouterr().out
 
 
 def test_missing_file_is_a_parse_error(tmp_path):

@@ -6,10 +6,12 @@ from hypothesis import given
 from conftest import BADSUB, NONCOMP, PATH3, PATH3_RHO, TRIV, logs, lofs
 from lotcert import (
     ParseError,
+    bad_sub_lot_witnesses,
     block_reorient,
     classify,
     enumerate_sub_lots,
     make_log,
+    maximal_proper_sub_lots,
     non_label_vertices,
     parse_log,
     quotient_lof,
@@ -19,6 +21,8 @@ from lotcert import (
     serialize_log,
 )
 from lotcert.log_model import (
+    _closure,
+    _rooted_forest,
     apply_reduction_move,
     find_reduction_move,
     restrict_log,
@@ -65,6 +69,17 @@ def test_parse_unknown_vertex():
 def test_parse_duplicate_vertex():
     with pytest.raises(ParseError):
         parse_log("vertices: x x\n")
+
+
+def test_parse_reports_the_column_of_the_offending_token():
+    # the unknown 'q' also occurs inside the edge id 'eq'
+    with pytest.raises(ParseError) as exc:
+        parse_log("vertices: a b\nedge eq: a -> q : b\n")
+    assert (exc.value.line, exc.value.column) == (2, 15)
+    # the first 'x' is not the duplicate
+    with pytest.raises(ParseError) as exc:
+        parse_log("vertices: x y x\n")
+    assert (exc.value.line, exc.value.column) == (1, 15)
 
 
 def test_parse_duplicate_edge_id():
@@ -322,6 +337,71 @@ def test_sub_lots_max_size():
 def test_sub_lots_match_brute_force(log):
     fast = {frozenset(s.edge_ids) for s in enumerate_sub_lots(log)}
     assert fast == brute_force_sub_lots(log)
+
+
+def reference_maximal_proper(subs, log):
+    """Inclusion-maximal enumerated sub-LOTs other than the whole graph."""
+    all_edges = set(log.edge_ids())
+    proper = [s for s in subs if set(s.edge_ids) != all_edges]
+    return [s for s in proper if not any(set(s.edge_ids) < set(t.edge_ids) for t in proper)]
+
+
+def random_forests():
+    """Reduced injective LOTs, LOTs with arbitrary labels and LOFs, n <= 11."""
+    from lotcert.oracle import random_lof, random_reduced_injective_lot
+
+    for n in range(3, 12):
+        for seed in range(50):
+            yield random_reduced_injective_lot(n, seed)
+            yield random_lof(n, seed, split_chance=0.0)
+    for n in range(1, 12):
+        for seed in range(50):
+            yield random_lof(n, seed)
+
+
+def test_sub_lot_closures_match_enumeration():
+    for log in random_forests():
+        subs = enumerate_sub_lots(log)
+        bad = [s for s in subs if not s.is_boundary_reduced]
+        witnesses = bad_sub_lot_witnesses(log)
+        assert bool(witnesses) == bool(bad)
+        assert all(w in bad for w in witnesses)
+        assert len(witnesses) <= len(log.edges)
+        assert list(maximal_proper_sub_lots(log)) == reference_maximal_proper(subs, log)
+
+
+def test_closure_is_the_smallest_sub_lot_containing_the_edge():
+    for log in random_forests():
+        subs = [frozenset(s.edge_ids) for s in enumerate_sub_lots(log)]
+        forest = _rooted_forest(log)
+        for i, e in enumerate(log.edges):
+            around = [s for s in subs if e.eid in s]
+            closure = _closure(log, forest, i)
+            if not around:
+                assert closure is None
+            else:
+                assert {log.edges[j].eid for j in closure} == frozenset.intersection(*around)
+
+
+@given(lofs())
+def test_sub_lot_layer_matches_enumeration_on_drawn_lofs(log):
+    subs = enumerate_sub_lots(log)
+    bad = [s for s in subs if not s.is_boundary_reduced]
+    assert bool(bad_sub_lot_witnesses(log)) == bool(bad)
+    assert list(maximal_proper_sub_lots(log)) == reference_maximal_proper(subs, log)
+
+
+def test_sub_lot_witnesses_badsub():
+    assert [w.edge_ids for w in bad_sub_lot_witnesses(BADSUB)] == [("e1", "e2", "e3")]
+    assert bad_sub_lot_witnesses(PATH3) == bad_sub_lot_witnesses(TRIV) == ()
+
+
+def test_sub_lot_layer_rejects_cycles():
+    cyclic = make_log(["x", "y"], [("e1", "x", "y", "x"), ("e2", "y", "x", "y")])
+    with pytest.raises(ValueError):
+        bad_sub_lot_witnesses(cyclic)
+    with pytest.raises(ValueError):
+        maximal_proper_sub_lots(make_log(["x"], [("e1", "x", "x", "x")]))
 
 
 # ---------------------------------------------------------------------------

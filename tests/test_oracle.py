@@ -13,6 +13,7 @@ from lotcert.oracle import (
     cycle_total_angle,
     enumerate_simple_cycles,
     exhaustive_branching_search,
+    exhaustive_cut_condition,
     exhaustive_lbf_search,
     homology_reduced_cycle_search,
     random_lof,
@@ -141,6 +142,27 @@ def test_branching_search_examples():
     assert b1.arcs == () and b2.arcs == ()
     bad = build_selection_graph(BADSUB)
     assert exhaustive_branching_search(bad, "q") is None
+
+
+def test_cut_condition_search_agrees_with_max_flow():
+    from lotcert.arborescence import edmonds_condition
+
+    cases = [(PATH3, "y"), (BADSUB, "q")]
+    cases += [(random_reduced_injective_lot(n, seed), None) for n in (5, 8) for seed in range(10)]
+    for log, root in cases:
+        sel = build_selection_graph(log)
+        root = root or non_label_vertices(log)[0]
+        assert exhaustive_cut_condition(sel, root) == edmonds_condition(sel, root, 2)[0]
+    assert exhaustive_cut_condition(build_selection_graph(BADSUB), "q") is False
+
+
+def test_cut_condition_search_cap(monkeypatch):
+    sel = build_selection_graph(BADSUB)
+    with pytest.raises(CapExceeded):
+        exhaustive_cut_condition(sel, "q", cap=6)
+    monkeypatch.setenv("LOT_ORACLE_CAP", "6")
+    with pytest.raises(CapExceeded):
+        exhaustive_cut_condition(sel, "q")
 
 
 def test_branching_search_cap():
