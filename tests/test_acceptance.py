@@ -292,6 +292,49 @@ def test_criterion_8_oracle_agreement():
     report(8, "oracle agreement across the shared corpora", t0, 120.0)
 
 
+# sha256 of the concatenated certificate JSON per corpus, taken before the
+# build-once refactor of the certify pipelines; a change here is a change of
+# certificate bytes and must come with a schema or CHANGES.md note.
+GOLDEN_DIGESTS = {
+    "fixtures": "67229ca231bb7043e6fca9498b177683e0ada6f1791b002a4df2f977743e37e7",
+    "random_logs": "8efca2c9adff40086eb84513c37c3addee62c7e59aa38c304757d18cfdbf4184",
+    "good_lots": "71b157bc95f5727d7f3382cb66aecdbd641f98fab8cbe4f7da4d2ac503beb291",
+    "bad_sublot_lots": "6b0ce0ac8dfdebe557d57271b838b63e4a458bb314d266781526e59d5c8219e9",
+    "random_lofs": "d5db1ab687a1b700257e797e0d8b0cf9eaba4f490bf1134c8659c8aedba68008",
+    "relative_lots_16": "f39d28e4d558c396e48f425299df64de0d38a92053c5bdad1f9551635377c17b",
+}
+
+
+def test_golden_certificates():
+    import hashlib
+
+    from conftest import BADSUB, NONCOMP, PATH3, PATH3_RHO, TRIV
+
+    both = (certify_lof, certify_relative)
+    corpora = {
+        "fixtures": ([TRIV, PATH3, PATH3_RHO, NONCOMP, BADSUB], both),
+        "random_logs": (corpus_random_logs(), both),
+        "good_lots": (corpus_good_lots(), (certify_lof,)),
+        "bad_sublot_lots": (corpus_bad_sublot_lots(), both),
+        "random_lofs": (
+            [random_lof(n, s) for n in range(2, 13) for s in range(40)],
+            (certify_lof,),
+        ),
+        "relative_lots_16": (
+            [random_reduced_injective_lot(16, s) for s in range(150)],
+            (certify_relative,),
+        ),
+    }
+    digests = {}
+    for name, (logs, pipelines) in corpora.items():
+        h = hashlib.sha256()
+        for log in logs:
+            for pipeline in pipelines:
+                h.update(pipeline(log).to_json().encode("utf-8"))
+        digests[name] = h.hexdigest()
+    assert digests == GOLDEN_DIGESTS
+
+
 def test_criterion_9_determinism(tmp_path):
     t0 = time.monotonic()
     from lotcert.cli import main
