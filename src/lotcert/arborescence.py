@@ -227,8 +227,3 @@ def verify_branching(sel: SelectionGraph, b: Branching) -> tuple[bool, Optional[
         if v not in seen:
             return False, v
     return True, None
-
-
-def single_branching(sel: SelectionGraph, root: str) -> Optional[Branching]:
-    """Greedy spanning arborescence; testing utility with no certification role."""
-    return _greedy_arborescence(sel, root, set())

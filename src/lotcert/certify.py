@@ -26,7 +26,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from . import arborescence, link_complex, selection
 from .arborescence import Branching, CutWitness
@@ -48,6 +48,8 @@ from .link_complex import (
 from .log_model import (
     Edge,
     Log,
+    LogClass,
+    ReducednessReport,
     SubLog,
     bad_sub_lot_witnesses,
     classify,
@@ -93,42 +95,49 @@ class BiForestResult:
     cycle_side: Optional[str] = None
 
 
-def strong_lbf_check(log: Log) -> BiForestResult:
+# Each check below takes the link of `log` as the keyword `link` when the
+# caller has built it already; without it the check builds it from `log`.
+
+
+def _sides(link: LinkGraph, eps: link_complex.SignAssignment) -> tuple[LinkGraph, LinkGraph]:
+    """The full subgraphs of the link on the signs eps and on their opposites."""
+    side = induced_subgraph(link, [n for n in link.nodes if n.sign == eps[n.vertex]])
+    coside = induced_subgraph(link, [n for n in link.nodes if n.sign != eps[n.vertex]])
+    return side, coside
+
+
+def _bi_forest(first: LinkGraph, second: LinkGraph, names: tuple[str, str]) -> BiForestResult:
+    for g, name in zip((first, second), names):
+        ok, cycle = is_forest(g.to_multigraph())
+        if not ok:
+            return BiForestResult(False, first, second, cycle, name)
+    return BiForestResult(True, first, second)
+
+
+def strong_lbf_check(log: Log, *, link: Optional[LinkGraph] = None) -> BiForestResult:
     """Are the all-plus and all-minus sides of the link both forests?"""
-    link = build_link(log)
-    plus = induced_subgraph(link, [n for n in link.nodes if n.sign == PLUS])
-    minus = induced_subgraph(link, [n for n in link.nodes if n.sign == MINUS])
-    ok_p, cyc_p = is_forest(plus.to_multigraph())
-    if not ok_p:
-        return BiForestResult(False, plus, minus, cyc_p, "plus")
-    ok_m, cyc_m = is_forest(minus.to_multigraph())
-    if not ok_m:
-        return BiForestResult(False, plus, minus, cyc_m, "minus")
-    return BiForestResult(True, plus, minus)
+    link = build_link(log) if link is None else link
+    plus, minus = _sides(link, dict.fromkeys(log.vertices, PLUS))
+    return _bi_forest(plus, minus, ("plus", "minus"))
 
 
-def lbf_check(log: Log, eps: link_complex.SignAssignment) -> BiForestResult:
+def lbf_check(
+    log: Log, eps: link_complex.SignAssignment, *, link: Optional[LinkGraph] = None
+) -> BiForestResult:
     """Do the signs eps split the link into two induced forests?"""
     for v in log.vertices:
         if eps.get(v) not in (PLUS, MINUS):
             raise ValueError(f"sign assignment not total at vertex {v!r}")
-    link = build_link(log)
-    side = induced_subgraph(link, [SignedVertex(v, eps[v]) for v in log.vertices])
-    coside = induced_subgraph(
-        link, [SignedVertex(v, MINUS if eps[v] == PLUS else PLUS) for v in log.vertices]
-    )
-    ok1, cyc1 = is_forest(side.to_multigraph())
-    if not ok1:
-        return BiForestResult(False, side, coside, cyc1, "epsilon")
-    ok2, cyc2 = is_forest(coside.to_multigraph())
-    if not ok2:
-        return BiForestResult(False, side, coside, cyc2, "minus_epsilon")
-    return BiForestResult(True, side, coside)
+    link = build_link(log) if link is None else link
+    side, coside = _sides(link, eps)
+    return _bi_forest(side, coside, ("epsilon", "minus_epsilon"))
 
 
-def angles_from_bipartition(log: Log, eps: link_complex.SignAssignment) -> dict:
+def angles_from_bipartition(
+    log: Log, eps: link_complex.SignAssignment, *, link: Optional[LinkGraph] = None
+) -> dict:
     """Angle 0 on corners joining equal sign classes, angle 1 across them."""
-    link = build_link(log)
+    link = build_link(log) if link is None else link
     angles = {}
     for c in link.corners:
         u, w = c.ends
@@ -141,6 +150,21 @@ def angles_from_bipartition(log: Log, eps: link_complex.SignAssignment) -> dict:
 # wedge decomposition and embedding of a LOF into a LOT
 
 
+def _vertex_classes(log: Log, pairs: Iterable[tuple[str, str]]) -> list[tuple[str, ...]]:
+    """Classes of the equivalence the vertex pairs generate.
+
+    Each class lists its vertices in declaration order; classes are ordered
+    by their first vertex.
+    """
+    uf = _UnionFind(log.vertices)
+    for a, b in pairs:
+        uf.union(a, b)
+    classes: dict[str, list[str]] = {}
+    for v in log.vertices:
+        classes.setdefault(uf.find(v), []).append(v)
+    return [tuple(vs) for vs in classes.values()]
+
+
 def label_closed_groups(log: Log) -> list[tuple[str, ...]]:
     """Finest partition of the vertices into label-closed component groups.
 
@@ -148,26 +172,7 @@ def label_closed_groups(log: Log) -> list[tuple[str, ...]]:
     other; each group's full sub-LOG is a LOF whose complex is a wedge
     summand of the whole complex.
     """
-    uf = _UnionFind(log.vertices)
-    for e in log.edges:
-        uf.union(e.src, e.tgt)
-    for e in log.edges:
-        uf.union(e.lab, e.src)
-    groups: dict[str, list[str]] = {}
-    for v in log.vertices:
-        groups.setdefault(uf.find(v), []).append(v)
-    ordered = sorted(groups.values(), key=lambda vs: log.vertex_index()[vs[0]])
-    return [tuple(vs) for vs in ordered]
-
-
-def _components(log: Log) -> list[tuple[str, ...]]:
-    uf = _UnionFind(log.vertices)
-    for e in log.edges:
-        uf.union(e.src, e.tgt)
-    comps: dict[str, list[str]] = {}
-    for v in log.vertices:
-        comps.setdefault(uf.find(v), []).append(v)
-    return [tuple(vs) for vs in sorted(comps.values(), key=lambda vs: log.vertex_index()[vs[0]])]
+    return _vertex_classes(log, [p for e in log.edges for p in ((e.src, e.tgt), (e.lab, e.src))])
 
 
 def embed_into_lot(log: Log) -> tuple[Log, list]:
@@ -187,7 +192,7 @@ def embed_into_lot(log: Log) -> tuple[Log, list]:
     work = log
     counter = 1
     while True:
-        comps = _components(work)
+        comps = _vertex_classes(work, [(e.src, e.tgt) for e in work.edges])
         if len(comps) <= 1:
             return work, added
         labels = work.label_set()
@@ -283,9 +288,7 @@ def _input_section(log: Log) -> dict:
     }
 
 
-def _flags_section(log: Log) -> dict:
-    rep = reducedness_report(log)
-    cls = classify(log)
+def _flags_section(rep: ReducednessReport, cls: LogClass) -> dict:
     return {
         "boundary_reduced": rep.boundary_reduced.ok,
         "interior_reduced": rep.interior_reduced.ok,
@@ -356,11 +359,11 @@ def _verdict_scaffold(value) -> tuple[dict, dict, dict]:
 # plain pipeline
 
 
-def _hypothesis_section(log: Log) -> dict:
-    """The hypothesis report; the sub-LOT scan runs only on a LOF, since a
-    cycle already fails the hypothesis and closures need a forest."""
-    rep = reducedness_report(log)
-    forest = classify(log).kind in ("LOT", "LOF")
+def _hypothesis_section(log: Log, rep: ReducednessReport, cls: LogClass) -> dict:
+    """The hypothesis report from log's reducedness report and class; the
+    sub-LOT scan runs only on a LOF, since a cycle already fails the
+    hypothesis and closures need a forest."""
+    forest = cls.kind in ("LOT", "LOF")
     bad = bad_sub_lot_witnesses(log) if forest else ()
     return {
         "satisfied": rep.reduced and rep.injective.ok and forest and not bad,
@@ -390,13 +393,11 @@ def _certify_lot_core(lot: Log) -> dict:
         partition[k] = selection.WHITE
     ok_adm, bad_edge = selection.is_admissible(sel, partition)
     assert ok_adm, f"branching pair not admissible at {bad_edge!r}"
-    flips = sorted(
-        selection.flips_from_partition(lot, partition),
-        key={e.eid: i for i, e in enumerate(lot.edges)}.__getitem__,
-    )
+    index = {e.eid: i for i, e in enumerate(lot.edges)}
+    flips = sorted(selection.flips_from_partition(lot, partition), key=index.__getitem__)
     rho = reorient(lot, flips)
     strong = strong_lbf_check(rho)
-    flipped_labels = {lot.edge(eid).lab for eid in flips}
+    flipped_labels = {lot.edges[index[eid]].lab for eid in flips}
     eps = {v: (MINUS if v in flipped_labels else PLUS) for v in lot.vertices}
     return {
         "ok": strong.ok,
@@ -417,8 +418,9 @@ def certify_lof(log: Log) -> Certificate:
     delta=1 cut of the selection graph is included and the relative pipeline
     is suggested.
     """
-    hypothesis = _hypothesis_section(log)
-    flags = _flags_section(log)
+    rep, cls = reducedness_report(log), classify(log)
+    hypothesis = _hypothesis_section(log, rep, cls)
+    flags = _flags_section(rep, cls)
     witnesses: dict = {}
 
     if not hypothesis["satisfied"]:
@@ -451,7 +453,7 @@ def certify_lof(log: Log) -> Certificate:
             continue
         hat, added = embed_into_lot(glog)
         if added:
-            hat_hyp = _hypothesis_section(hat)
+            hat_hyp = _hypothesis_section(hat, reducedness_report(hat), classify(hat))
             embeddings.append(
                 {
                     "group": list(group),
@@ -486,10 +488,11 @@ def certify_lof(log: Log) -> Certificate:
             {"root": b2.root, "arcs": [list(k) for k in b2.arcs]}
         )
         partition_out.update(
-            {f"{k[0]}:{k[1]}": color for k, color in sorted(core["partition"].items())}
+            {corner_key_str(k): color for k, color in sorted(core["partition"].items())}
         )
 
-    strong_input = strong_lbf_check(log)
+    link = build_link(log)
+    strong_input = strong_lbf_check(log, link=link)
     verdicts, provenance, citations = _verdict_scaffold(False)
     verdicts["strong_lbf"] = strong_input.ok
     verdicts["relative_coloring_test"] = NOT_EVALUATED
@@ -501,9 +504,9 @@ def certify_lof(log: Log) -> Certificate:
             _input_section(log), flags, hypothesis, witnesses, verdicts, provenance, citations
         )
 
-    lbf = lbf_check(log, eps)
-    angles = angles_from_bipartition(log, eps)
-    coloring = verify_coloring_test(log, angles)
+    lbf = lbf_check(log, eps, link=link)
+    angles = angles_from_bipartition(log, eps, link=link)
+    coloring = verify_coloring_test(log, angles, link=link)
     report = curvature(log, angles)
 
     witnesses.update(
@@ -566,8 +569,8 @@ def certify_relative(log: Log, parts: Optional[Sequence[SubLog]] = None) -> Cert
         work, moves = reduce_log(work)
         rep = reducedness_report(work)
 
-    flags = _flags_section(work)
     cls = classify(work)
+    flags = _flags_section(rep, cls)
     base_witnesses: dict = {}
     if moves:
         base_witnesses["reduction_moves"] = [list(map(str, m)) for m in moves]
@@ -608,8 +611,9 @@ def certify_relative(log: Log, parts: Optional[Sequence[SubLog]] = None) -> Cert
         cert.input = _input_section(log)
         return cert
 
+    link = build_link(work)
     verdicts, provenance, citations = _verdict_scaffold(NOT_EVALUATED)
-    verdicts["strong_lbf"] = strong_lbf_check(work).ok
+    verdicts["strong_lbf"] = strong_lbf_check(work, link=link).ok
     provenance["aspherical_claim"] = "by-citation"
     citations["aspherical_claim"] = CITATIONS["relative_aspherical_claim"]
     citations["VA_claim"] = CITATIONS["relative_aspherical_claim"]
@@ -626,55 +630,43 @@ def certify_relative(log: Log, parts: Optional[Sequence[SubLog]] = None) -> Cert
         dict(_sublog_dict(p), rep=p.vertices[0]) for p in part_list
     ]
 
-    if not hypothesis["parts_disjoint"]:
+    certified = False
+    if hypothesis["parts_disjoint"]:
+        reps = [p.vertices[0] for p in part_list]
+        quotient, vmap, _ = quotient_lof(work, part_list, reps)
+        qcert = certify_lof(quotient)
+        base_witnesses["quotient"] = {
+            "log": serialize_log(quotient),
+            "vertex_map": dict(sorted(vmap.items())),
+            "certificate": qcert.to_dict(),
+        }
+        certified = qcert.verdicts["lbf"] is True
+        if not certified:
+            hypothesis["note"] = "quotient LOF does not certify"
+    if not certified:
         for k in ("relative_coloring_test", "aspherical_claim", "VA_claim", "locally_indicable_claim", "DR_claim"):
             verdicts[k] = NON_GENERIC
         hypothesis["satisfied"] = False
-        return Certificate(
-            _input_section(log), flags, hypothesis, base_witnesses, verdicts, provenance, citations
-        )
-
-    reps = [p.vertices[0] for p in part_list]
-    quotient, vmap, _ = quotient_lof(work, part_list, reps)
-    qcert = certify_lof(quotient)
-    base_witnesses["quotient"] = {
-        "log": serialize_log(quotient),
-        "vertex_map": dict(sorted(vmap.items())),
-        "certificate": qcert.to_dict(),
-    }
-    if qcert.verdicts["lbf"] is not True:
-        for k in ("relative_coloring_test", "aspherical_claim", "VA_claim", "locally_indicable_claim", "DR_claim"):
-            verdicts[k] = NON_GENERIC
-        hypothesis["satisfied"] = False
-        hypothesis["note"] = "quotient LOF does not certify"
         return Certificate(
             _input_section(log), flags, hypothesis, base_witnesses, verdicts, provenance, citations
         )
 
     epsbar = qcert.witnesses["epsilon"]
     eps = {v: epsbar[vmap[v]] for v in work.vertices}
-    angles = angles_from_bipartition(work, eps)
+    angles = angles_from_bipartition(work, eps, link=link)
     report = curvature(work, angles)
     all_cells_ok = all(k <= 0 for k in report.kappa_cells.values())
     part_edge_ids = {eid for p in part_list for eid in p.edge_ids}
     part_cells_zero = all(report.kappa_cells[eid] == 0 for eid in part_edge_ids)
     assert part_cells_zero, "cells of collapsed parts must be flat"
 
-    link = build_link(work)
-    side = induced_subgraph(link, [SignedVertex(v, eps[v]) for v in work.vertices])
-    coside = induced_subgraph(
-        link, [SignedVertex(v, MINUS if eps[v] == PLUS else PLUS) for v in work.vertices]
-    )
+    side, coside = _sides(link, eps)
     inside = frozenset(c.key for c in link.corners if c.owner in part_edge_ids)
-    rel1, _w1 = is_relative_forest(
-        side.to_multigraph(), [c.key for c in side.corners if c.key in inside]
-    )
-    rel2, _w2 = is_relative_forest(
-        coside.to_multigraph(), [c.key for c in coside.corners if c.key in inside]
-    )
+    rel1, _w1 = is_relative_forest(side.to_multigraph(), inside)
+    rel2, _w2 = is_relative_forest(coside.to_multigraph(), inside)
 
-    rct = verify_relative_coloring_test(work, part_list, angles)
-    coloring = verify_coloring_test(work, angles)
+    rct = verify_relative_coloring_test(work, part_list, angles, link=link)
+    coloring = verify_coloring_test(work, angles, link=link)
 
     part_certs = []
     parts_ok = True

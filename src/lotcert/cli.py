@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 
 from . import arborescence, certify, oracle
-from .link_complex import build_link, is_forest, link_to_dot
+from .link_complex import build_link, is_forest, link_to_dot, parse_corner_key
 from .log_model import (
     Log,
     ParseError,
@@ -104,17 +104,11 @@ def cmd_certify(args) -> int:
         angles_raw = cert.witnesses.get("angles")
         angles = None
         if angles_raw:
-            angles = {}
-            for key, val in angles_raw.items():
-                owner, kind = key.rsplit(":", 1)
-                angles[(owner, kind)] = val
+            angles = {parse_corner_key(key): val for key, val in angles_raw.items()}
         partition_raw = cert.witnesses.get("partition")
         partition = None
         if partition_raw:
-            partition = {}
-            for key, color in partition_raw.items():
-                owner, kind = key.rsplit(":", 1)
-                partition[(owner, kind)] = color
+            partition = {parse_corner_key(key): color for key, color in partition_raw.items()}
         _write(outdir / "link.dot", link_to_dot(build_link(log), angles))
         sel = build_selection_graph(log)
         if partition is not None:

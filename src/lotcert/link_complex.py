@@ -23,7 +23,7 @@ from collections import defaultdict, deque
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .log_model import Edge, Log
+from .log_model import Edge, Log, _UnionFind
 
 PLUS = "+"
 MINUS = "-"
@@ -131,6 +131,12 @@ def corner_key_str(key: CornerKey) -> str:
     return f"{key[0]}:{key[1]}"
 
 
+def parse_corner_key(text: str) -> CornerKey:
+    """Inverse of corner_key_str; also decodes selection-arc keys."""
+    owner, kind = text.rsplit(":", 1)
+    return (owner, kind)
+
+
 # ---------------------------------------------------------------------------
 # generic multigraph machinery
 
@@ -197,24 +203,15 @@ def is_forest(g: Multigraph) -> tuple[bool, Optional[Walk]]:
 
     On failure the witness is a simple cycle, as a closed walk.
     """
-    uf_parent = {n: n for n in g.nodes}
-
-    def find(x):
-        while uf_parent[x] != x:
-            uf_parent[x] = uf_parent[uf_parent[x]]
-            x = uf_parent[x]
-        return x
-
+    uf = _UnionFind(g.nodes)
     accepted = []
     for key, u, v in g.edges:
         if u == v:
             return False, Walk((u, u), (key,))
-        ru, rv = find(u), find(v)
-        if ru == rv:
+        if not uf.union(u, v):
             path = find_path(Multigraph(g.nodes, tuple(accepted)), u, v)
             assert path is not None
             return False, Walk(path.nodes + (u,), path.edges + (key,))
-        uf_parent[rv] = ru
         accepted.append((key, u, v))
     return True, None
 
@@ -359,15 +356,18 @@ def _zero_subgraph(link: LinkGraph, angles: AngleAssignment) -> Multigraph:
     )
 
 
-def verify_coloring_test(log: Log, angles: AngleAssignment) -> ColoringResult:
+def verify_coloring_test(
+    log: Log, angles: AngleAssignment, *, link: Optional[LinkGraph] = None
+) -> ColoringResult:
     """Zero/one coloring test.
 
     (a) every 2-cell has curvature <= 0 and (b) every simple reduced cycle of
     the link has total angle >= 2.  Condition (b) is checked through the
     equivalent criterion: the angle-0 corners form a forest Z and every
-    angle-1 corner joins two distinct components of Z.
+    angle-1 corner joins two distinct components of Z.  `link`, when given,
+    must be build_link(log).
     """
-    link = build_link(log)
+    link = build_link(log) if link is None else link
     report = curvature(log, angles)
     positive = tuple(eid for eid, k in report.kappa_cells.items() if k > 0)
 
@@ -399,7 +399,9 @@ class RelativeColoringResult:
     bad_cycle_angle: Optional[int] = None
 
 
-def verify_relative_coloring_test(log: Log, parts, angles: AngleAssignment) -> RelativeColoringResult:
+def verify_relative_coloring_test(
+    log: Log, parts, angles: AngleAssignment, *, link: Optional[LinkGraph] = None
+) -> RelativeColoringResult:
     """Relative zero/one coloring test against a wedge of sub-LOT complexes.
 
     (1) cells outside the parts have curvature <= 0, and (2) every simple
@@ -408,7 +410,7 @@ def verify_relative_coloring_test(log: Log, parts, angles: AngleAssignment) -> R
     parts is a bridge of Z and every angle-1 corner either joins distinct
     Z-components or lies in a part with a Z-path between its endpoints inside
     the parts.  Simple cycles suffice: homology reduced closed walks
-    decompose into them.
+    decompose into them.  `link`, when given, must be build_link(log).
     """
     part_edges: set[str] = set()
     for sub in parts:
@@ -417,25 +419,16 @@ def verify_relative_coloring_test(log: Log, parts, angles: AngleAssignment) -> R
             raise ValueError("parts are not edge-disjoint")
         part_edges |= eids
 
-    link = build_link(log)
+    link = build_link(log) if link is None else link
     report = curvature(log, angles)
     positive = tuple(
         eid for eid, k in report.kappa_cells.items() if k > 0 and eid not in part_edges
     )
 
     zero = _zero_subgraph(link, angles)
-    bridge_keys = bridges(zero)
     inside = frozenset(c.key for c in link.corners if c.owner in part_edges)
-
-    for key, u, v in zero.edges:
-        if key in inside or key in bridge_keys:
-            continue
-        if u == v:
-            return RelativeColoringResult(False, positive, Walk((u, u), (key,)), 0)
-        rest = tuple(e for e in zero.edges if e[0] != key)
-        path = find_path(Multigraph(zero.nodes, rest), u, v)
-        assert path is not None
-        walk = Walk(path.nodes + (u,), path.edges + (key,))
+    relative, walk = is_relative_forest(zero, inside)
+    if not relative:
         return RelativeColoringResult(False, positive, walk, 0)
 
     rep = components(zero)

@@ -273,23 +273,21 @@ def reducedness_report(log: Log) -> ReducednessReport:
     deg = log.valency()
     boundary_bad = tuple(v for v in log.vertices if deg[v] == 1 and v not in labels)
 
+    compressed_bad = tuple(e.eid for e in log.edges if e.lab in (e.src, e.tgt))
+
+    # each pair of edges with a common label, ordered by later edge, then earlier
     interior_bad = []
-    for j, ej in enumerate(log.edges):
-        for ei in log.edges[:j]:
-            if ei.lab != ej.lab:
-                continue
+    injective_bad = []
+    earlier_by_label: dict[str, list[Edge]] = {}
+    for ej in log.edges:
+        earlier = earlier_by_label.setdefault(ej.lab, [])
+        for ei in earlier:
             if ei.src == ej.src:
                 interior_bad.append((ei.src, ei.eid, ej.eid))
             if ei.tgt == ej.tgt:
                 interior_bad.append((ei.tgt, ei.eid, ej.eid))
-
-    compressed_bad = tuple(e.eid for e in log.edges if e.lab in (e.src, e.tgt))
-
-    injective_bad = []
-    for j, ej in enumerate(log.edges):
-        for ei in log.edges[:j]:
-            if ei.lab == ej.lab:
-                injective_bad.append((ei.eid, ej.eid))
+            injective_bad.append((ei.eid, ej.eid))
+        earlier.append(ej)
 
     return ReducednessReport(
         boundary_reduced=Flag(not boundary_bad, boundary_bad),
@@ -635,11 +633,15 @@ def maximal_proper_sub_lots(log: Log) -> tuple[SubLog, ...]:
 
 def sub_log_as_log(log: Log, sub: SubLog) -> Log:
     """The sub-LOT as a standalone Log (vertex order inherited)."""
-    return Log(sub.vertices, tuple(log.edge(eid) for eid in sub.edge_ids))
+    by_id = {e.eid: e for e in log.edges}
+    for eid in sub.edge_ids:
+        if eid not in by_id:
+            raise ValueError(f"unknown edge id {eid!r}")
+    return Log(sub.vertices, tuple(by_id[eid] for eid in sub.edge_ids))
 
 
 def validate_sub_lot(log: Log, sub: SubLog) -> None:
-    eids = {e.eid for e in log.edges}
+    by_id = {e.eid: e for e in log.edges}
     if not sub.edge_ids:
         raise ValueError("sub-LOT must contain at least one edge")
     vset = set(sub.vertices)
@@ -648,9 +650,9 @@ def validate_sub_lot(log: Log, sub: SubLog) -> None:
     uf = _UnionFind(sub.vertices)
     acyclic = True
     for eid in sub.edge_ids:
-        if eid not in eids:
+        if eid not in by_id:
             raise ValueError(f"sub-LOT edge {eid!r} not in parent")
-        e = log.edge(eid)
+        e = by_id[eid]
         if e.src not in vset or e.tgt not in vset:
             raise ValueError(f"sub-LOT edge {eid!r} leaves the vertex set")
         if e.lab not in vset:

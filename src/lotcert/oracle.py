@@ -19,7 +19,7 @@ from typing import Iterable, Optional
 
 from . import certify
 from .arborescence import Branching, cut_delta, verify_branching
-from .link_complex import MINUS, PLUS, Multigraph
+from .link_complex import MINUS, PLUS, Multigraph, build_link
 from .log_model import Log, make_log, reducedness_report
 from .selection import SelectionGraph
 
@@ -159,10 +159,11 @@ def exhaustive_lbf_search(log: Log, cap: Optional[int] = None) -> list[dict]:
     n = len(log.vertices)
     if n > _cap(cap, DEFAULT_LBF_CAP):
         raise CapExceeded(f"{n} vertices exceed the sign-search cap")
+    link = build_link(log)
     hits = []
     for signs in itertools.product((PLUS, MINUS), repeat=n):
         eps = dict(zip(log.vertices, signs))
-        if certify.lbf_check(log, eps).ok:
+        if certify.lbf_check(log, eps, link=link).ok:
             hits.append(eps)
     return hits
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
-from .link_complex import Multigraph
+from .link_complex import Multigraph, _dot_quote
 from .log_model import Log, reorient
 
 ArcKey = tuple[str, str]  # (owner edge id, 'a' | 'b')
@@ -121,10 +121,6 @@ def beta_image(log: Log, sign: str) -> SelectionGraph:
     kind = "a" if sign == "+" else "b"
     sel = build_selection_graph(log)
     return SelectionGraph(sel.nodes, tuple(a for a in sel.arcs if a.kind == kind))
-
-
-def _dot_quote(s: str) -> str:
-    return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
 def selection_to_dot(sel: SelectionGraph, partition: Optional[Partition2] = None) -> str:

@@ -24,7 +24,7 @@ from lotcert import (
 from lotcert.arborescence import CutWitness, cut_delta, two_disjoint_branchings, verify_branching
 from lotcert.arborescence import edmonds_condition
 from lotcert.certify import lbf_check, strong_lbf_check
-from lotcert.link_complex import CORNER_KINDS, Multigraph, SignedVertex
+from lotcert.link_complex import CORNER_KINDS, Multigraph, SignedVertex, parse_corner_key
 from lotcert.log_model import (
     block_reorient,
     enumerate_sub_lots,
@@ -281,10 +281,7 @@ def test_criterion_8_oracle_agreement():
     for lot in corpus_bad_sublot_lots():
         rel = certify_relative(lot)
         part_edges = {eid for p in rel.witnesses["parts"] for eid in p["edges"]}
-        angles = {}
-        for key, val in rel.witnesses["angles"].items():
-            owner, kind = key.rsplit(":", 1)
-            angles[(owner, kind)] = val
+        angles = {parse_corner_key(key): val for key, val in rel.witnesses["angles"].items()}
         g = build_link(lot).to_multigraph()
         for c in enumerate_simple_cycles(g, max_len=len(g.edges)):
             if sum(angles[k] for k in c.edges) <= 1:

@@ -9,7 +9,7 @@ from lotcert import (
     two_disjoint_branchings,
     verify_branching,
 )
-from lotcert.arborescence import Branching, CutWitness, cut_delta, single_branching
+from lotcert.arborescence import Branching, CutWitness, _greedy_arborescence, cut_delta
 from lotcert.oracle import CapExceeded, exhaustive_branching_search
 
 
@@ -84,7 +84,7 @@ def test_verify_branching_rejects_bad_sets():
 
 def test_single_branching_exists_despite_bad_sublot():
     sel = build_selection_graph(BADSUB)
-    b = single_branching(sel, "q")
+    b = _greedy_arborescence(sel, "q", set())
     assert b is not None
     assert verify_branching(sel, b) == (True, None)
 
