@@ -1,15 +1,33 @@
-"""Disjoint branchings in the selection graph via cut conditions.
+"""Disjoint branchings in the selection graph via one dominator pass.
 
 A branching rooted at r is a spanning arborescence: every vertex other than
 the root has exactly one incoming arc and is reachable from the root.  Two
-disjoint branchings rooted at r exist iff every vertex set avoiding r is
-entered by at least two arcs (delta(S) >= 2); the condition is checked by
-unit-capacity max-flow from the root, and failures are reported as a minimum
-violating cut.
+arc-disjoint branchings rooted at r exist iff every vertex set avoiding r is
+entered by at least two arcs, delta(S) >= 2 (Edmonds 1973).  By Menger's
+theorem that holds iff every vertex is reachable from r and no single arc
+lies on every path from r to it.  `edmonds_condition` tests both with one
+dominator pass (Cooper, Harvey and Kennedy, "A Simple, Fast Dominance
+Algorithm", 2001) over the selection graph with each arc subdivided: a
+vertex fails when it is unreachable (delta 0) or when an arc node dominates
+it (delta 1).  A failure is reported as a minimum violating cut: the
+unreachable vertices, or else the cut left by one unit-capacity max-flow to
+the first failing vertex.
+
+The first branching is grown greedily from a heap of frontier arcs keyed by
+arc index.  An arc u -> w is committed only when the root still reaches w
+without it and without the arcs already committed, which keeps every vertex
+reachable for the second branching.  A spanning tree of the uncommitted
+arcs answers that test: an arc outside the tree passes at once, and a tree
+arc passes iff the subtree below it can be hung from other uncommitted
+arcs, which then becomes the tree.  An arc that fails fails for good, since
+the committed set only grows.  The second branching takes the smallest-index
+frontier arc among the remaining arcs at each step, like Prim's algorithm.
+Both run over integer vertex and arc indices.
 """
 
 from __future__ import annotations
 
+import heapq
 from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Union
@@ -87,67 +105,216 @@ def _max_flow(arcs: list[tuple[str, str]], source: str, sink: str, limit: int) -
     return flow, reach
 
 
+_Index = tuple[list[int], list[int], list[list[int]], list[list[int]]]
+
+
+def _index(sel: SelectionGraph) -> _Index:
+    """Arc tails, arc heads, out-arc lists and in-arc lists over the
+    positions of nodes and arcs."""
+    pos = {v: i for i, v in enumerate(sel.nodes)}
+    src = [pos[a.src] for a in sel.arcs]
+    dst = [pos[a.dst] for a in sel.arcs]
+    out: list[list[int]] = [[] for _ in sel.nodes]
+    into: list[list[int]] = [[] for _ in sel.nodes]
+    for i, (u, v) in enumerate(zip(src, dst)):
+        out[u].append(i)
+        into[v].append(i)
+    return src, dst, out, into
+
+
+def _disjoint_paths(g: _Index, root: int) -> list[int]:
+    """min(2, number of arc-disjoint paths from root) for every vertex.
+
+    Dominators of the graph with each arc subdivided: vertex v is node v and
+    arc i is node n + i.  A reachable vertex has one path at most iff an arc
+    node dominates it.
+    """
+    src, dst, out, into = g
+    n, m = len(out), len(src)
+
+    def successors(x: int):
+        return iter([n + i for i in out[x]]) if x < n else iter((dst[x - n],))
+
+    # postorder numbers by iterative depth-first search
+    post = [-1] * (n + m)
+    order: list[int] = []
+    seen = bytearray(n + m)
+    seen[root] = 1
+    stack = [(root, successors(root))]
+    while stack:
+        x, it = stack[-1]
+        for y in it:
+            if not seen[y]:
+                seen[y] = 1
+                stack.append((y, successors(y)))
+                break
+        else:
+            stack.pop()
+            post[x] = len(order)
+            order.append(x)
+    order.reverse()
+
+    idom = [-1] * (n + m)
+    idom[root] = root
+    for i, u in enumerate(src):
+        if seen[u]:
+            idom[n + i] = u  # an arc node's only predecessor is its tail
+
+    def intersect(a: int, b: int) -> int:
+        while a != b:
+            while post[a] < post[b]:
+                a = idom[a]
+            while post[b] < post[a]:
+                b = idom[b]
+        return a
+
+    vertices = [v for v in order if v < n and v != root]
+    changed = True
+    while changed:
+        changed = False
+        for v in vertices:
+            new = -1
+            for i in into[v]:
+                if idom[src[i]] == -1:
+                    continue  # tail not reached yet, or unreachable
+                new = n + i if new == -1 else intersect(n + i, new)
+            if idom[v] != new:
+                idom[v] = new
+                changed = True
+
+    paths = [0] * n
+    paths[root] = 2
+    for v in vertices:  # a dominator precedes the vertices it dominates
+        d = idom[v]
+        paths[v] = 1 if d >= n else paths[d]
+    return paths
+
+
 def edmonds_condition(
     sel: SelectionGraph, root: str, n: int
 ) -> tuple[bool, Optional[CutWitness]]:
-    """delta(S) >= n for every nonempty S avoiding the root.
+    """delta(S) >= n for every nonempty S avoiding the root, for n in {1, 2}.
 
-    Equivalently every vertex admits n arc-disjoint paths from the root; each
-    vertex is checked with unit-capacity max-flow.  On failure the witness is
-    a minimum violating cut.
+    n = 1 asks that every vertex be reachable from the root; n = 2 also asks
+    that no arc lie on every path from the root to a vertex.  Both come from
+    one dominator pass; any other n raises ValueError.  On failure the
+    witness is a minimum violating cut: the set of unreachable vertices if
+    there are any, else the cut of a unit-capacity max-flow from the root to
+    the first failing vertex in node order.
     """
     if root not in sel.nodes:
         raise ValueError(f"unknown root {root!r}")
-    arcs = [(a.src, a.dst) for a in sel.arcs]
-    worst: Optional[tuple[int, set]] = None
-    for v in sel.nodes:
-        if v == root:
-            continue
-        flow, reach = _max_flow(arcs, root, v, n)
-        if flow < n and (worst is None or flow < worst[0]):
-            worst = (flow, reach)
-    if worst is None:
+    if n not in (1, 2):
+        raise ValueError(f"edmonds_condition supports n = 1 or 2, not {n!r}")
+    paths = _disjoint_paths(_index(sel), sel.nodes.index(root))
+    if min(paths) >= n:
         return True, None
-    flow, reach = worst
-    cut = tuple(v for v in sel.nodes if v not in reach)
+    if min(paths) == 0:
+        flow = 0
+        cut = tuple(v for v, k in zip(sel.nodes, paths) if k == 0)
+    else:
+        sink = next(v for v, k in zip(sel.nodes, paths) if k < n)
+        flow, reach = _max_flow([(a.src, a.dst) for a in sel.arcs], root, sink, n)
+        cut = tuple(v for v in sel.nodes if v not in reach)
     witness = CutWitness(cut, cut_delta(sel, cut))
-    assert witness.delta == flow
+    if flow >= n or witness.delta != flow:
+        raise RuntimeError(f"cut {cut!r} has delta {witness.delta}, max-flow gave {flow}")
     return False, witness
 
 
-def _all_reachable(sel: SelectionGraph, root: str, removed: set) -> bool:
-    adj = {}
-    for a in sel.arcs:
-        if a.key in removed:
-            continue
-        adj.setdefault(a.src, []).append(a.dst)
-    seen = {root}
-    queue = deque([root])
-    while queue:
-        u = queue.popleft()
-        for v in adj.get(u, ()):
-            if v not in seen:
-                seen.add(v)
+def _tree(g: _Index, root: int) -> tuple[list[int], list[list[int]]]:
+    """A breadth-first tree from the root: the arc into each vertex (-1 at
+    the root and at unreachable vertices) and the tree arcs out of each."""
+    _, dst, out, _ = g
+    parent = [-1] * len(out)
+    children: list[list[int]] = [[] for _ in out]
+    queue = [root]
+    for u in queue:
+        for i in out[u]:
+            v = dst[i]
+            if v != root and parent[v] == -1:
+                parent[v] = i
+                children[u].append(i)
                 queue.append(v)
-    return len(seen) == len(sel.nodes)
+    return parent, children
+
+
+def _rehang(
+    g: _Index, used: bytearray, parent: list[int], children: list[list[int]], cut: int
+) -> bool:
+    """Hang the subtree below tree arc cut from unused arcs other than cut.
+
+    The tree spans the unused arcs.  Vertices outside the subtree keep their
+    tree paths, which avoid cut, so the subtree stays reachable without cut
+    iff a search from the rest of the tree into it reaches all of it.  On
+    success the tree is changed to avoid cut; otherwise it is left alone and
+    the result is False.
+    """
+    src, dst, out, into = g
+    below = [dst[cut]]
+    inside = bytearray(len(out))
+    inside[below[0]] = 1
+    for x in below:
+        for t in children[x]:
+            inside[dst[t]] = 1
+            below.append(dst[t])
+    new: dict[int, int] = {}
+    hung = []
+    for x in below:  # entered straight from the rest of the tree
+        for i in into[x]:
+            if not used[i] and i != cut and not inside[src[i]]:
+                new[x] = i
+                hung.append(x)
+                break
+    for y in hung:  # then from vertices already hung
+        for i in out[y]:
+            v = dst[i]
+            if inside[v] and v not in new and not used[i]:
+                new[v] = i
+                hung.append(v)
+    if len(hung) < len(below):
+        return False
+    for x in below:
+        children[src[parent[x]]].remove(parent[x])
+        parent[x] = new[x]
+        children[src[new[x]]].append(new[x])
+    return True
+
+
+def _prim(
+    out: list[list[int]], dst: list[int], root: int, removed: bytearray
+) -> Optional[list[int]]:
+    """The arborescence that always takes the smallest-index frontier arc."""
+    reached = bytearray(len(out))
+    reached[root] = 1
+    left = len(out) - 1
+    heap = [i for i in out[root] if not removed[i]]
+    heapq.heapify(heap)
+    chosen = []
+    while left:
+        if not heap:
+            return None
+        i = heapq.heappop(heap)
+        w = dst[i]
+        if reached[w]:
+            continue
+        reached[w] = 1
+        left -= 1
+        chosen.append(i)
+        for j in out[w]:
+            if not removed[j]:
+                heapq.heappush(heap, j)
+    return chosen
 
 
 def _greedy_arborescence(sel: SelectionGraph, root: str, forbidden: set) -> Optional[Branching]:
-    reached = {root}
-    chosen: list[ArcKey] = []
-    taken: set[ArcKey] = set()
-    while len(reached) < len(sel.nodes):
-        for a in sel.arcs:
-            if a.key in forbidden or a.key in taken:
-                continue
-            if a.src in reached and a.dst not in reached:
-                chosen.append(a.key)
-                taken.add(a.key)
-                reached.add(a.dst)
-                break
-        else:
-            return None
-    return Branching(root, tuple(chosen))
+    """A branching avoiding the forbidden arc keys, or None if there is none."""
+    _, dst, out, _ = _index(sel)
+    removed = bytearray(a.key in forbidden for a in sel.arcs)
+    chosen = _prim(out, dst, sel.nodes.index(root), removed)
+    if chosen is None:
+        return None
+    return Branching(root, tuple(sel.arcs[i].key for i in chosen))
 
 
 def two_disjoint_branchings(
@@ -155,39 +322,56 @@ def two_disjoint_branchings(
 ) -> Union[tuple[Branching, Branching], CutWitness]:
     """Two arc-disjoint branchings rooted at root, or a cut with delta < 2.
 
-    The first branching is grown greedily in (owner, kind) arc order; an arc
-    is committed only when its removal keeps every vertex reachable from the
-    root in the remaining graph, which preserves the cut condition for the
-    second branching.  The second branching is then grown on the leftover
-    arcs.
+    The first branching takes, at each step, the smallest-index frontier arc
+    whose removal keeps every vertex reachable from the root in the arcs
+    not yet committed, which preserves the cut condition for the second
+    branching; a spanning tree of those arcs, re-hung when one of its own
+    arcs is taken, decides that.  The second branching is then grown on the
+    leftover arcs.
     """
     ok, cut = edmonds_condition(sel, root, 2)
     if not ok:
-        assert cut is not None
+        if cut is None:
+            raise RuntimeError("cut condition failed without a witness")
         return cut
 
-    used: set[ArcKey] = set()
-    reached = {root}
-    first: list[ArcKey] = []
-    while len(reached) < len(sel.nodes):
-        for a in sel.arcs:
-            if a.key in used or a.src not in reached or a.dst in reached:
-                continue
-            if _all_reachable(sel, root, used | {a.key}):
-                used.add(a.key)
-                first.append(a.key)
-                reached.add(a.dst)
-                break
-        else:
+    g = _index(sel)
+    _, dst, out, _ = g
+    r = sel.nodes.index(root)
+    used = bytearray(len(dst))
+    parent, children = _tree(g, r)  # spans the unused arcs
+    reached = bytearray(len(out))
+    reached[r] = 1
+    left = len(out) - 1
+    heap = list(out[r])
+    heapq.heapify(heap)
+    first = []
+    while left:
+        if not heap:
             raise RuntimeError("branching construction stalled despite cut condition")
+        i = heapq.heappop(heap)
+        w = dst[i]
+        if reached[w]:
+            continue  # never a candidate again: reached only grows
+        # an arc off the tree can go at once, a tree arc if its subtree re-hangs
+        if parent[w] == i and not _rehang(g, used, parent, children, i):
+            continue  # fails for good: used only grows
+        used[i] = 1
+        reached[w] = 1
+        left -= 1
+        first.append(i)
+        for j in out[w]:
+            heapq.heappush(heap, j)
 
-    b1 = Branching(root, tuple(first))
-    b2 = _greedy_arborescence(sel, root, used)
-    if b2 is None:
+    second = _prim(out, dst, r, used)
+    if second is None:
         raise RuntimeError("second branching not found despite cut condition")
+    b1 = Branching(root, tuple(sel.arcs[i].key for i in first))
+    b2 = Branching(root, tuple(sel.arcs[i].key for i in second))
     for b in (b1, b2):
         good, why = verify_branching(sel, b)
-        assert good, why
+        if not good:
+            raise RuntimeError(f"constructed branching fails verification at {why!r}")
     return b1, b2
 
 

@@ -380,7 +380,8 @@ def _certify_lot_core(lot: Log) -> dict:
     """Branchings, partition, reorientation and sign pullback for one LOT."""
     sel = selection.build_selection_graph(lot)
     roots = non_label_vertices(lot)
-    assert len(roots) == 1, "injective LOT must have a unique non-label vertex"
+    if len(roots) != 1:
+        raise RuntimeError(f"injective LOT must have a unique non-label vertex, not {roots!r}")
     root = roots[0]
     res = arborescence.two_disjoint_branchings(sel, root)
     if isinstance(res, CutWitness):
@@ -392,7 +393,8 @@ def _certify_lot_core(lot: Log) -> dict:
     for k in b2.arcs:
         partition[k] = selection.WHITE
     ok_adm, bad_edge = selection.is_admissible(sel, partition)
-    assert ok_adm, f"branching pair not admissible at {bad_edge!r}"
+    if not ok_adm:
+        raise RuntimeError(f"branching pair not admissible at {bad_edge!r}")
     index = {e.eid: i for i, e in enumerate(lot.edges)}
     flips = sorted(selection.flips_from_partition(lot, partition), key=index.__getitem__)
     rho = reorient(lot, flips)

@@ -101,6 +101,9 @@ def cmd_certify(args) -> int:
         _write(Path(args.json), text)
     if args.dot:
         outdir = Path(args.dot)
+        # the witnesses belong to the reduced LOG when reduction moved anything
+        reduced = cert.witnesses.get("reduced_input")
+        drawn = parse_log(reduced) if reduced is not None else log
         angles_raw = cert.witnesses.get("angles")
         angles = None
         if angles_raw:
@@ -109,8 +112,8 @@ def cmd_certify(args) -> int:
         partition = None
         if partition_raw:
             partition = {parse_corner_key(key): color for key, color in partition_raw.items()}
-        _write(outdir / "link.dot", link_to_dot(build_link(log), angles))
-        sel = build_selection_graph(log)
+        _write(outdir / "link.dot", link_to_dot(build_link(drawn), angles))
+        sel = build_selection_graph(drawn)
         if partition is not None:
             partition = {a.key: partition.get(a.key, "black") for a in sel.arcs}
         _write(outdir / "selection.dot", selection_to_dot(sel, partition))
@@ -194,15 +197,19 @@ def cmd_oracle_check(args) -> int:
     roots = non_label_vertices(log)
     root = roots[0] if roots else (log.vertices[0] if log.vertices else None)
     if root is not None:
-        ok_flow, _ = arborescence.edmonds_condition(sel, root, 2)
+        cut_result = arborescence.edmonds_condition(sel, root, 2)
+        ok_cut = cut_result[0]
+        checks.append(
+            ("cut-condition-vs-max-flow", cut_result == oracle.flow_cut_condition(sel, root))
+        )
         try:
             ok_sets = oracle.exhaustive_cut_condition(sel, root)
-            checks.append(("cut-condition-vs-subset-enumeration", ok_flow == ok_sets))
+            checks.append(("cut-condition-vs-subset-enumeration", ok_cut == ok_sets))
         except oracle.CapExceeded:
             pass
         pair = arborescence.two_disjoint_branchings(sel, root)
         constructed = not isinstance(pair, arborescence.CutWitness)
-        checks.append(("branchings-iff-cut-condition", constructed == ok_flow))
+        checks.append(("branchings-iff-cut-condition", constructed == ok_cut))
         try:
             brute = oracle.exhaustive_branching_search(sel, root)
             checks.append(("branchings-vs-brute-force", constructed == (brute is not None)))

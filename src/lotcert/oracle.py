@@ -2,10 +2,11 @@
 
 Nothing here is a production path: these enumerations anchor the fast
 implementations in the other modules (forest tests against explicit cycle
-enumeration, max-flow cut checking against subset enumeration, the pipeline
-sign choice against the full 2^n search) and generate reproducible random
-fixtures.  Caps guard the exponential searches; LOT_ORACLE_CAP overrides
-them globally.
+enumeration, the dominator cut test against one max-flow per vertex and
+against subset enumeration, the heap-driven branchings against the rescanning
+greedy they replaced, the pipeline sign choice against the full 2^n search)
+and generate reproducible random fixtures.  Caps guard the exponential
+searches; LOT_ORACLE_CAP overrides them globally.
 """
 
 from __future__ import annotations
@@ -14,14 +15,15 @@ import heapq
 import itertools
 import os
 import random
+from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Union
 
 from . import certify
-from .arborescence import Branching, cut_delta, verify_branching
+from .arborescence import Branching, CutWitness, _max_flow, cut_delta, verify_branching
 from .link_complex import MINUS, PLUS, Multigraph, build_link
 from .log_model import Log, make_log, reducedness_report
-from .selection import SelectionGraph
+from .selection import ArcKey, SelectionGraph
 
 DEFAULT_LBF_CAP = 16
 DEFAULT_BRANCHING_CAP = 20
@@ -181,6 +183,92 @@ def exhaustive_cut_condition(sel: SelectionGraph, root: str, cap: Optional[int] 
         for r in range(1, len(others) + 1)
         for combo in itertools.combinations(others, r)
     )
+
+
+def flow_cut_condition(
+    sel: SelectionGraph, root: str, n: int = 2
+) -> tuple[bool, Optional[CutWitness]]:
+    """`arborescence.edmonds_condition` by one unit-capacity max-flow per vertex.
+
+    The worst vertex (smallest flow, first in node order) gives the witness:
+    the vertices its final residual graph does not reach from the root.
+    """
+    if root not in sel.nodes:
+        raise ValueError(f"unknown root {root!r}")
+    arcs = [(a.src, a.dst) for a in sel.arcs]
+    worst: Optional[tuple[int, set]] = None
+    for v in sel.nodes:
+        if v == root:
+            continue
+        flow, reach = _max_flow(arcs, root, v, n)
+        if flow < n and (worst is None or flow < worst[0]):
+            worst = (flow, reach)
+    if worst is None:
+        return True, None
+    cut = tuple(v for v in sel.nodes if v not in worst[1])
+    return False, CutWitness(cut, cut_delta(sel, cut))
+
+
+def _all_reachable(sel: SelectionGraph, root: str, removed: set) -> bool:
+    adj: dict = {}
+    for a in sel.arcs:
+        if a.key not in removed:
+            adj.setdefault(a.src, []).append(a.dst)
+    seen = {root}
+    queue = deque([root])
+    while queue:
+        for v in adj.get(queue.popleft(), ()):
+            if v not in seen:
+                seen.add(v)
+                queue.append(v)
+    return len(seen) == len(sel.nodes)
+
+
+def _rescan_arborescence(sel: SelectionGraph, root: str, forbidden: set) -> Optional[Branching]:
+    reached = {root}
+    chosen: list[ArcKey] = []
+    while len(reached) < len(sel.nodes):
+        for a in sel.arcs:
+            if a.key not in forbidden and a.src in reached and a.dst not in reached:
+                chosen.append(a.key)
+                reached.add(a.dst)
+                break
+        else:
+            return None
+    return Branching(root, tuple(chosen))
+
+
+def rescan_branchings(
+    sel: SelectionGraph, root: str
+) -> Union[tuple[Branching, Branching], CutWitness]:
+    """`arborescence.two_disjoint_branchings` by rescanning every arc per step.
+
+    Each step of the first branching takes the first arc in arc order that
+    leaves the reached set and whose removal, with the arcs taken so far,
+    keeps every vertex reachable (one full search per candidate); the second
+    takes the first leaving arc among the rest.
+    """
+    ok, cut = flow_cut_condition(sel, root)
+    if not ok:
+        return cut
+    used: set[ArcKey] = set()
+    reached = {root}
+    first: list[ArcKey] = []
+    while len(reached) < len(sel.nodes):
+        for a in sel.arcs:
+            if a.key in used or a.src not in reached or a.dst in reached:
+                continue
+            if _all_reachable(sel, root, used | {a.key}):
+                used.add(a.key)
+                first.append(a.key)
+                reached.add(a.dst)
+                break
+        else:
+            raise RuntimeError("branching construction stalled despite cut condition")
+    second = _rescan_arborescence(sel, root, used)
+    if second is None:
+        raise RuntimeError("second branching not found despite cut condition")
+    return Branching(root, tuple(first)), second
 
 
 def exhaustive_branching_search(

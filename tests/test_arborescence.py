@@ -1,16 +1,30 @@
 import itertools
+import random
+import time
 
+import pytest
 from conftest import BADSUB, PATH3, TRIV, logs
 from hypothesis import given, settings
 
 from lotcert import (
+    arborescence,
     build_selection_graph,
     edmonds_condition,
+    make_log,
+    non_label_vertices,
     two_disjoint_branchings,
     verify_branching,
 )
 from lotcert.arborescence import Branching, CutWitness, _greedy_arborescence, cut_delta
-from lotcert.oracle import CapExceeded, exhaustive_branching_search
+from lotcert.log_model import reducedness_report
+from lotcert.oracle import (
+    CapExceeded,
+    exhaustive_branching_search,
+    flow_cut_condition,
+    random_log,
+    random_reduced_injective_lot,
+    rescan_branchings,
+)
 
 
 def brute_force_condition(sel, root, n):
@@ -114,3 +128,104 @@ def test_construction_iff_condition(log):
         assert ok == (brute is not None)
     except CapExceeded:
         pass
+
+
+def test_condition_supports_only_n_one_and_two():
+    sel = build_selection_graph(PATH3)
+    for n in (0, 3):
+        with pytest.raises(ValueError):
+            edmonds_condition(sel, "y", n)
+    with pytest.raises(ValueError):
+        edmonds_condition(sel, "w", 2)
+
+
+def test_condition_for_n_one_is_reachability():
+    sel = build_selection_graph(BADSUB)
+    assert edmonds_condition(sel, "q", 1) == (True, None)
+    # q labels no edge, so no arc enters it: from any other root it is cut off
+    assert edmonds_condition(sel, "a", 1) == (False, CutWitness(("q",), 0))
+    assert edmonds_condition(sel, "a", 2) == (False, CutWitness(("q",), 0))
+
+
+def test_failed_verification_raises(monkeypatch):
+    monkeypatch.setattr(arborescence, "verify_branching", lambda sel, b: (False, "x"))
+    with pytest.raises(RuntimeError):
+        two_disjoint_branchings(build_selection_graph(PATH3), "y")
+
+
+def _assert_matches_oracles(sel, root, ns=(2,)):
+    """Dominator cut test against one max-flow per vertex, heap branchings
+    against the rescanning greedy; True iff some cut condition failed."""
+    failed = False
+    for n in ns:
+        res = edmonds_condition(sel, root, n)
+        assert res == flow_cut_condition(sel, root, n)
+        failed = failed or not res[0]
+    assert two_disjoint_branchings(sel, root) == rescan_branchings(sel, root)
+    return failed
+
+
+def test_dominator_pass_matches_max_flow_on_random_logs():
+    cases = failing = 0
+    for n in range(1, 11):
+        for m in range(2 * n + 3):
+            for seed in range(4):
+                log = random_log(n, m, seed)
+                sel = build_selection_graph(log)
+                failing += _assert_matches_oracles(sel, log.vertices[0], ns=(1, 2))
+                cases += 1
+    assert cases == 560 and failing > cases // 2
+
+
+def test_dominator_pass_matches_max_flow_on_reduced_injective_lots():
+    cases = 0
+    for n in range(3, 41):
+        for seed in range(12):
+            lot = random_reduced_injective_lot(n, seed)
+            _assert_matches_oracles(build_selection_graph(lot), non_label_vertices(lot)[0])
+            cases += 1
+    assert cases == 456
+
+
+@given(logs(max_vertices=7, max_edges=10))
+@settings(max_examples=200)
+def test_dominator_pass_matches_max_flow_on_drawn_logs(log):
+    sel = build_selection_graph(log)
+    for root in log.vertices:
+        _assert_matches_oracles(sel, root, ns=(1, 2))
+
+
+def _path_lot(n, seed):
+    """A reduced injective LOT on a path of n vertices, seeded."""
+    rng = random.Random(f"path:{n}:{seed}")
+    names = [f"v{i}" for i in range(n)]
+    while True:
+        order = rng.sample(range(n), n)
+        pairs = [(u, v) if rng.random() < 0.5 else (v, u) for u, v in zip(order, order[1:])]
+        labels = rng.sample(range(n), n - 1)
+        if any(lab in uv for uv, lab in zip(pairs, labels)):
+            continue
+        edges = [
+            (f"e{i + 1}", names[u], names[v], names[lab])
+            for i, ((u, v), lab) in enumerate(zip(pairs, labels))
+        ]
+        log = make_log(names, edges)
+        if reducedness_report(log).reduced:
+            return log
+
+
+@pytest.mark.parametrize(
+    "lot", [random_reduced_injective_lot(512, 0), _path_lot(512, 0)], ids=["random", "path"]
+)
+def test_two_branchings_at_512_vertices(lot):
+    sel = build_selection_graph(lot)
+    root = non_label_vertices(lot)[0]
+    t0 = time.perf_counter()
+    res = two_disjoint_branchings(sel, root)
+    elapsed = time.perf_counter() - t0
+    assert not isinstance(res, CutWitness)
+    b1, b2 = res
+    assert verify_branching(sel, b1) == (True, None)
+    assert verify_branching(sel, b2) == (True, None)
+    assert not set(b1.arcs) & set(b2.arcs)
+    assert elapsed < 0.5, f"two_disjoint_branchings took {elapsed:.3f} s at n=512"

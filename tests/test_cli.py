@@ -85,6 +85,30 @@ def test_certify_dot_exports(files, tmp_path):
     assert sel.count(" -> ") == 4 and "color=" in sel
 
 
+def test_certify_relative_dot_draws_the_reduced_log(tmp_path, capsys):
+    # not reduced: the certificate's angles and partition belong to the reduced LOG
+    lot = tmp_path / "unreduced.lot"
+    lot.write_text(
+        "vertices: v0 v1 v2 v3 v4 v5\n"
+        "edge e0: v4 -> v0 : v3\n"
+        "edge e1: v5 -> v0 : v5\n"
+        "edge e2: v1 -> v4 : v5\n"
+        "edge e3: v2 -> v3 : v4\n"
+        "edge e4: v4 -> v3 : v5\n",
+        encoding="utf-8",
+    )
+    dotdir = tmp_path / "dots"
+    out = tmp_path / "c.json"
+    assert main(["certify", str(lot), "--relative", "--json", str(out), "--dot", str(dotdir)]) == 0
+    reduced = parse_log(json.loads(out.read_text())["witnesses"]["reduced_input"])
+    assert len(reduced.vertices) < 6
+    link = (dotdir / "link.dot").read_text()
+    assert link.count(" -- ") == link.count("style=") == 4 * len(reduced.edges)
+    sel = (dotdir / "selection.dot").read_text()
+    assert sel.count(" -> ") == sel.count("color=") == 2 * len(reduced.edges)
+    assert all(f'"{v}"' in sel for v in reduced.vertices) and '"v1"' not in sel
+
+
 def test_export_link(files, capsys):
     assert main(["export", files["path3"], "link"]) == 0
     out = capsys.readouterr().out
@@ -150,6 +174,7 @@ def test_oracle_check(files, capsys):
     out = capsys.readouterr().out
     assert "PASS" in out and "FAIL" not in out
     assert main(["oracle-check", files["badsub"]]) == 0
+    assert "cut-condition-vs-max-flow: PASS" in capsys.readouterr().out
 
 
 def test_oracle_check_skips_subset_enumeration_above_the_cap(files, capsys, monkeypatch):
