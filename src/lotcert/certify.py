@@ -276,7 +276,79 @@ class Certificate:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+        return _json_text(self.to_dict()) + "\n"
+
+
+_encode_str = json.encoder.encode_basestring
+
+
+def _json_text(value) -> str:
+    """json.dumps(value, sort_keys=True, indent=2, ensure_ascii=False), byte for byte.
+
+    Takes the types a certificate holds: dicts with str keys, lists, str,
+    int, bool and None; anything else, or a non-str key, raises TypeError.
+    json.dumps falls back to its pure-Python encoder whenever indent is set,
+    which costs about twice this one recursive pass.
+    """
+    out: list[str] = []
+    _write_json(value, "\n", out.append)
+    return "".join(out)
+
+
+def _write_json(v, indent: str, put) -> None:
+    """Append the pieces of v to put; indent is a newline and the current level's spaces.
+
+    A module-level function rather than a closure: a closure that calls
+    itself is a reference cycle, which would keep every piece of the output
+    alive until the cyclic garbage collector runs.
+    """
+    if isinstance(v, str):
+        put(_encode_str(v))
+    elif v is None:
+        put("null")
+    elif v is True:
+        put("true")
+    elif v is False:
+        put("false")
+    elif isinstance(v, int):
+        put(int.__repr__(v))
+    elif isinstance(v, dict):
+        if not v:
+            put("{}")
+            return
+        inner = indent + "  "
+        sep = "{" + inner
+        for key in sorted(v):
+            put(sep)
+            put(_encode_str(key))
+            put(": ")
+            item = v[key]
+            if type(item) is str:  # the common leaves, written without a call
+                put(_encode_str(item))
+            elif type(item) is int:
+                put(repr(item))
+            else:
+                _write_json(item, inner, put)
+            sep = "," + inner
+        put(indent + "}")
+    elif isinstance(v, list):
+        if not v:
+            put("[]")
+            return
+        inner = indent + "  "
+        sep = "[" + inner
+        for item in v:
+            put(sep)
+            if type(item) is str:
+                put(_encode_str(item))
+            elif type(item) is int:
+                put(repr(item))
+            else:
+                _write_json(item, inner, put)
+            sep = "," + inner
+        put(indent + "]")
+    else:
+        raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
 
 
 def _input_section(log: Log) -> dict:
@@ -660,7 +732,8 @@ def certify_relative(log: Log, parts: Optional[Sequence[SubLog]] = None) -> Cert
     all_cells_ok = all(k <= 0 for k in report.kappa_cells.values())
     part_edge_ids = {eid for p in part_list for eid in p.edge_ids}
     part_cells_zero = all(report.kappa_cells[eid] == 0 for eid in part_edge_ids)
-    assert part_cells_zero, "cells of collapsed parts must be flat"
+    if not part_cells_zero:
+        raise RuntimeError("cells of collapsed parts must be flat")
 
     side, coside = _sides(link, eps)
     inside = frozenset(c.key for c in link.corners if c.owner in part_edge_ids)

@@ -9,6 +9,7 @@ seeds.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -231,6 +232,17 @@ def cmd_oracle_check(args) -> int:
     return EXIT_OK if ok else EXIT_PROPERTY
 
 
+def _lot_size(text: str) -> int:
+    """The vertex count of generate; its random LOT generator needs n >= 3."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if n < 3:
+        raise argparse.ArgumentTypeError(f"n must be at least 3, got {n}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lotcert",
@@ -262,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_export)
 
     p = sub.add_parser("generate", help="reproducible random LOT corpus")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=_lot_size)
     p.add_argument("count", type=int)
     p.add_argument("seed", type=int)
     p.add_argument("out")
@@ -275,8 +287,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser of main, built once per process on its first call."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ParseError as exc:

@@ -333,7 +333,8 @@ def curvature(log: Log, angles: AngleAssignment) -> CurvatureReport:
         chi_link=chi_link,
     )
     lhs, rhs = report.gauss_bonnet
-    assert lhs == rhs
+    if lhs != rhs:
+        raise RuntimeError(f"Gauss-Bonnet fails: 2 chi(K) = {lhs}, total curvature {rhs}")
     return report
 
 

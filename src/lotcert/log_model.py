@@ -543,7 +543,7 @@ def _rooted_forest(log: Log) -> _RootedForest:
     return _RootedForest(index, parent, parent_edge, depth, component, label)
 
 
-def _closure(log: Log, forest: _RootedForest, start: int) -> Optional[tuple[int, ...]]:
+def _closure(log: Log, forest: _RootedForest, start: int, table: list) -> Optional[frozenset[int]]:
     """Edge indices of the smallest sub-LOT containing edge `start`, if any.
 
     Adds each label together with the tree path joining it to the current
@@ -551,6 +551,11 @@ def _closure(log: Log, forest: _RootedForest, start: int) -> Optional[tuple[int,
     label and the subtree's top vertex upward, deeper one first, so every
     step adds a vertex: O(n) per closure.  None when a label lies in another
     component, since then no sub-LOT contains the edge.
+
+    table holds the closures of the edges before `start`.  An added edge f
+    among them ends the walk early: closure(f) lies inside closure(start),
+    so it is None if closure(f) is, and it equals closure(f) when that
+    contains `start`.
     """
     parent, parent_edge, depth, label = forest.parent, forest.parent_edge, forest.depth, forest.label
     e = log.edges[start]
@@ -578,8 +583,28 @@ def _closure(log: Log, forest: _RootedForest, start: int) -> Optional[tuple[int,
         for y in path:
             eset.append(parent_edge[y])
             inside.add(y)
-        pending.extend(label[i] for i in eset[joined:])
-    return tuple(sorted(eset))
+        for i in eset[joined:]:
+            if i < start:
+                known = table[i]
+                if known is None or start in known:
+                    return known
+            pending.append(label[i])
+    return frozenset(eset)
+
+
+def _closure_table(log: Log) -> list[Optional[frozenset[int]]]:
+    """closure(e) for every edge index e of a LOF, None where no sub-LOT has e.
+
+    The edges whose closures contain each other form one closure class,
+    and the whole class shares one frozenset: a walk that reaches a class
+    member whose closure is known stops there.  Raises ValueError unless
+    log is a LOF.
+    """
+    forest = _rooted_forest(log)
+    table: list[Optional[frozenset[int]]] = []
+    for i in range(len(log.edges)):
+        table.append(_closure(log, forest, i, table))
+    return table
 
 
 def bad_sub_lot_witnesses(log: Log) -> tuple[SubLog, ...]:
@@ -588,10 +613,11 @@ def bad_sub_lot_witnesses(log: Log) -> tuple[SubLog, ...]:
     Empty iff every sub-LOT is boundary reduced: a sub-LOT with a leaf v
     that labels none of its edges contains the closure of v's edge, and v
     is such a leaf of that closure too.  Ordered like enumerate_sub_lots;
-    at most one witness per edge.  Raises ValueError unless log is a LOF.
+    at most one witness per closure class.  Raises ValueError unless log
+    is a LOF.
     """
-    forest = _rooted_forest(log)
-    closures = {_closure(log, forest, i) for i in range(len(log.edges))} - {None}
+    classes = {c for c in _closure_table(log) if c is not None}
+    closures = [tuple(sorted(c)) for c in classes]
     bad = [t for t in closures if _has_bad_leaf([log.edges[j] for j in t])]
     return tuple(_sub_lot(log, t) for t in _by_size(bad))
 
@@ -603,26 +629,33 @@ def maximal_proper_sub_lots(log: Log) -> tuple[SubLog, ...]:
     the sub-LOTs are covered by the components of a greatest fixpoint:
     dropping every edge whose label lies outside its component, until none
     is dropped, keeps each sub-LOT, and each surviving component with an
-    edge is a sub-LOT.  Ordered like enumerate_sub_lots.  Raises ValueError
+    edge is a sub-LOT.  An edge e survives that fixpoint exactly when
+    closure(e) exists and avoids f, so one union-find over those edges per
+    f gives the components (oracle.fixpoint_maximal_sub_lots runs the
+    fixpoint itself).  Ordered like enumerate_sub_lots.  Raises ValueError
     unless log is a LOF.
     """
-    _rooted_forest(log)  # raises unless log is a LOF
     edges = log.edges
+    # the edges of each closure class, keyed by the closure they share
+    members: dict[frozenset[int], list[int]] = {}
+    for i, c in enumerate(_closure_table(log)):
+        if c is not None:
+            members.setdefault(c, []).append(i)
     found = []
     for f in range(len(edges)):
-        kept = [i for i in range(len(edges)) if i != f]
-        while True:
-            uf = _UnionFind(log.vertices)
-            for i in kept:
-                uf.union(edges[i].src, edges[i].tgt)
-            closed = [i for i in kept if uf.find(edges[i].lab) == uf.find(edges[i].src)]
-            if len(closed) == len(kept):
-                break
-            kept = closed
+        kept = sorted(i for c, ids in members.items() if f not in c for i in ids)
+        uf = _UnionFind(log.vertices)
+        for i in kept:
+            uf.union(edges[i].src, edges[i].tgt)
         parts: dict[str, list[int]] = {}
         for i in kept:
             parts.setdefault(uf.find(edges[i].src), []).append(i)
         found.extend(tuple(p) for p in parts.values())
+    return _inclusion_maximal(log, found)
+
+
+def _inclusion_maximal(log: Log, found) -> tuple[SubLog, ...]:
+    """The inclusion-maximal ones among these edge-index tuples, as SubLogs."""
     ordered = _by_size(found)
     maximal: list[set[int]] = []
     for t in reversed(ordered):  # a strict superset is longer, so it comes first

@@ -4,9 +4,10 @@ Nothing here is a production path: these enumerations anchor the fast
 implementations in the other modules (forest tests against explicit cycle
 enumeration, the dominator cut test against one max-flow per vertex and
 against subset enumeration, the heap-driven branchings against the rescanning
-greedy they replaced, the pipeline sign choice against the full 2^n search)
-and generate reproducible random fixtures.  Caps guard the exponential
-searches; LOT_ORACLE_CAP overrides them globally.
+greedy they replaced, the maximal sub-LOTs read from the closure table
+against one label-closed fixpoint per edge, the pipeline sign choice against
+the full 2^n search) and generate reproducible random fixtures.  Caps
+guard the exponential searches; LOT_ORACLE_CAP overrides them globally.
 """
 
 from __future__ import annotations
@@ -22,7 +23,15 @@ from typing import Iterable, Optional, Union
 from . import certify
 from .arborescence import Branching, CutWitness, _max_flow, cut_delta, verify_branching
 from .link_complex import MINUS, PLUS, Multigraph, build_link
-from .log_model import Log, make_log, reducedness_report
+from .log_model import (
+    Log,
+    SubLog,
+    _inclusion_maximal,
+    _rooted_forest,
+    _UnionFind,
+    make_log,
+    reducedness_report,
+)
 from .selection import ArcKey, SelectionGraph
 
 DEFAULT_LBF_CAP = 16
@@ -296,6 +305,37 @@ def exhaustive_branching_search(
         if verify_branching(sel, b2)[0]:
             return b1, b2
     return None
+
+
+# ---------------------------------------------------------------------------
+# sub-LOTs
+
+
+def fixpoint_maximal_sub_lots(log: Log) -> tuple[SubLog, ...]:
+    """`log_model.maximal_proper_sub_lots` by one greatest fixpoint per edge f.
+
+    Starting from every edge but f, drop each edge whose label lies outside
+    its component until none is dropped; the surviving components are the
+    sub-LOTs to filter.  O(n) per round and up to n rounds per f: O(n^3).
+    """
+    _rooted_forest(log)  # raises unless log is a LOF
+    edges = log.edges
+    found = []
+    for f in range(len(edges)):
+        kept = [i for i in range(len(edges)) if i != f]
+        while True:
+            uf = _UnionFind(log.vertices)
+            for i in kept:
+                uf.union(edges[i].src, edges[i].tgt)
+            closed = [i for i in kept if uf.find(edges[i].lab) == uf.find(edges[i].src)]
+            if len(closed) == len(kept):
+                break
+            kept = closed
+        parts: dict[str, list[int]] = {}
+        for i in kept:
+            parts.setdefault(uf.find(edges[i].src), []).append(i)
+        found.extend(tuple(p) for p in parts.values())
+    return _inclusion_maximal(log, found)
 
 
 # ---------------------------------------------------------------------------

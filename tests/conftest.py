@@ -4,7 +4,7 @@ import pytest
 from hypothesis import settings, strategies as st
 
 from lotcert import make_log
-from lotcert.log_model import Log
+from lotcert.log_model import Log, reducedness_report
 
 settings.register_profile("ci", derandomize=True, max_examples=60, deadline=None)
 settings.load_profile("ci")
@@ -94,3 +94,22 @@ def lofs(draw, max_vertices=7):
 
 def seeded_rng(*key) -> random.Random:
     return random.Random(":".join(str(k) for k in key))
+
+
+def path_lot(n: int, seed: int) -> Log:
+    """A reduced injective LOT on a path of n vertices, seeded."""
+    rng = random.Random(f"path:{n}:{seed}")
+    names = [f"v{i}" for i in range(n)]
+    while True:
+        order = rng.sample(range(n), n)
+        pairs = [(u, v) if rng.random() < 0.5 else (v, u) for u, v in zip(order, order[1:])]
+        labels = rng.sample(range(n), n - 1)
+        if any(lab in uv for uv, lab in zip(pairs, labels)):
+            continue
+        edges = [
+            (f"e{i + 1}", names[u], names[v], names[lab])
+            for i, ((u, v), lab) in enumerate(zip(pairs, labels))
+        ]
+        log = make_log(names, edges)
+        if reducedness_report(log).reduced:
+            return log

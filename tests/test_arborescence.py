@@ -1,22 +1,19 @@
 import itertools
-import random
 import time
 
 import pytest
-from conftest import BADSUB, PATH3, TRIV, logs
+from conftest import BADSUB, PATH3, TRIV, logs, path_lot
 from hypothesis import given, settings
 
 from lotcert import (
     arborescence,
     build_selection_graph,
     edmonds_condition,
-    make_log,
     non_label_vertices,
     two_disjoint_branchings,
     verify_branching,
 )
 from lotcert.arborescence import Branching, CutWitness, _greedy_arborescence, cut_delta
-from lotcert.log_model import reducedness_report
 from lotcert.oracle import (
     CapExceeded,
     exhaustive_branching_search,
@@ -195,27 +192,8 @@ def test_dominator_pass_matches_max_flow_on_drawn_logs(log):
         _assert_matches_oracles(sel, root, ns=(1, 2))
 
 
-def _path_lot(n, seed):
-    """A reduced injective LOT on a path of n vertices, seeded."""
-    rng = random.Random(f"path:{n}:{seed}")
-    names = [f"v{i}" for i in range(n)]
-    while True:
-        order = rng.sample(range(n), n)
-        pairs = [(u, v) if rng.random() < 0.5 else (v, u) for u, v in zip(order, order[1:])]
-        labels = rng.sample(range(n), n - 1)
-        if any(lab in uv for uv, lab in zip(pairs, labels)):
-            continue
-        edges = [
-            (f"e{i + 1}", names[u], names[v], names[lab])
-            for i, ((u, v), lab) in enumerate(zip(pairs, labels))
-        ]
-        log = make_log(names, edges)
-        if reducedness_report(log).reduced:
-            return log
-
-
 @pytest.mark.parametrize(
-    "lot", [random_reduced_injective_lot(512, 0), _path_lot(512, 0)], ids=["random", "path"]
+    "lot", [random_reduced_injective_lot(512, 0), path_lot(512, 0)], ids=["random", "path"]
 )
 def test_two_branchings_at_512_vertices(lot):
     sel = build_selection_graph(lot)

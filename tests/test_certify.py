@@ -1,8 +1,10 @@
+import dataclasses
 import itertools
 import json
 import time
 
 import pytest
+from hypothesis import given, strategies as st
 
 from conftest import BADSUB, NONCOMP, PATH3, PATH3_RHO, TRIV
 from lotcert import (
@@ -16,10 +18,12 @@ from lotcert import (
     reorient,
     serialize_log,
 )
+from lotcert import certify as certify_module
 from lotcert.certify import (
     HYPOTHESIS_FAILED,
     NON_GENERIC,
     NOT_EVALUATED,
+    _json_text,
     angles_from_bipartition,
     embed_into_lot,
     label_closed_groups,
@@ -385,3 +389,52 @@ def test_certificate_digest_matches_serialization():
     cert = certify_lof(PATH3)
     want = hashlib.sha256(serialize_log(PATH3).encode()).hexdigest()
     assert cert.input["digest"] == want
+
+
+def test_collapsed_part_with_curved_cells_raises(monkeypatch):
+    real = certify_module.curvature
+
+    def curved(log, angles):
+        report = real(log, angles)
+        return dataclasses.replace(report, kappa_cells={eid: -1 for eid in report.kappa_cells})
+
+    monkeypatch.setattr(certify_module, "curvature", curved)
+    with pytest.raises(RuntimeError, match="must be flat"):
+        certify_relative(BADSUB)
+
+
+# ---------------------------------------------------------------------------
+# JSON writer
+
+TRICKY_TEXT = ['"', "\\", "\x00", "\x1f", "\x7f", "\u2028", "\ud800", "é", "日本", "\U0001f600", "a\tb\nc"]
+
+json_leaves = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(2**200), max_value=2**200)
+    | st.text()
+    | st.sampled_from(TRICKY_TEXT)
+)
+json_values = st.recursive(
+    json_leaves,
+    lambda inner: st.lists(inner, max_size=5)
+    | st.dictionaries(st.text(max_size=4) | st.sampled_from(TRICKY_TEXT), inner, max_size=5),
+    max_leaves=40,
+)
+
+
+@given(json_values)
+def test_json_writer_matches_json_dumps(value):
+    assert _json_text(value) == json.dumps(value, sort_keys=True, indent=2, ensure_ascii=False)
+
+
+def test_json_writer_edge_cases():
+    for value in ({}, [], {"a": {}}, [[]], {"": [{}, [], None]}, -(10**40), True, "\u00e9\""):
+        assert _json_text(value) == json.dumps(value, sort_keys=True, indent=2, ensure_ascii=False)
+
+
+@pytest.mark.parametrize("value", [1.5, (1, 2), {1}, b"x", {1: "a"}, {"a": [{None: 1}]}, [object()]])
+def test_json_writer_rejects_other_types(value):
+    with pytest.raises(TypeError):
+        _json_text(value)

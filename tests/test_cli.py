@@ -5,7 +5,8 @@ from pathlib import Path
 import pytest
 
 from conftest import BADSUB, NONCOMP, PATH3, TRIV
-from lotcert.cli import main
+from lotcert import certify_lof
+from lotcert.cli import _parser, main
 from lotcert.log_model import bad_sub_lot_witnesses, parse_log, serialize_log
 
 
@@ -52,6 +53,22 @@ def test_certify_exit_codes(files, tmp_path, capsys):
     out = capsys.readouterr().out
     assert "hypothesis-failed" in out
     assert main(["certify", files["badsub"], "--relative"]) == 0
+
+
+def test_one_parser_keeps_no_options_between_calls(files, tmp_path, capsys):
+    assert _parser() is _parser()
+    out = tmp_path / "cert.json"
+    assert main(["certify", files["badsub"], "--relative", "--json", str(out)]) == 0
+    relative_text = out.read_text(encoding="utf-8")
+    capsys.readouterr()
+    assert main(["certify", files["badsub"]]) == 3
+    stdout = capsys.readouterr().out
+    assert stdout == "DR_claim: hypothesis-failed\n" + certify_lof(BADSUB).to_json()
+    assert out.read_text(encoding="utf-8") == relative_text
+    assert main(["validate", files["path3"], "--json"]) == 0
+    capsys.readouterr()
+    assert main(["validate", files["path3"]]) == 0
+    assert capsys.readouterr().out.startswith("boundary_reduced: ok\n")
 
 
 def test_certify_writes_canonical_json(files, tmp_path, capsys):
@@ -136,6 +153,17 @@ def test_generate_manifest_and_determinism(tmp_path, capsys):
     for f1 in d1.iterdir():
         f2 = d2 / f1.name
         assert f1.read_bytes() == f2.read_bytes()
+
+
+def test_generate_rejects_fewer_than_three_vertices(tmp_path, capsys):
+    out = tmp_path / "corpus"
+    with pytest.raises(SystemExit) as exc:
+        main(["generate", "2", "1", "0", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument n: n must be at least 3, got 2" in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_generate_finds_bad_sub_lots_at_scale(tmp_path):

@@ -3,6 +3,7 @@ from hypothesis import given, strategies as st
 
 from conftest import BADSUB, PATH3, PATH3_RHO, TRIV, logs, seeded_rng
 from lotcert import (
+    CurvatureReport,
     build_link,
     curvature,
     induced_subgraph,
@@ -195,6 +196,13 @@ def test_gauss_bonnet_identity(log, seed):
     report = curvature(log, angles)
     lhs, rhs = report.gauss_bonnet
     assert lhs == rhs == 2 * report.chi_complex
+
+
+def test_gauss_bonnet_failure_raises(monkeypatch):
+    monkeypatch.setattr(CurvatureReport, "gauss_bonnet", property(lambda report: (0, 1)))
+    angles = angles_from_bipartition(PATH3_RHO, {"x": "+", "y": "+", "z": "+"})
+    with pytest.raises(RuntimeError, match="Gauss-Bonnet"):
+        curvature(PATH3_RHO, angles)
 
 
 # ---------------------------------------------------------------------------

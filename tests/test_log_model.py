@@ -1,9 +1,10 @@
 import itertools
+import time
 
 import pytest
 from hypothesis import given
 
-from conftest import BADSUB, NONCOMP, PATH3, PATH3_RHO, TRIV, logs, lofs
+from conftest import BADSUB, NONCOMP, PATH3, PATH3_RHO, TRIV, logs, lofs, path_lot
 from lotcert import (
     ParseError,
     bad_sub_lot_witnesses,
@@ -21,8 +22,8 @@ from lotcert import (
     serialize_log,
 )
 from lotcert.log_model import (
-    _closure,
-    _rooted_forest,
+    _closure_table,
+    _sub_lot,
     apply_reduction_move,
     find_reduction_move,
     restrict_log,
@@ -373,10 +374,10 @@ def test_sub_lot_closures_match_enumeration():
 def test_closure_is_the_smallest_sub_lot_containing_the_edge():
     for log in random_forests():
         subs = [frozenset(s.edge_ids) for s in enumerate_sub_lots(log)]
-        forest = _rooted_forest(log)
+        table = _closure_table(log)
         for i, e in enumerate(log.edges):
             around = [s for s in subs if e.eid in s]
-            closure = _closure(log, forest, i)
+            closure = table[i]
             if not around:
                 assert closure is None
             else:
@@ -389,6 +390,91 @@ def test_sub_lot_layer_matches_enumeration_on_drawn_lofs(log):
     bad = [s for s in subs if not s.is_boundary_reduced]
     assert bool(bad_sub_lot_witnesses(log)) == bool(bad)
     assert list(maximal_proper_sub_lots(log)) == reference_maximal_proper(subs, log)
+
+
+def rerooted_closures(log):
+    """closure(e) per edge index, by joining each label to e along the tree rooted at e's source."""
+    edges = log.edges
+    adj = {v: [] for v in log.vertices}
+    for i, e in enumerate(edges):
+        adj[e.src].append((i, e.tgt))
+        adj[e.tgt].append((i, e.src))
+    result = []
+    for i, e in enumerate(edges):
+        towards = {e.src: None}  # vertex -> (edge, next vertex) on the way to e.src
+        queue = [e.src]
+        for x in queue:
+            for j, y in adj[x]:
+                if y not in towards:
+                    towards[y] = (j, x)
+                    queue.append(y)
+        eset, inside, pending = {i}, {e.src, e.tgt}, [e.lab]
+        while pending:
+            x = pending.pop()
+            if x not in towards:
+                eset = None
+                break
+            while x not in inside:
+                j, y = towards[x]
+                eset.add(j)
+                inside.add(x)
+                pending.append(edges[j].lab)
+                x = y
+        result.append(None if eset is None else frozenset(eset))
+    return result
+
+
+def closure_corpus():
+    """Random LOTs and LOFs with n = 3..40, and 128-vertex paths."""
+    from lotcert.oracle import random_lof, random_reduced_injective_lot
+
+    for n in range(3, 41):
+        for seed in range(4):
+            yield random_reduced_injective_lot(n, seed)
+            yield random_lof(n, seed, split_chance=0.0)
+            yield random_lof(n, seed)
+    for seed in range(6):
+        yield path_lot(128, seed)
+
+
+def _assert_closure_table_matches(log):
+    from lotcert.oracle import fixpoint_maximal_sub_lots
+
+    table = _closure_table(log)
+    assert table == rerooted_closures(log)
+    # one shared set per closure class
+    assert len({id(c) for c in table if c is not None}) == len({c for c in table if c is not None})
+    distinct = {tuple(sorted(c)) for c in table if c is not None}
+    bad = sorted(
+        (t for t in distinct if not _sub_lot(log, t).is_boundary_reduced), key=lambda t: (len(t), t)
+    )
+    assert [_sub_lot(log, t) for t in bad] == list(bad_sub_lot_witnesses(log))
+    assert maximal_proper_sub_lots(log) == fixpoint_maximal_sub_lots(log)
+
+
+def test_closure_table_matches_references():
+    cases = 0
+    for log in closure_corpus():
+        _assert_closure_table_matches(log)
+        cases += 1
+    assert cases == 38 * 12 + 6
+
+
+@given(lofs(max_vertices=12))
+def test_closure_table_matches_references_on_drawn_lofs(log):
+    _assert_closure_table_matches(log)
+
+
+@pytest.mark.parametrize("fn", [bad_sub_lot_witnesses, maximal_proper_sub_lots])
+@pytest.mark.parametrize("shape", ["random", "path"])
+def test_sub_lot_layer_at_512_vertices(fn, shape):
+    from lotcert.oracle import random_reduced_injective_lot
+
+    lot = random_reduced_injective_lot(512, 0) if shape == "random" else path_lot(512, 0)
+    t0 = time.perf_counter()
+    fn(lot)
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 0.5, f"{fn.__name__} took {elapsed:.3f} s on a {shape} LOT at n=512"
 
 
 def test_sub_lot_witnesses_badsub():
