@@ -17,11 +17,8 @@ from .certify import (
 )
 from .link_complex import (
     AngleAssignment,
-    Corner,
     CurvatureReport,
-    LinkGraph,
     Multigraph,
-    SignedVertex,
     build_link,
     curvature,
     induced_subgraph,

@@ -307,16 +307,6 @@ def _prim(
     return chosen
 
 
-def _greedy_arborescence(sel: SelectionGraph, root: str, forbidden: set) -> Optional[Branching]:
-    """A branching avoiding the forbidden arc keys, or None if there is none."""
-    _, dst, out, _ = _index(sel)
-    removed = bytearray(a.key in forbidden for a in sel.arcs)
-    chosen = _prim(out, dst, sel.nodes.index(root), removed)
-    if chosen is None:
-        return None
-    return Branching(root, tuple(sel.arcs[i].key for i in chosen))
-
-
 def two_disjoint_branchings(
     sel: SelectionGraph, root: str
 ) -> Union[tuple[Branching, Branching], CutWitness]:

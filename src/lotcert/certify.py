@@ -33,8 +33,7 @@ from .arborescence import Branching, CutWitness
 from .link_complex import (
     MINUS,
     PLUS,
-    LinkGraph,
-    SignedVertex,
+    Multigraph,
     Walk,
     build_link,
     corner_key_str,
@@ -89,8 +88,8 @@ CITATIONS = {
 @dataclass(frozen=True)
 class BiForestResult:
     ok: bool
-    first: LinkGraph
-    second: LinkGraph
+    first: Multigraph
+    second: Multigraph
     cycle: Optional[Walk] = None
     cycle_side: Optional[str] = None
 
@@ -99,51 +98,54 @@ class BiForestResult:
 # caller has built it already; without it the check builds it from `log`.
 
 
-def _sides(link: LinkGraph, eps: link_complex.SignAssignment) -> tuple[LinkGraph, LinkGraph]:
+def _side_nodes(log: Log, eps: link_complex.SignAssignment) -> set[str]:
+    """The link nodes x+ or x- that carry the sign eps[x]."""
+    return {v + eps[v] for v in log.vertices}
+
+
+def _sides(
+    log: Log, link: Multigraph, eps: link_complex.SignAssignment
+) -> tuple[Multigraph, Multigraph]:
     """The full subgraphs of the link on the signs eps and on their opposites."""
-    side = induced_subgraph(link, [n for n in link.nodes if n.sign == eps[n.vertex]])
-    coside = induced_subgraph(link, [n for n in link.nodes if n.sign != eps[n.vertex]])
-    return side, coside
+    side = _side_nodes(log, eps)
+    coside = [n for n in link.nodes if n not in side]
+    return induced_subgraph(link, side), induced_subgraph(link, coside)
 
 
-def _bi_forest(first: LinkGraph, second: LinkGraph, names: tuple[str, str]) -> BiForestResult:
+def _bi_forest(first: Multigraph, second: Multigraph, names: tuple[str, str]) -> BiForestResult:
     for g, name in zip((first, second), names):
-        ok, cycle = is_forest(g.to_multigraph())
+        ok, cycle = is_forest(g)
         if not ok:
             return BiForestResult(False, first, second, cycle, name)
     return BiForestResult(True, first, second)
 
 
-def strong_lbf_check(log: Log, *, link: Optional[LinkGraph] = None) -> BiForestResult:
+def strong_lbf_check(log: Log, *, link: Optional[Multigraph] = None) -> BiForestResult:
     """Are the all-plus and all-minus sides of the link both forests?"""
     link = build_link(log) if link is None else link
-    plus, minus = _sides(link, dict.fromkeys(log.vertices, PLUS))
+    plus, minus = _sides(log, link, dict.fromkeys(log.vertices, PLUS))
     return _bi_forest(plus, minus, ("plus", "minus"))
 
 
 def lbf_check(
-    log: Log, eps: link_complex.SignAssignment, *, link: Optional[LinkGraph] = None
+    log: Log, eps: link_complex.SignAssignment, *, link: Optional[Multigraph] = None
 ) -> BiForestResult:
     """Do the signs eps split the link into two induced forests?"""
     for v in log.vertices:
         if eps.get(v) not in (PLUS, MINUS):
             raise ValueError(f"sign assignment not total at vertex {v!r}")
     link = build_link(log) if link is None else link
-    side, coside = _sides(link, eps)
+    side, coside = _sides(log, link, eps)
     return _bi_forest(side, coside, ("epsilon", "minus_epsilon"))
 
 
 def angles_from_bipartition(
-    log: Log, eps: link_complex.SignAssignment, *, link: Optional[LinkGraph] = None
+    log: Log, eps: link_complex.SignAssignment, *, link: Optional[Multigraph] = None
 ) -> dict:
     """Angle 0 on corners joining equal sign classes, angle 1 across them."""
     link = build_link(log) if link is None else link
-    angles = {}
-    for c in link.corners:
-        u, w = c.ends
-        same = (u.sign == eps[u.vertex]) == (w.sign == eps[w.vertex])
-        angles[c.key] = 0 if same else 1
-    return angles
+    side = _side_nodes(log, eps)
+    return {key: 0 if (u in side) == (w in side) else 1 for key, u, w in link.edges}
 
 
 # ---------------------------------------------------------------------------
@@ -380,13 +382,6 @@ def _sublog_dict(sub: SubLog) -> dict:
     }
 
 
-def _walk_dict(walk: Optional[Walk]) -> Optional[dict]:
-    if walk is None:
-        return None
-    nodes = [n.text if isinstance(n, SignedVertex) else str(n) for n in walk.nodes]
-    return {"nodes": nodes, "corners": [corner_key_str(k) for k in walk.edges]}
-
-
 def _angles_dict(angles: dict) -> dict:
     return {corner_key_str(k): v for k, v in sorted(angles.items())}
 
@@ -402,8 +397,8 @@ def _curvature_dict(report: link_complex.CurvatureReport) -> dict:
     }
 
 
-def _forest_corners(g: LinkGraph) -> list:
-    return [corner_key_str(c.key) for c in g.corners]
+def _forest_corners(g: Multigraph) -> list:
+    return [corner_key_str(key) for key, _, _ in g.edges]
 
 
 _BY_CITATION = ("DR_claim", "aspherical_claim", "locally_indicable_claim", "VA_claim")
@@ -634,7 +629,10 @@ def certify_relative(log: Log, parts: Optional[Sequence[SubLog]] = None) -> Cert
     choice is lifted, the relative coloring test is verified together with
     nonpositive curvature on all cells, and each part is certified
     recursively after boundary reduction.  Overlapping maximal sub-LOTs or a
-    failing quotient yield the non-generic verdict.
+    failing quotient yield the non-generic verdict.  The aspherical and VA
+    claims are False only when the relative coloring test fails at this
+    level; a passing test with some part's claim other than True leaves them
+    non-generic.
     """
     work = log
     moves: tuple = ()
@@ -735,10 +733,10 @@ def certify_relative(log: Log, parts: Optional[Sequence[SubLog]] = None) -> Cert
     if not part_cells_zero:
         raise RuntimeError("cells of collapsed parts must be flat")
 
-    side, coside = _sides(link, eps)
-    inside = frozenset(c.key for c in link.corners if c.owner in part_edge_ids)
-    rel1, _w1 = is_relative_forest(side.to_multigraph(), inside)
-    rel2, _w2 = is_relative_forest(coside.to_multigraph(), inside)
+    side, coside = _sides(work, link, eps)
+    inside = frozenset(key for key, _, _ in link.edges if key[0] in part_edge_ids)
+    rel1, _w1 = is_relative_forest(side, inside)
+    rel2, _w2 = is_relative_forest(coside, inside)
 
     rct = verify_relative_coloring_test(work, part_list, angles, link=link)
     coloring = verify_coloring_test(work, angles, link=link)
@@ -749,8 +747,7 @@ def certify_relative(log: Log, parts: Optional[Sequence[SubLog]] = None) -> Cert
         plog = sub_log_as_log(work, p)
         preduced, pmoves = reduce_log(plog)
         child = certify_relative(preduced)
-        child_ok = child.verdicts["aspherical_claim"] is True
-        parts_ok = parts_ok and child_ok
+        parts_ok = parts_ok and child.verdicts["aspherical_claim"] is True
         part_certs.append(
             {
                 "part_edges": list(p.edge_ids),
@@ -776,7 +773,14 @@ def certify_relative(log: Log, parts: Optional[Sequence[SubLog]] = None) -> Cert
     verdicts["lbf"] = NOT_EVALUATED
     verdicts["coloring_test"] = coloring.ok
     verdicts["relative_coloring_test"] = rct.ok and all_cells_ok and rel1 and rel2
-    claim = verdicts["relative_coloring_test"] and parts_ok
+    # only a failed check at this level refutes the claim; an undecided part
+    # leaves it undecided
+    if not verdicts["relative_coloring_test"]:
+        claim = False
+    elif parts_ok:
+        claim = True
+    else:
+        claim = NON_GENERIC
     verdicts["aspherical_claim"] = claim
     verdicts["VA_claim"] = claim
     verdicts["DR_claim"] = NOT_EVALUATED

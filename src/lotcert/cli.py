@@ -188,8 +188,7 @@ def cmd_oracle_check(args) -> int:
     log = _load(args.file)
     checks = []
 
-    link = build_link(log)
-    g = link.to_multigraph()
+    g = build_link(log)
     forest_fast = is_forest(g)[0]
     forest_slow = not oracle.enumerate_simple_cycles(g, max_len=len(g.edges))
     checks.append(("forest-vs-cycle-enumeration", forest_fast == forest_slow))

@@ -12,16 +12,19 @@ contributes four corners:
     mixed_source   x_i- x_k+
     mixed_target   x_k- x_j+
 
-Corners are never deduplicated: the link is a multigraph keyed by
-(owner edge, kind), and parallel corners or loops are honest cycles.
-All curvature arithmetic is exact integer arithmetic.
+build_link returns the link as one Multigraph, the representation every
+check here takes: its nodes are the strings ``x+`` and ``x-`` (the sign is
+always the last character, so a node names its vertex and sign), and its
+edges are the corners ``((owner edge, kind), u, v)``.  Corners are never
+deduplicated, so parallel corners or loops are honest cycles.  All
+curvature arithmetic is exact integer arithmetic.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict, deque
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional
 
 from .log_model import Edge, Log, _UnionFind
 
@@ -30,49 +33,6 @@ MINUS = "-"
 CORNER_KINDS = ("positive", "negative", "mixed_source", "mixed_target")
 
 CornerKey = tuple[str, str]  # (owner edge id, kind)
-
-
-@dataclass(frozen=True)
-class SignedVertex:
-    vertex: str
-    sign: str
-
-    @property
-    def text(self) -> str:
-        return self.vertex + self.sign
-
-    def flipped(self) -> "SignedVertex":
-        return SignedVertex(self.vertex, MINUS if self.sign == PLUS else PLUS)
-
-
-@dataclass(frozen=True)
-class Corner:
-    owner: str
-    kind: str
-    ends: tuple[SignedVertex, SignedVertex]
-
-    @property
-    def key(self) -> CornerKey:
-        return (self.owner, self.kind)
-
-
-@dataclass(frozen=True)
-class LinkGraph:
-    nodes: tuple[SignedVertex, ...]
-    corners: tuple[Corner, ...]
-
-    def to_multigraph(self) -> "Multigraph":
-        return Multigraph(
-            self.nodes,
-            tuple((c.key, c.ends[0], c.ends[1]) for c in self.corners),
-        )
-
-    def degrees(self) -> dict[SignedVertex, int]:
-        deg = {n: 0 for n in self.nodes}
-        for c in self.corners:
-            deg[c.ends[0]] += 1
-            deg[c.ends[1]] += 1
-        return deg
 
 
 @dataclass(frozen=True)
@@ -91,40 +51,39 @@ class Walk:
     edges: tuple
 
 
-def corner_ends(edge: Edge, kind: str) -> tuple[SignedVertex, SignedVertex]:
+def corner_ends(edge: Edge, kind: str) -> tuple[str, str]:
     s, t, l = edge.src, edge.tgt, edge.lab
     if kind == "positive":
-        return (SignedVertex(s, PLUS), SignedVertex(l, PLUS))
+        return (s + PLUS, l + PLUS)
     if kind == "negative":
-        return (SignedVertex(l, MINUS), SignedVertex(t, MINUS))
+        return (l + MINUS, t + MINUS)
     if kind == "mixed_source":
-        return (SignedVertex(s, MINUS), SignedVertex(l, PLUS))
+        return (s + MINUS, l + PLUS)
     if kind == "mixed_target":
-        return (SignedVertex(l, MINUS), SignedVertex(t, PLUS))
+        return (l + MINUS, t + PLUS)
     raise ValueError(f"unknown corner kind {kind!r}")
 
 
-def build_link(log: Log) -> LinkGraph:
-    """The link of the unique vertex of the presentation complex."""
-    nodes = []
-    for v in log.vertices:
-        nodes.append(SignedVertex(v, PLUS))
-        nodes.append(SignedVertex(v, MINUS))
-    corners = []
-    for e in log.edges:
-        for kind in CORNER_KINDS:
-            corners.append(Corner(e.eid, kind, corner_ends(e, kind)))
-    return LinkGraph(tuple(nodes), tuple(corners))
+def build_link(log: Log) -> Multigraph:
+    """The link of the unique vertex of the presentation complex.
 
-
-def induced_subgraph(link: LinkGraph, nodes: Iterable[SignedVertex]) -> LinkGraph:
-    """Full subgraph: keeps corners with both endpoints among the nodes."""
-    nset = set(nodes)
-    kept_nodes = tuple(n for n in link.nodes if n in nset)
+    Nodes are x+ and x- for each vertex x in declaration order; edges are
+    the corners ((owner, kind), u, v), four per edge in CORNER_KINDS order.
+    """
+    nodes = tuple(v + sign for v in log.vertices for sign in (PLUS, MINUS))
     corners = tuple(
-        c for c in link.corners if c.ends[0] in nset and c.ends[1] in nset
+        ((e.eid, kind), *corner_ends(e, kind)) for e in log.edges for kind in CORNER_KINDS
     )
-    return LinkGraph(kept_nodes, corners)
+    return Multigraph(nodes, corners)
+
+
+def induced_subgraph(g: Multigraph, nodes: Iterable) -> Multigraph:
+    """Full subgraph: keeps the edges with both endpoints among the nodes."""
+    nset = set(nodes)
+    return Multigraph(
+        tuple(n for n in g.nodes if n in nset),
+        tuple(e for e in g.edges if e[1] in nset and e[2] in nset),
+    )
 
 
 def corner_key_str(key: CornerKey) -> str:
@@ -150,8 +109,8 @@ def _adjacency(g: Multigraph) -> dict:
     return adj
 
 
-def find_path(g: Multigraph, start, goal, allowed: Optional[frozenset] = None) -> Optional[Walk]:
-    """BFS path from start to goal, optionally restricted to allowed edge keys."""
+def find_path(g: Multigraph, start, goal) -> Optional[Walk]:
+    """BFS path from start to goal."""
     if start == goal:
         return Walk((start,), ())
     adj = _adjacency(g)
@@ -160,8 +119,6 @@ def find_path(g: Multigraph, start, goal, allowed: Optional[frozenset] = None) -
     while queue:
         u = queue.popleft()
         for key, w in adj[u]:
-            if allowed is not None and key not in allowed:
-                continue
             if w in prev:
                 continue
             prev[w] = (u, key)
@@ -180,22 +137,20 @@ def find_path(g: Multigraph, start, goal, allowed: Optional[frozenset] = None) -
     return None
 
 
-def components(g: Multigraph) -> dict:
-    """Map each node to a canonical component representative (first seen)."""
-    adj = _adjacency(g)
-    rep = {}
-    for n in g.nodes:
-        if n in rep:
-            continue
-        queue = deque([n])
-        rep[n] = n
-        while queue:
-            u = queue.popleft()
-            for _, w in adj[u]:
-                if w not in rep:
-                    rep[w] = n
-                    queue.append(w)
-    return rep
+def components(g: Multigraph) -> _UnionFind:
+    """A union-find whose classes are the connected components of g."""
+    uf = _UnionFind(g.nodes)
+    for _, u, v in g.edges:
+        uf.union(u, v)
+    return uf
+
+
+def _closing_walk(g: Multigraph, key, u, v) -> Walk:
+    """The cycle that the edge (key, u, v) closes with a path from u to v in g."""
+    path = find_path(g, u, v)
+    if path is None:
+        raise RuntimeError(f"no path closes a cycle through corner {key!r}")
+    return Walk(path.nodes + (u,), path.edges + (key,))
 
 
 def is_forest(g: Multigraph) -> tuple[bool, Optional[Walk]]:
@@ -209,9 +164,7 @@ def is_forest(g: Multigraph) -> tuple[bool, Optional[Walk]]:
         if u == v:
             return False, Walk((u, u), (key,))
         if not uf.union(u, v):
-            path = find_path(Multigraph(g.nodes, tuple(accepted)), u, v)
-            assert path is not None
-            return False, Walk(path.nodes + (u,), path.edges + (key,))
+            return False, _closing_walk(Multigraph(g.nodes, tuple(accepted)), key, u, v)
         accepted.append((key, u, v))
     return True, None
 
@@ -272,10 +225,9 @@ def is_relative_forest(g: Multigraph, sub_keys: Iterable) -> tuple[bool, Optiona
             continue
         if u == v:
             return False, Walk((u, u), (key,))
+        # a non-bridge: its endpoints stay connected without it
         rest = tuple(e for e in g.edges if e[0] != key)
-        path = find_path(Multigraph(g.nodes, rest), u, v)
-        assert path is not None  # non-bridge: endpoints stay connected
-        return False, Walk(path.nodes + (u,), path.edges + (key,))
+        return False, _closing_walk(Multigraph(g.nodes, rest), key, u, v)
     return True, None
 
 
@@ -346,19 +298,12 @@ class ColoringResult:
     bad_cycle_angle: Optional[int] = None
 
 
-def _zero_subgraph(link: LinkGraph, angles: AngleAssignment) -> Multigraph:
-    return Multigraph(
-        link.nodes,
-        tuple(
-            (c.key, c.ends[0], c.ends[1])
-            for c in link.corners
-            if _angle(angles, c.key) == 0
-        ),
-    )
+def _zero_subgraph(link: Multigraph, angles: AngleAssignment) -> Multigraph:
+    return Multigraph(link.nodes, tuple(c for c in link.edges if _angle(angles, c[0]) == 0))
 
 
 def verify_coloring_test(
-    log: Log, angles: AngleAssignment, *, link: Optional[LinkGraph] = None
+    log: Log, angles: AngleAssignment, *, link: Optional[Multigraph] = None
 ) -> ColoringResult:
     """Zero/one coloring test.
 
@@ -377,17 +322,10 @@ def verify_coloring_test(
     if not forest:
         return ColoringResult(False, positive, cycle, 0)
 
-    rep = components(zero)
-    for c in link.corners:
-        if _angle(angles, c.key) != 1:
-            continue
-        u, v = c.ends
-        if rep[u] != rep[v]:
-            continue
-        path = find_path(zero, u, v)
-        assert path is not None
-        walk = Walk(path.nodes + (u,), path.edges + (c.key,))
-        return ColoringResult(False, positive, walk, 1)
+    find = components(zero).find
+    for key, u, v in link.edges:
+        if _angle(angles, key) == 1 and find(u) == find(v):
+            return ColoringResult(False, positive, _closing_walk(zero, key, u, v), 1)
 
     return ColoringResult(not positive, positive, None, None)
 
@@ -401,7 +339,7 @@ class RelativeColoringResult:
 
 
 def verify_relative_coloring_test(
-    log: Log, parts, angles: AngleAssignment, *, link: Optional[LinkGraph] = None
+    log: Log, parts, angles: AngleAssignment, *, link: Optional[Multigraph] = None
 ) -> RelativeColoringResult:
     """Relative zero/one coloring test against a wedge of sub-LOT complexes.
 
@@ -427,28 +365,21 @@ def verify_relative_coloring_test(
     )
 
     zero = _zero_subgraph(link, angles)
-    inside = frozenset(c.key for c in link.corners if c.owner in part_edges)
+    inside = frozenset(key for key, _, _ in link.edges if key[0] in part_edges)
     relative, walk = is_relative_forest(zero, inside)
     if not relative:
         return RelativeColoringResult(False, positive, walk, 0)
 
-    rep = components(zero)
-    zero_inside = frozenset(k for k, _, _ in zero.edges if k in inside)
-    for c in link.corners:
-        if _angle(angles, c.key) != 1:
+    find = components(zero).find
+    find_inside = components(
+        Multigraph(zero.nodes, tuple(c for c in zero.edges if c[0] in inside))
+    ).find
+    for key, u, v in link.edges:
+        if _angle(angles, key) != 1 or find(u) != find(v):
             continue
-        u, v = c.ends
-        if rep.get(u) != rep.get(v):
+        if key in inside and find_inside(u) == find_inside(v):
             continue
-        ok_here = False
-        if c.key in inside:
-            contained = find_path(zero, u, v, allowed=zero_inside)
-            ok_here = contained is not None
-        if not ok_here:
-            path = find_path(zero, u, v)
-            assert path is not None
-            walk = Walk(path.nodes + (u,), path.edges + (c.key,))
-            return RelativeColoringResult(False, positive, walk, 1)
+        return RelativeColoringResult(False, positive, _closing_walk(zero, key, u, v), 1)
 
     return RelativeColoringResult(not positive, positive, None, None)
 
@@ -461,18 +392,16 @@ def _dot_quote(s: str) -> str:
     return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def link_to_dot(link: LinkGraph, angles: Optional[AngleAssignment] = None) -> str:
+def link_to_dot(link: Multigraph, angles: Optional[AngleAssignment] = None) -> str:
     """Deterministic DOT rendering; angle-0 corners solid, angle-1 dashed."""
     lines = ["graph link {"]
     for n in link.nodes:
-        lines.append(f"  {_dot_quote(n.text)};")
-    for c in link.corners:
-        attrs = [f"label={_dot_quote(f'{c.owner} {c.kind}')}"]
+        lines.append(f"  {_dot_quote(n)};")
+    for key, u, v in link.edges:
+        owner, kind = key
+        attrs = [f"label={_dot_quote(f'{owner} {kind}')}"]
         if angles is not None:
-            attrs.append("style=" + ("dashed" if _angle(angles, c.key) else "solid"))
-        u, v = c.ends
-        lines.append(
-            f"  {_dot_quote(u.text)} -- {_dot_quote(v.text)} [{', '.join(attrs)}];"
-        )
+            attrs.append("style=" + ("dashed" if _angle(angles, key) else "solid"))
+        lines.append(f"  {_dot_quote(u)} -- {_dot_quote(v)} [{', '.join(attrs)}];")
     lines.append("}")
     return "\n".join(lines) + "\n"

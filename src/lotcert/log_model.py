@@ -76,12 +76,6 @@ class Log:
                 if field not in seen:
                     raise ValueError(f"edge {e.eid!r}: unknown {name} vertex {field!r}")
 
-    def edge(self, eid: str) -> Edge:
-        for e in self.edges:
-            if e.eid == eid:
-                return e
-        raise ValueError(f"unknown edge id {eid!r}")
-
     def edge_ids(self) -> tuple[str, ...]:
         return tuple(e.eid for e in self.edges)
 
@@ -381,7 +375,8 @@ def reduce_log(log: Log) -> tuple[Log, tuple]:
         if move is None:
             return current, tuple(moves)
         nxt = apply_reduction_move(current, move)
-        assert len(nxt.vertices) + len(nxt.edges) < len(current.vertices) + len(current.edges)
+        if len(nxt.vertices) + len(nxt.edges) >= len(current.vertices) + len(current.edges):
+            raise RuntimeError(f"reduction move {move!r} does not shrink the LOG")
         moves.append(move)
         current = nxt
 

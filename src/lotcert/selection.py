@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
-from .link_complex import Multigraph, _dot_quote
+from .link_complex import _dot_quote
 from .log_model import Log, reorient
 
 ArcKey = tuple[str, str]  # (owner edge id, 'a' | 'b')
@@ -39,21 +39,6 @@ class SelArc:
 class SelectionGraph:
     nodes: tuple[str, ...]
     arcs: tuple[SelArc, ...]
-
-    def arc(self, key: ArcKey) -> SelArc:
-        for a in self.arcs:
-            if a.key == key:
-                return a
-        raise ValueError(f"unknown arc {key!r}")
-
-    def indegree(self) -> dict[str, int]:
-        deg = {v: 0 for v in self.nodes}
-        for a in self.arcs:
-            deg[a.dst] += 1
-        return deg
-
-    def to_multigraph(self) -> Multigraph:
-        return Multigraph(self.nodes, tuple((a.key, a.src, a.dst) for a in self.arcs))
 
 
 # Arc colors of a two-coloring; black arcs become the positive side.

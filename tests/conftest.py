@@ -113,3 +113,17 @@ def path_lot(n: int, seed: int) -> Log:
         log = make_log(names, edges)
         if reducedness_report(log).reduced:
             return log
+
+
+def degrees(g) -> dict:
+    """Node degrees of a Multigraph; a loop counts twice."""
+    deg = dict.fromkeys(g.nodes, 0)
+    for _, u, v in g.edges:
+        deg[u] += 1
+        deg[v] += 1
+    return deg
+
+
+def flipped(node: str) -> str:
+    """The link node of the same vertex with the other sign."""
+    return node[:-1] + ("-" if node.endswith("+") else "+")

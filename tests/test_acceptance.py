@@ -9,7 +9,7 @@ import itertools
 import time
 from functools import cache
 
-from conftest import seeded_rng
+from conftest import degrees, flipped, seeded_rng
 from lotcert import (
     build_link,
     build_selection_graph,
@@ -24,7 +24,7 @@ from lotcert import (
 from lotcert.arborescence import CutWitness, cut_delta, two_disjoint_branchings, verify_branching
 from lotcert.arborescence import edmonds_condition
 from lotcert.certify import lbf_check, strong_lbf_check
-from lotcert.link_complex import CORNER_KINDS, Multigraph, SignedVertex, parse_corner_key
+from lotcert.link_complex import CORNER_KINDS, Multigraph, parse_corner_key
 from lotcert.log_model import (
     block_reorient,
     enumerate_sub_lots,
@@ -100,10 +100,10 @@ def test_criterion_1_corner_rule():
     t0 = time.monotonic()
     for log in corpus_random_logs():
         link = build_link(log)
-        assert len(link.corners) == 4 * len(log.edges)
+        assert len(link.edges) == 4 * len(log.edges)
         by_owner = {}
-        for c in link.corners:
-            by_owner.setdefault(c.owner, {})[c.kind] = {e.text for e in c.ends}
+        for (owner, kind), u, v in link.edges:
+            by_owner.setdefault(owner, {})[kind] = {u, v}
         for e in log.edges:
             got = by_owner.get(e.eid, {})
             assert got == {
@@ -112,15 +112,15 @@ def test_criterion_1_corner_rule():
                 "mixed_source": {e.src + "-", e.lab + "+"},
                 "mixed_target": {e.lab + "-", e.tgt + "+"},
             }
-        plus = induced_subgraph(link, [x for x in link.nodes if x.sign == "+"])
-        minus = induced_subgraph(link, [x for x in link.nodes if x.sign == "-"])
-        dp, dm = plus.degrees(), minus.degrees()
+        plus = induced_subgraph(link, [x for x in link.nodes if x.endswith("+")])
+        minus = induced_subgraph(link, [x for x in link.nodes if x.endswith("-")])
+        dp, dm = degrees(plus), degrees(minus)
         for v in log.vertices:
             starts = sum(1 for e in log.edges if e.src == v)
             ends = sum(1 for e in log.edges if e.tgt == v)
             labs = sum(1 for e in log.edges if e.lab == v)
-            assert dp[SignedVertex(v, "+")] == starts + labs
-            assert dm[SignedVertex(v, "-")] == ends + labs
+            assert dp[v + "+"] == starts + labs
+            assert dm[v + "-"] == ends + labs
     report(1, "corner rule on 500 random LOGs", t0, 1.0)
 
 
@@ -140,13 +140,13 @@ def test_criterion_2_gauss_bonnet():
 
 def _corner_multiset(link, swap_vertex=None):
     out = []
-    for c in link.corners:
+    for key, u, v in link.edges:
         ends = []
-        for x in c.ends:
-            if swap_vertex is not None and x.vertex == swap_vertex:
-                x = x.flipped()
-            ends.append(x.text)
-        out.append((c.owner, tuple(sorted(ends))))
+        for x in (u, v):
+            if swap_vertex is not None and x[:-1] == swap_vertex:
+                x = flipped(x)
+            ends.append(x)
+        out.append((key[0], tuple(sorted(ends))))
     out.sort()
     return out
 
@@ -251,7 +251,7 @@ def test_criterion_8_oracle_agreement():
     t0 = time.monotonic()
     # forests and the coloring test on every random-corpus link
     for i, log in enumerate(corpus_random_logs()):
-        g = build_link(log).to_multigraph()
+        g = build_link(log)
         assert len(g.edges) <= 48
         cycles = enumerate_simple_cycles(g, max_len=len(g.edges))
         assert is_forest(g)[0] == (not cycles)
@@ -274,15 +274,14 @@ def test_criterion_8_oracle_agreement():
     for lot in corpus_good_lots()[:60]:
         link = build_link(lot)
         for sign in "+-":
-            side = induced_subgraph(link, [x for x in link.nodes if x.sign == sign])
-            g = side.to_multigraph()
+            g = induced_subgraph(link, [x for x in link.nodes if x.endswith(sign)])
             assert is_forest(g)[0] == (not enumerate_simple_cycles(g, max_len=len(g.edges)))
     # relative coloring on the negative-control fixtures
     for lot in corpus_bad_sublot_lots():
         rel = certify_relative(lot)
         part_edges = {eid for p in rel.witnesses["parts"] for eid in p["edges"]}
         angles = {parse_corner_key(key): val for key, val in rel.witnesses["angles"].items()}
-        g = build_link(lot).to_multigraph()
+        g = build_link(lot)
         for c in enumerate_simple_cycles(g, max_len=len(g.edges)):
             if sum(angles[k] for k in c.edges) <= 1:
                 assert all(k[0] in part_edges for k in c.edges)

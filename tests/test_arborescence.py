@@ -13,7 +13,7 @@ from lotcert import (
     two_disjoint_branchings,
     verify_branching,
 )
-from lotcert.arborescence import Branching, CutWitness, _greedy_arborescence, cut_delta
+from lotcert.arborescence import Branching, CutWitness, _index, _prim, cut_delta
 from lotcert.oracle import (
     CapExceeded,
     exhaustive_branching_search,
@@ -22,6 +22,15 @@ from lotcert.oracle import (
     random_reduced_injective_lot,
     rescan_branchings,
 )
+
+
+def greedy_arborescence(sel, root):
+    """One branching rooted at root, grown from the smallest-index frontier arc, or None."""
+    _, dst, out, _ = _index(sel)
+    chosen = _prim(out, dst, sel.nodes.index(root), bytearray(len(sel.arcs)))
+    if chosen is None:
+        return None
+    return Branching(root, tuple(sel.arcs[i].key for i in chosen))
 
 
 def brute_force_condition(sel, root, n):
@@ -95,7 +104,7 @@ def test_verify_branching_rejects_bad_sets():
 
 def test_single_branching_exists_despite_bad_sublot():
     sel = build_selection_graph(BADSUB)
-    b = _greedy_arborescence(sel, "q", set())
+    b = greedy_arborescence(sel, "q")
     assert b is not None
     assert verify_branching(sel, b) == (True, None)
 

@@ -65,14 +65,13 @@ def test_lbf_matches_direct_check_on_all_signs():
         res = lbf_check(PATH3, eps)
         link = build_link(PATH3)
         from lotcert import induced_subgraph, is_forest
-        from lotcert.link_complex import SignedVertex
 
-        side = induced_subgraph(link, [SignedVertex(v, eps[v]) for v in PATH3.vertices])
+        side = induced_subgraph(link, [v + eps[v] for v in PATH3.vertices])
         other = induced_subgraph(
             link,
-            [SignedVertex(v, "-" if eps[v] == "+" else "+") for v in PATH3.vertices],
+            [v + ("-" if eps[v] == "+" else "+") for v in PATH3.vertices],
         )
-        expect = is_forest(side.to_multigraph())[0] and is_forest(other.to_multigraph())[0]
+        expect = is_forest(side)[0] and is_forest(other)[0]
         assert res.ok == expect
 
 
@@ -342,6 +341,40 @@ def test_certify_relative_non_generic_overlap():
     assert cert.verdicts["aspherical_claim"] == NON_GENERIC
     assert cert.hypothesis["parts_disjoint"] is False
     assert len(cert.witnesses["parts"]) == 2
+
+
+def test_certify_relative_undecided_part_leaves_the_claim_undecided():
+    # the part e2 e4 e5 e7 e9 has overlapping maximal sub-LOTs of its own
+    cert = certify_relative(random_reduced_injective_lot(10, 393))
+    assert cert.verdicts["relative_coloring_test"] is True
+    assert cert.verdicts["aspherical_claim"] == NON_GENERIC
+    assert cert.verdicts["VA_claim"] == NON_GENERIC
+    (child,) = [
+        c["certificate"]
+        for c in cert.witnesses["part_certificates"]
+        if c["part_edges"] == ["e2", "e4", "e5", "e7", "e9"]
+    ]
+    assert child["verdicts"]["aspherical_claim"] == NON_GENERIC
+
+
+def _relative_levels(cert: dict):
+    yield cert
+    for child in cert["witnesses"].get("part_certificates", ()):
+        yield from _relative_levels(child["certificate"])
+
+
+def test_relative_claims_are_false_only_on_a_failed_test():
+    undecided = 0
+    for n in (8, 10, 12):
+        for seed in range(400):
+            cert = certify_relative(random_reduced_injective_lot(n, seed)).to_dict()
+            for level in _relative_levels(cert):
+                v = level["verdicts"]
+                for k in ("DR_claim", "aspherical_claim", "locally_indicable_claim", "VA_claim"):
+                    if v[k] is False:
+                        assert v["relative_coloring_test"] is False, (n, seed, k)
+                undecided += v["relative_coloring_test"] is True and v["aspherical_claim"] == NON_GENERIC
+    assert undecided  # the sweep reaches a passing level with an undecided part
 
 
 def test_certify_relative_reduces_first():

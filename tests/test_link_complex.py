@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import BADSUB, PATH3, PATH3_RHO, TRIV, logs, seeded_rng
+from conftest import BADSUB, PATH3, PATH3_RHO, TRIV, degrees, flipped, logs, seeded_rng
 from lotcert import (
     CurvatureReport,
     build_link,
@@ -16,7 +16,6 @@ from lotcert.certify import angles_from_bipartition
 from lotcert.link_complex import (
     CORNER_KINDS,
     Multigraph,
-    SignedVertex,
     bridges,
     corner_key_str,
     link_to_dot,
@@ -25,13 +24,9 @@ from lotcert.link_complex import (
 from lotcert.log_model import block_reorient, enumerate_sub_lots, non_label_vertices
 
 
-def sv(text):
-    return SignedVertex(text[:-1], text[-1])
-
-
 def corner_pairs(link):
     """Multiset of (owner, unordered endpoint pair)."""
-    return sorted((c.owner, tuple(sorted(e.text for e in c.ends))) for c in link.corners)
+    return sorted((key[0], tuple(sorted((u, v)))) for key, u, v in link.edges)
 
 
 # ---------------------------------------------------------------------------
@@ -41,7 +36,7 @@ def corner_pairs(link):
 def test_four_corners_of_generic_edge():
     log = make_log(["i", "j", "k"], [("e", "i", "j", "k")])
     link = build_link(log)
-    by_kind = {c.kind: frozenset(x.text for x in c.ends) for c in link.corners}
+    by_kind = {key[1]: frozenset((u, v)) for key, u, v in link.edges}
     assert by_kind == {
         "positive": frozenset({"i+", "k+"}),
         "negative": frozenset({"k-", "j-"}),
@@ -52,8 +47,8 @@ def test_four_corners_of_generic_edge():
 
 def test_link_of_single_vertex():
     link = build_link(TRIV)
-    assert [n.text for n in link.nodes] == ["x+", "x-"]
-    assert link.corners == ()
+    assert link.nodes == ("x+", "x-")
+    assert link.edges == ()
 
 
 def test_link_of_reoriented_path3():
@@ -76,22 +71,25 @@ def test_link_of_reoriented_path3():
 @given(logs())
 def test_corner_count_and_degree_formula(log):
     link = build_link(log)
-    assert len(link.corners) == 4 * len(log.edges)
-    deg = link.degrees()
-    plus = induced_subgraph(link, [n for n in link.nodes if n.sign == "+"])
-    minus = induced_subgraph(link, [n for n in link.nodes if n.sign == "-"])
-    deg_plus, deg_minus = plus.degrees(), minus.degrees()
+    assert len(link.edges) == 4 * len(log.edges)
+    assert [key for key, _, _ in link.edges] == [
+        (e.eid, kind) for e in log.edges for kind in CORNER_KINDS
+    ]
+    deg = degrees(link)
+    plus = induced_subgraph(link, [n for n in link.nodes if n.endswith("+")])
+    minus = induced_subgraph(link, [n for n in link.nodes if n.endswith("-")])
+    deg_plus, deg_minus = degrees(plus), degrees(minus)
     for v in log.vertices:
         starts = sum(1 for e in log.edges if e.src == v)
         ends = sum(1 for e in log.edges if e.tgt == v)
         labs = sum(1 for e in log.edges if e.lab == v)
         # full link: each signed copy meets the source slot, the target slot
         # and two label slots of its incident 2-cells
-        assert deg[SignedVertex(v, "+")] == starts + ends + 2 * labs
-        assert deg[SignedVertex(v, "-")] == starts + ends + 2 * labs
+        assert deg[v + "+"] == starts + ends + 2 * labs
+        assert deg[v + "-"] == starts + ends + 2 * labs
         # induced sides: one corner per source / target plus one per label
-        assert deg_plus[SignedVertex(v, "+")] == starts + labs
-        assert deg_minus[SignedVertex(v, "-")] == ends + labs
+        assert deg_plus[v + "+"] == starts + labs
+        assert deg_minus[v + "-"] == ends + labs
 
 
 # ---------------------------------------------------------------------------
@@ -100,15 +98,15 @@ def test_corner_count_and_degree_formula(log):
 
 def test_induced_all_plus_path3_rho():
     link = build_link(PATH3_RHO)
-    plus = induced_subgraph(link, [n for n in link.nodes if n.sign == "+"])
-    assert sorted(frozenset(x.text for x in c.ends) for c in plus.corners) == sorted(
+    plus = induced_subgraph(link, [n for n in link.nodes if n.endswith("+")])
+    assert sorted(frozenset((u, v)) for _, u, v in plus.edges) == sorted(
         [frozenset({"x+", "z+"}), frozenset({"y+", "x+"})]
     )
 
 
 def test_induced_empty_and_full():
     link = build_link(PATH3)
-    assert induced_subgraph(link, []).corners == ()
+    assert induced_subgraph(link, []).edges == ()
     assert induced_subgraph(link, link.nodes) == link
 
 
@@ -118,8 +116,8 @@ def test_induced_empty_and_full():
 
 def test_forest_of_plus_side():
     link = build_link(PATH3_RHO)
-    plus = induced_subgraph(link, [n for n in link.nodes if n.sign == "+"])
-    ok, cycle = is_forest(plus.to_multigraph())
+    plus = induced_subgraph(link, [n for n in link.nodes if n.endswith("+")])
+    ok, cycle = is_forest(plus)
     assert ok and cycle is None
 
 
@@ -264,7 +262,7 @@ def test_relative_coloring_matches_enumeration_on_random_inputs():
         cells_ok = all(
             v <= 0 for eid, v in report.kappa_cells.items() if eid not in part_edges
         )
-        g = build_link(log).to_multigraph()
+        g = build_link(log)
         cycles_ok = all(
             all(key[0] in part_edges for key in c.edges)
             for c in enumerate_simple_cycles(g, max_len=len(g.edges))
@@ -290,11 +288,9 @@ def test_relative_coloring_rejects_overlapping_parts():
 
 def swap_pairs(link, vertex):
     out = []
-    for c in link.corners:
-        ends = tuple(
-            sorted((e.flipped() if e.vertex == vertex else e).text for e in c.ends)
-        )
-        out.append((c.owner, ends))
+    for key, u, v in link.edges:
+        ends = tuple(sorted(flipped(x) if x[:-1] == vertex else x for x in (u, v)))
+        out.append((key[0], ends))
     return sorted(out)
 
 
