@@ -21,7 +21,6 @@ from .link_complex import (
     Multigraph,
     build_link,
     curvature,
-    induced_subgraph,
     is_forest,
     is_relative_forest,
     verify_coloring_test,

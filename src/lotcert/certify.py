@@ -38,9 +38,9 @@ from .link_complex import (
     build_link,
     corner_key_str,
     curvature,
-    induced_subgraph,
     is_forest,
     is_relative_forest,
+    part_corners,
     verify_coloring_test,
     verify_relative_coloring_test,
 )
@@ -87,9 +87,11 @@ CITATIONS = {
 
 @dataclass(frozen=True)
 class BiForestResult:
+    """first and second are the two sides, as lists of corner numbers of the link."""
+
     ok: bool
-    first: Multigraph
-    second: Multigraph
+    first: list
+    second: list
     cycle: Optional[Walk] = None
     cycle_side: Optional[str] = None
 
@@ -98,23 +100,31 @@ class BiForestResult:
 # caller has built it already; without it the check builds it from `log`.
 
 
-def _side_nodes(log: Log, eps: link_complex.SignAssignment) -> set[str]:
-    """The link nodes x+ or x- that carry the sign eps[x]."""
-    return {v + eps[v] for v in log.vertices}
+def _side_mask(log: Log, eps: link_complex.SignAssignment) -> bytearray:
+    """on[u] is 1 for the link nodes u that carry their vertex's sign eps[x]."""
+    on = bytearray(2 * len(log.vertices))
+    for i, v in enumerate(log.vertices):
+        sign = eps.get(v)
+        if sign not in (PLUS, MINUS):
+            raise ValueError(f"sign assignment not total at vertex {v!r}")
+        on[2 * i + (sign == MINUS)] = 1
+    return on
 
 
-def _sides(
-    log: Log, link: Multigraph, eps: link_complex.SignAssignment
-) -> tuple[Multigraph, Multigraph]:
-    """The full subgraphs of the link on the signs eps and on their opposites."""
-    side = _side_nodes(log, eps)
-    coside = [n for n in link.nodes if n not in side]
-    return induced_subgraph(link, side), induced_subgraph(link, coside)
+def _sides(link: Multigraph, on: bytearray) -> tuple[list[int], list[int]]:
+    """The corners with both ends on the side `on`, and those with both ends off it."""
+    side: list[int] = []
+    coside: list[int] = []
+    for c, (u, v) in enumerate(zip(link.tail, link.head)):
+        if on[u] == on[v]:
+            (side if on[u] else coside).append(c)
+    return side, coside
 
 
-def _bi_forest(first: Multigraph, second: Multigraph, names: tuple[str, str]) -> BiForestResult:
-    for g, name in zip((first, second), names):
-        ok, cycle = is_forest(g)
+def _bi_forest(link: Multigraph, on: bytearray, names: tuple[str, str]) -> BiForestResult:
+    first, second = _sides(link, on)
+    for corners, name in zip((first, second), names):
+        ok, cycle = is_forest(link, corners)
         if not ok:
             return BiForestResult(False, first, second, cycle, name)
     return BiForestResult(True, first, second)
@@ -123,29 +133,28 @@ def _bi_forest(first: Multigraph, second: Multigraph, names: tuple[str, str]) ->
 def strong_lbf_check(log: Log, *, link: Optional[Multigraph] = None) -> BiForestResult:
     """Are the all-plus and all-minus sides of the link both forests?"""
     link = build_link(log) if link is None else link
-    plus, minus = _sides(log, link, dict.fromkeys(log.vertices, PLUS))
-    return _bi_forest(plus, minus, ("plus", "minus"))
+    return _bi_forest(link, bytearray((1, 0)) * len(log.vertices), ("plus", "minus"))
 
 
 def lbf_check(
     log: Log, eps: link_complex.SignAssignment, *, link: Optional[Multigraph] = None
 ) -> BiForestResult:
     """Do the signs eps split the link into two induced forests?"""
-    for v in log.vertices:
-        if eps.get(v) not in (PLUS, MINUS):
-            raise ValueError(f"sign assignment not total at vertex {v!r}")
+    on = _side_mask(log, eps)
     link = build_link(log) if link is None else link
-    side, coside = _sides(log, link, eps)
-    return _bi_forest(side, coside, ("epsilon", "minus_epsilon"))
+    return _bi_forest(link, on, ("epsilon", "minus_epsilon"))
 
 
 def angles_from_bipartition(
     log: Log, eps: link_complex.SignAssignment, *, link: Optional[Multigraph] = None
-) -> dict:
-    """Angle 0 on corners joining equal sign classes, angle 1 across them."""
+) -> list[int]:
+    """Angle 0 on corners joining equal sign classes, angle 1 across them.
+
+    The angles are a list indexed by the corner numbers of build_link(log).
+    """
+    on = _side_mask(log, eps)
     link = build_link(log) if link is None else link
-    side = _side_nodes(log, eps)
-    return {key: 0 if (u in side) == (w in side) else 1 for key, u, w in link.edges}
+    return [on[u] ^ on[v] for u, v in zip(link.tail, link.head)]
 
 
 # ---------------------------------------------------------------------------
@@ -158,12 +167,13 @@ def _vertex_classes(log: Log, pairs: Iterable[tuple[str, str]]) -> list[tuple[st
     Each class lists its vertices in declaration order; classes are ordered
     by their first vertex.
     """
-    uf = _UnionFind(log.vertices)
+    index = log.vertex_index()
+    uf = _UnionFind(len(index))
     for a, b in pairs:
-        uf.union(a, b)
-    classes: dict[str, list[str]] = {}
-    for v in log.vertices:
-        classes.setdefault(uf.find(v), []).append(v)
+        uf.union(index[a], index[b])
+    classes: dict[int, list[str]] = {}
+    for i, v in enumerate(log.vertices):
+        classes.setdefault(uf.find(i), []).append(v)
     return [tuple(vs) for vs in classes.values()]
 
 
@@ -382,10 +392,6 @@ def _sublog_dict(sub: SubLog) -> dict:
     }
 
 
-def _angles_dict(angles: dict) -> dict:
-    return {corner_key_str(k): v for k, v in sorted(angles.items())}
-
-
 def _curvature_dict(report: link_complex.CurvatureReport) -> dict:
     lhs, rhs = report.gauss_bonnet
     return {
@@ -397,8 +403,9 @@ def _curvature_dict(report: link_complex.CurvatureReport) -> dict:
     }
 
 
-def _forest_corners(g: Multigraph) -> list:
-    return [corner_key_str(key) for key, _, _ in g.edges]
+def _corner_names(link: Multigraph, corners: list[int]) -> list[str]:
+    names = link.names
+    return [names[c] for c in corners]
 
 
 _BY_CITATION = ("DR_claim", "aspherical_claim", "locally_indicable_claim", "VA_claim")
@@ -575,8 +582,8 @@ def certify_lof(log: Log) -> Certificate:
 
     lbf = lbf_check(log, eps, link=link)
     angles = angles_from_bipartition(log, eps, link=link)
-    coloring = verify_coloring_test(log, angles, link=link)
     report = curvature(log, angles)
+    coloring = verify_coloring_test(log, angles, link=link, report=report)
 
     witnesses.update(
         {
@@ -585,11 +592,11 @@ def certify_lof(log: Log) -> Certificate:
             "branchings": branchings_out,
             "partition": partition_out,
             "roots": roots_out,
-            "angles": _angles_dict(angles),
+            "angles": dict(zip(link.names, angles)),
             "curvature": _curvature_dict(report),
             "forests": {
-                "epsilon_side": _forest_corners(lbf.first),
-                "minus_epsilon_side": _forest_corners(lbf.second),
+                "epsilon_side": _corner_names(link, lbf.first),
+                "minus_epsilon_side": _corner_names(link, lbf.second),
             },
             "reoriented_strong_lbf": True,
         }
@@ -733,13 +740,13 @@ def certify_relative(log: Log, parts: Optional[Sequence[SubLog]] = None) -> Cert
     if not part_cells_zero:
         raise RuntimeError("cells of collapsed parts must be flat")
 
-    side, coside = _sides(work, link, eps)
-    inside = frozenset(key for key, _, _ in link.edges if key[0] in part_edge_ids)
-    rel1, _w1 = is_relative_forest(side, inside)
-    rel2, _w2 = is_relative_forest(coside, inside)
+    side, coside = _sides(link, _side_mask(work, eps))
+    inside = part_corners(work, part_edge_ids)
+    rel1, _w1 = is_relative_forest(link, inside, side)
+    rel2, _w2 = is_relative_forest(link, inside, coside)
 
-    rct = verify_relative_coloring_test(work, part_list, angles, link=link)
-    coloring = verify_coloring_test(work, angles, link=link)
+    rct = verify_relative_coloring_test(work, part_list, angles, link=link, report=report)
+    coloring = verify_coloring_test(work, angles, link=link, report=report)
 
     part_certs = []
     parts_ok = True
@@ -759,12 +766,12 @@ def certify_relative(log: Log, parts: Optional[Sequence[SubLog]] = None) -> Cert
     base_witnesses.update(
         {
             "epsilon": dict(eps),
-            "angles": _angles_dict(angles),
+            "angles": dict(zip(link.names, angles)),
             "curvature": _curvature_dict(report),
             "relative_lbf": {"epsilon_side": rel1, "minus_epsilon_side": rel2},
             "forests": {
-                "epsilon_side": _forest_corners(side),
-                "minus_epsilon_side": _forest_corners(coside),
+                "epsilon_side": _corner_names(link, side),
+                "minus_epsilon_side": _corner_names(link, coside),
             },
             "part_certificates": part_certs,
         }

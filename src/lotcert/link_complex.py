@@ -12,21 +12,25 @@ contributes four corners:
     mixed_source   x_i- x_k+
     mixed_target   x_k- x_j+
 
-build_link returns the link as one Multigraph, the representation every
-check here takes: its nodes are the strings ``x+`` and ``x-`` (the sign is
-always the last character, so a node names its vertex and sign), and its
-edges are the corners ``((owner edge, kind), u, v)``.  Corners are never
-deduplicated, so parallel corners or loops are honest cycles.  All
-curvature arithmetic is exact integer arithmetic.
+build_link numbers the link once: node 2i is vertex i's ``x+`` and node
+2i+1 its ``x-``; corner 4j+k is edge j's k-th kind in CORNER_KINDS order.
+Every check here reads the integer arrays tail and head (the node numbers
+of each corner's ends) and takes a subgraph as a list of corner numbers:
+a side of a sign choice, the angle-0 corners, the corners inside the parts.
+Angles are a list indexed by corner.  The string view -- nodes ``x+``, and
+corners ``((owner edge, kind), u, v)`` -- is kept beside the arrays for
+witnesses, DOT output and the oracles.  Corners are never deduplicated, so
+parallel corners or loops are honest cycles.  All curvature arithmetic is
+exact integer arithmetic.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional
+from collections import deque
+from dataclasses import dataclass, field
+from typing import Container, Iterable, Mapping, Optional, Sequence, Union
 
-from .log_model import Edge, Log, _UnionFind
+from .log_model import Log, _UnionFind
 
 PLUS = "+"
 MINUS = "-"
@@ -37,10 +41,24 @@ CornerKey = tuple[str, str]  # (owner edge id, kind)
 
 @dataclass(frozen=True)
 class Multigraph:
-    """A plain undirected multigraph: edges are (key, u, v) with keys unique."""
+    """A plain undirected multigraph: edges are (key, u, v) with keys unique.
+
+    The checks read the integer view: edge i joins nodes[tail[i]] and
+    nodes[head[i]].  tail and head are derived from edges unless given.
+    build_link also sets names[i], edge i's key as "owner:kind" text.
+    """
 
     nodes: tuple
     edges: tuple
+    tail: Optional[Sequence[int]] = field(default=None, compare=False, repr=False)
+    head: Optional[Sequence[int]] = field(default=None, compare=False, repr=False)
+    names: Optional[tuple] = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        if self.tail is None:
+            index = {n: i for i, n in enumerate(self.nodes)}
+            object.__setattr__(self, "tail", [index[u] for _, u, _ in self.edges])
+            object.__setattr__(self, "head", [index[v] for _, _, v in self.edges])
 
 
 @dataclass(frozen=True)
@@ -51,39 +69,29 @@ class Walk:
     edges: tuple
 
 
-def corner_ends(edge: Edge, kind: str) -> tuple[str, str]:
-    s, t, l = edge.src, edge.tgt, edge.lab
-    if kind == "positive":
-        return (s + PLUS, l + PLUS)
-    if kind == "negative":
-        return (l + MINUS, t + MINUS)
-    if kind == "mixed_source":
-        return (s + MINUS, l + PLUS)
-    if kind == "mixed_target":
-        return (l + MINUS, t + PLUS)
-    raise ValueError(f"unknown corner kind {kind!r}")
-
-
 def build_link(log: Log) -> Multigraph:
     """The link of the unique vertex of the presentation complex.
 
-    Nodes are x+ and x- for each vertex x in declaration order; edges are
-    the corners ((owner, kind), u, v), four per edge in CORNER_KINDS order.
+    Nodes are x+ and x- for each vertex x in declaration order (numbers 2i
+    and 2i+1); edges are the corners ((owner, kind), u, v), four per edge in
+    CORNER_KINDS order (numbers 4j to 4j+3).
     """
-    nodes = tuple(v + sign for v in log.vertices for sign in (PLUS, MINUS))
-    corners = tuple(
-        ((e.eid, kind), *corner_ends(e, kind)) for e in log.edges for kind in CORNER_KINDS
-    )
-    return Multigraph(nodes, corners)
-
-
-def induced_subgraph(g: Multigraph, nodes: Iterable) -> Multigraph:
-    """Full subgraph: keeps the edges with both endpoints among the nodes."""
-    nset = set(nodes)
-    return Multigraph(
-        tuple(n for n in g.nodes if n in nset),
-        tuple(e for e in g.edges if e[1] in nset and e[2] in nset),
-    )
+    vertices = log.vertices
+    nodes = [""] * (2 * len(vertices))
+    nodes[0::2] = [v + PLUS for v in vertices]
+    nodes[1::2] = [v + MINUS for v in vertices]
+    plus = {v: 2 * i for i, v in enumerate(vertices)}
+    tail: list[int] = []
+    head: list[int] = []
+    for e in log.edges:
+        s, t, l = plus[e.src], plus[e.tgt], plus[e.lab]
+        # positive, negative, mixed_source, mixed_target
+        tail += (s, l + 1, s + 1, l + 1)
+        head += (l, t + 1, l, t)
+    keys = [(e.eid, kind) for e in log.edges for kind in CORNER_KINDS]
+    edges = tuple(zip(keys, map(nodes.__getitem__, tail), map(nodes.__getitem__, head)))
+    names = tuple(map(corner_key_str, keys))
+    return Multigraph(tuple(nodes), edges, tail, head, names)
 
 
 def corner_key_str(key: CornerKey) -> str:
@@ -96,108 +104,135 @@ def parse_corner_key(text: str) -> CornerKey:
     return (owner, kind)
 
 
+def part_corners(log: Log, part_edges: Iterable[str]) -> frozenset[int]:
+    """The numbers of the corners whose owner edge is one of part_edges."""
+    eids = set(part_edges)
+    return frozenset(
+        c for j, e in enumerate(log.edges) if e.eid in eids for c in range(4 * j, 4 * j + 4)
+    )
+
+
 # ---------------------------------------------------------------------------
-# generic multigraph machinery
+# multigraph machinery on edge numbers
+#
+# Each function takes the subgraph to check as `corners`, edge numbers of g
+# in g's order (all edges when omitted); the subgraph keeps every node.
 
 
-def _adjacency(g: Multigraph) -> dict:
-    adj = defaultdict(list)
-    for key, u, v in g.edges:
-        adj[u].append((key, v))
+def _all(g: Multigraph, corners: Optional[Sequence[int]]) -> Sequence[int]:
+    return range(len(g.edges)) if corners is None else corners
+
+
+def _adjacency(g: Multigraph, corners: Sequence[int]) -> list[list[tuple[int, int]]]:
+    adj: list[list[tuple[int, int]]] = [[] for _ in g.nodes]
+    tail, head = g.tail, g.head
+    for c in corners:
+        u, v = tail[c], head[c]
+        adj[u].append((c, v))
         if u != v:
-            adj[v].append((key, u))
+            adj[v].append((c, u))
     return adj
 
 
-def find_path(g: Multigraph, start, goal) -> Optional[Walk]:
-    """BFS path from start to goal."""
-    if start == goal:
-        return Walk((start,), ())
-    adj = _adjacency(g)
-    prev = {start: None}
+def _find_path(g: Multigraph, corners: Sequence[int], start: int, goal: int):
+    """BFS path from start to goal over the corners: (nodes, corners) or None."""
+    adj = _adjacency(g, corners)
+    prev_node = [-1] * len(g.nodes)
+    prev_corner = [-1] * len(g.nodes)
+    prev_node[start] = start
     queue = deque([start])
-    while queue:
+    while queue and prev_node[goal] < 0:
         u = queue.popleft()
-        for key, w in adj[u]:
-            if w in prev:
-                continue
-            prev[w] = (u, key)
-            if w == goal:
-                nodes = [w]
-                keys = []
-                cur = w
-                while prev[cur] is not None:
-                    cur, k = prev[cur]
-                    nodes.append(cur)
-                    keys.append(k)
-                nodes.reverse()
-                keys.reverse()
-                return Walk(tuple(nodes), tuple(keys))
-            queue.append(w)
-    return None
+        for c, w in adj[u]:
+            if prev_node[w] < 0:
+                prev_node[w], prev_corner[w] = u, c
+                if w == goal:
+                    break
+                queue.append(w)
+    if prev_node[goal] < 0:
+        return None
+    nodes, path = [goal], []
+    while goal != start:
+        path.append(prev_corner[goal])
+        goal = prev_node[goal]
+        nodes.append(goal)
+    nodes.reverse()
+    path.reverse()
+    return nodes, path
 
 
-def components(g: Multigraph) -> _UnionFind:
-    """A union-find whose classes are the connected components of g."""
-    uf = _UnionFind(g.nodes)
-    for _, u, v in g.edges:
-        uf.union(u, v)
+def _closing_walk(g: Multigraph, corners: Sequence[int], c: int) -> Walk:
+    """The cycle that corner c closes with a path between its ends over the corners."""
+    u = g.tail[c]
+    path = _find_path(g, corners, u, g.head[c])
+    if path is None:
+        raise RuntimeError(f"no path closes a cycle through corner {g.edges[c][0]!r}")
+    nodes, keys = path
+    return Walk(
+        tuple(g.nodes[i] for i in nodes) + (g.nodes[u],),
+        tuple(g.edges[k][0] for k in keys) + (g.edges[c][0],),
+    )
+
+
+def _grow_forest(g: Multigraph, corners: Sequence[int]) -> tuple[_UnionFind, Optional[Walk]]:
+    """Union the corners' ends in order; the cycle of the first that closes one.
+
+    On success the union-find's classes are the components of the subgraph.
+    """
+    uf = _UnionFind(len(g.nodes))
+    union, tail, head = uf.union, g.tail, g.head
+    for pos, c in enumerate(corners):
+        if not union(tail[c], head[c]):
+            return uf, _closing_walk(g, corners[:pos], c)
+    return uf, None
+
+
+def components(g: Multigraph, corners: Optional[Sequence[int]] = None) -> _UnionFind:
+    """A union-find over node numbers whose classes are the components."""
+    uf = _UnionFind(len(g.nodes))
+    union, tail, head = uf.union, g.tail, g.head
+    for c in _all(g, corners):
+        union(tail[c], head[c])
     return uf
 
 
-def _closing_walk(g: Multigraph, key, u, v) -> Walk:
-    """The cycle that the edge (key, u, v) closes with a path from u to v in g."""
-    path = find_path(g, u, v)
-    if path is None:
-        raise RuntimeError(f"no path closes a cycle through corner {key!r}")
-    return Walk(path.nodes + (u,), path.edges + (key,))
-
-
-def is_forest(g: Multigraph) -> tuple[bool, Optional[Walk]]:
+def is_forest(
+    g: Multigraph, corners: Optional[Sequence[int]] = None
+) -> tuple[bool, Optional[Walk]]:
     """Multigraph forest test: a loop or a pair of parallel edges is a cycle.
 
     On failure the witness is a simple cycle, as a closed walk.
     """
-    uf = _UnionFind(g.nodes)
-    accepted = []
-    for key, u, v in g.edges:
-        if u == v:
-            return False, Walk((u, u), (key,))
-        if not uf.union(u, v):
-            return False, _closing_walk(Multigraph(g.nodes, tuple(accepted)), key, u, v)
-        accepted.append((key, u, v))
-    return True, None
+    _, cycle = _grow_forest(g, _all(g, corners))
+    return cycle is None, cycle
 
 
-def bridges(g: Multigraph) -> frozenset:
-    """Edge keys whose removal disconnects their component.
+def bridges(g: Multigraph, corners: Optional[Sequence[int]] = None) -> frozenset[int]:
+    """Numbers of the edges whose removal disconnects their component.
 
     Loops and members of parallel bundles are never bridges.
     """
-    adj = _adjacency(g)
-    disc: dict = {}
-    low: dict = {}
+    adj = _adjacency(g, _all(g, corners))
+    disc = [-1] * len(g.nodes)
+    low = [0] * len(g.nodes)
     out = set()
-    counter = [0]
-
-    for root in g.nodes:
-        if root in disc:
+    counter = 0
+    for root in range(len(g.nodes)):
+        if disc[root] >= 0 or not adj[root]:
             continue
-        stack = [(root, None, iter(adj[root]))]
-        disc[root] = low[root] = counter[0]
-        counter[0] += 1
+        stack = [(root, -1, iter(adj[root]))]
+        disc[root] = low[root] = counter
+        counter += 1
         while stack:
-            u, in_key, it = stack[-1]
+            u, in_corner, it = stack[-1]
             advanced = False
-            for key, w in it:
-                if key == in_key:
-                    continue
-                if u == w:
-                    continue  # loop: irrelevant to low-links
-                if w not in disc:
-                    disc[w] = low[w] = counter[0]
-                    counter[0] += 1
-                    stack.append((w, key, iter(adj[w])))
+            for c, w in it:
+                if c == in_corner or u == w:
+                    continue  # the tree edge back, or a loop: irrelevant to low-links
+                if disc[w] < 0:
+                    disc[w] = low[w] = counter
+                    counter += 1
+                    stack.append((w, c, iter(adj[w])))
                     advanced = True
                     break
                 low[u] = min(low[u], disc[w])
@@ -207,34 +242,35 @@ def bridges(g: Multigraph) -> frozenset:
                     p = stack[-1][0]
                     low[p] = min(low[p], low[u])
                     if low[u] > disc[p]:
-                        out.add(in_key)
+                        out.add(in_corner)
     return frozenset(out)
 
 
-def is_relative_forest(g: Multigraph, sub_keys: Iterable) -> tuple[bool, Optional[Walk]]:
-    """True iff every homology reduced cycle stays inside the subgraph.
+def is_relative_forest(
+    g: Multigraph, inside: Container[int], corners: Optional[Sequence[int]] = None
+) -> tuple[bool, Optional[Walk]]:
+    """True iff every homology reduced cycle stays inside the edges `inside`.
 
-    Decided by the bridge criterion: every edge outside the subgraph must be
-    a bridge (a closed walk crosses a bridge only by using it in both
-    directions, and any non-bridge edge lies on a simple cycle).
+    `inside` holds edge numbers.  Decided by the bridge criterion: every
+    edge outside must be a bridge (a closed walk crosses a bridge only by
+    using it in both directions, and any non-bridge edge lies on a simple
+    cycle).
     """
-    sub = set(sub_keys)
-    bridge_keys = bridges(g)
-    for key, u, v in g.edges:
-        if key in sub or key in bridge_keys:
+    corners = _all(g, corners)
+    bridge_set = bridges(g, corners)
+    for c in corners:
+        if c in inside or c in bridge_set:
             continue
-        if u == v:
-            return False, Walk((u, u), (key,))
-        # a non-bridge: its endpoints stay connected without it
-        rest = tuple(e for e in g.edges if e[0] != key)
-        return False, _closing_walk(Multigraph(g.nodes, rest), key, u, v)
+        # a non-bridge: its ends stay connected without it
+        return False, _closing_walk(g, [x for x in corners if x != c], c)
     return True, None
 
 
 # ---------------------------------------------------------------------------
 # angles and curvature
 
-AngleAssignment = Mapping[CornerKey, int]
+# A list is indexed by corner number; a mapping is keyed by (owner, kind).
+AngleAssignment = Union[list[int], Mapping[CornerKey, int]]
 SignAssignment = Mapping[str, str]
 
 
@@ -252,7 +288,7 @@ class CurvatureReport:
         return lhs, rhs
 
 
-def _angle(angles: AngleAssignment, key: CornerKey) -> int:
+def _angle(angles: Mapping[CornerKey, int], key: CornerKey) -> int:
     try:
         a = angles[key]
     except KeyError:
@@ -260,6 +296,22 @@ def _angle(angles: AngleAssignment, key: CornerKey) -> int:
     if a not in (0, 1):
         raise ValueError(f"angle of {corner_key_str(key)} must be 0 or 1, got {a!r}")
     return a
+
+
+def _angle_list(angles: AngleAssignment, keys: Iterable[CornerKey], count: int) -> list[int]:
+    """The angles as a list indexed by corner number, checked to be 0 or 1.
+
+    keys are the corner keys in corner order, read only for a mapping.
+    """
+    if isinstance(angles, list):
+        if len(angles) != count or not set(angles) <= {0, 1}:
+            raise ValueError(f"an angle list needs {count} entries, each 0 or 1")
+        return angles
+    return [_angle(angles, key) for key in keys]
+
+
+def _log_keys(log: Log) -> Iterable[CornerKey]:
+    return ((e.eid, kind) for e in log.edges for kind in CORNER_KINDS)
 
 
 def curvature(log: Log, angles: AngleAssignment) -> CurvatureReport:
@@ -271,15 +323,14 @@ def curvature(log: Log, angles: AngleAssignment) -> CurvatureReport:
     identity 2 chi(K) = kappa(v) + sum kappa(d) then holds identically.
     """
     n, m = len(log.vertices), len(log.edges)
+    a = _angle_list(angles, _log_keys(log), 4 * m)
     chi_link = 2 * n - 4 * m
-    total = 0
-    kappa_cells = {}
-    for e in log.edges:
-        cell = sum(_angle(angles, (e.eid, kind)) for kind in CORNER_KINDS)
-        kappa_cells[e.eid] = cell - 2
-        total += cell
+    kappa_cells = {
+        e.eid: a[c] + a[c + 1] + a[c + 2] + a[c + 3] - 2
+        for e, c in zip(log.edges, range(0, 4 * m, 4))
+    }
     report = CurvatureReport(
-        kappa_vertex=2 - chi_link - total,
+        kappa_vertex=2 - chi_link - sum(a),
         kappa_cells=kappa_cells,
         chi_complex=1 - n + m,
         chi_link=chi_link,
@@ -298,12 +349,12 @@ class ColoringResult:
     bad_cycle_angle: Optional[int] = None
 
 
-def _zero_subgraph(link: Multigraph, angles: AngleAssignment) -> Multigraph:
-    return Multigraph(link.nodes, tuple(c for c in link.edges if _angle(angles, c[0]) == 0))
-
-
 def verify_coloring_test(
-    log: Log, angles: AngleAssignment, *, link: Optional[Multigraph] = None
+    log: Log,
+    angles: AngleAssignment,
+    *,
+    link: Optional[Multigraph] = None,
+    report: Optional[CurvatureReport] = None,
 ) -> ColoringResult:
     """Zero/one coloring test.
 
@@ -311,21 +362,22 @@ def verify_coloring_test(
     the link has total angle >= 2.  Condition (b) is checked through the
     equivalent criterion: the angle-0 corners form a forest Z and every
     angle-1 corner joins two distinct components of Z.  `link`, when given,
-    must be build_link(log).
+    must be build_link(log), and `report` must be curvature(log, angles).
     """
     link = build_link(log) if link is None else link
-    report = curvature(log, angles)
+    a = _angle_list(angles, _log_keys(log), len(link.edges))
+    report = curvature(log, a) if report is None else report
     positive = tuple(eid for eid, k in report.kappa_cells.items() if k > 0)
 
-    zero = _zero_subgraph(link, angles)
-    forest, cycle = is_forest(zero)
-    if not forest:
+    zero = [c for c, x in enumerate(a) if not x]
+    uf, cycle = _grow_forest(link, zero)
+    if cycle is not None:
         return ColoringResult(False, positive, cycle, 0)
 
-    find = components(zero).find
-    for key, u, v in link.edges:
-        if _angle(angles, key) == 1 and find(u) == find(v):
-            return ColoringResult(False, positive, _closing_walk(zero, key, u, v), 1)
+    find, tail, head = uf.find, link.tail, link.head
+    for c, x in enumerate(a):
+        if x and find(tail[c]) == find(head[c]):
+            return ColoringResult(False, positive, _closing_walk(link, zero, c), 1)
 
     return ColoringResult(not positive, positive, None, None)
 
@@ -339,7 +391,12 @@ class RelativeColoringResult:
 
 
 def verify_relative_coloring_test(
-    log: Log, parts, angles: AngleAssignment, *, link: Optional[Multigraph] = None
+    log: Log,
+    parts,
+    angles: AngleAssignment,
+    *,
+    link: Optional[Multigraph] = None,
+    report: Optional[CurvatureReport] = None,
 ) -> RelativeColoringResult:
     """Relative zero/one coloring test against a wedge of sub-LOT complexes.
 
@@ -349,7 +406,8 @@ def verify_relative_coloring_test(
     parts is a bridge of Z and every angle-1 corner either joins distinct
     Z-components or lies in a part with a Z-path between its endpoints inside
     the parts.  Simple cycles suffice: homology reduced closed walks
-    decompose into them.  `link`, when given, must be build_link(log).
+    decompose into them.  `link`, when given, must be build_link(log), and
+    `report` must be curvature(log, angles).
     """
     part_edges: set[str] = set()
     for sub in parts:
@@ -359,27 +417,30 @@ def verify_relative_coloring_test(
         part_edges |= eids
 
     link = build_link(log) if link is None else link
-    report = curvature(log, angles)
+    a = _angle_list(angles, _log_keys(log), len(link.edges))
+    report = curvature(log, a) if report is None else report
     positive = tuple(
         eid for eid, k in report.kappa_cells.items() if k > 0 and eid not in part_edges
     )
 
-    zero = _zero_subgraph(link, angles)
-    inside = frozenset(key for key, _, _ in link.edges if key[0] in part_edges)
-    relative, walk = is_relative_forest(zero, inside)
+    zero = [c for c, x in enumerate(a) if not x]
+    inside = part_corners(log, part_edges)
+    relative, walk = is_relative_forest(link, inside, zero)
     if not relative:
         return RelativeColoringResult(False, positive, walk, 0)
 
-    find = components(zero).find
-    find_inside = components(
-        Multigraph(zero.nodes, tuple(c for c in zero.edges if c[0] in inside))
-    ).find
-    for key, u, v in link.edges:
-        if _angle(angles, key) != 1 or find(u) != find(v):
+    find = components(link, zero).find
+    find_inside = components(link, [c for c in zero if c in inside]).find
+    tail, head = link.tail, link.head
+    for c, x in enumerate(a):
+        if not x:
             continue
-        if key in inside and find_inside(u) == find_inside(v):
+        u, v = tail[c], head[c]
+        if find(u) != find(v):
             continue
-        return RelativeColoringResult(False, positive, _closing_walk(zero, key, u, v), 1)
+        if c in inside and find_inside(u) == find_inside(v):
+            continue
+        return RelativeColoringResult(False, positive, _closing_walk(link, zero, c), 1)
 
     return RelativeColoringResult(not positive, positive, None, None)
 
@@ -397,11 +458,13 @@ def link_to_dot(link: Multigraph, angles: Optional[AngleAssignment] = None) -> s
     lines = ["graph link {"]
     for n in link.nodes:
         lines.append(f"  {_dot_quote(n)};")
-    for key, u, v in link.edges:
+    if angles is not None:
+        angles = _angle_list(angles, (key for key, _, _ in link.edges), len(link.edges))
+    for c, (key, u, v) in enumerate(link.edges):
         owner, kind = key
         attrs = [f"label={_dot_quote(f'{owner} {kind}')}"]
         if angles is not None:
-            attrs.append("style=" + ("dashed" if _angle(angles, key) else "solid"))
+            attrs.append("style=" + ("dashed" if angles[c] else "solid"))
         lines.append(f"  {_dot_quote(u)} -- {_dot_quote(v)} [{', '.join(attrs)}];")
     lines.append("}")
     return "\n".join(lines) + "\n"

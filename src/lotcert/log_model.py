@@ -43,9 +43,12 @@ class Edge:
     lab: str
 
 
+_NAME_FORBIDDEN = frozenset(":#\t\n\r ")
+
+
 def _valid_name(tok: str) -> bool:
     # representable in the text format: no whitespace, ':' or '#', not '->'
-    return bool(tok) and tok != "->" and not any(c in tok for c in ":#\t\n\r ") and tok == tok.strip()
+    return bool(tok) and tok != "->" and _NAME_FORBIDDEN.isdisjoint(tok) and tok == tok.strip()
 
 
 @dataclass(frozen=True)
@@ -203,32 +206,41 @@ class LogClass:
 
 
 class _UnionFind:
-    def __init__(self, items):
-        self.parent = {x: x for x in items}
+    """Union-find over the integers 0..n-1, with path halving."""
 
-    def find(self, x):
+    __slots__ = ("parent",)
+
+    def __init__(self, n: int):
+        self.parent = list(range(n))
+
+    def find(self, x: int) -> int:
         p = self.parent
         while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
+            p[x] = x = p[p[x]]
         return x
 
-    def union(self, a, b) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
+    def union(self, a: int, b: int) -> bool:
+        """Join the classes of a and b; False when they were one class already."""
+        p = self.parent
+        while p[a] != a:
+            p[a] = a = p[p[a]]
+        while p[b] != b:
+            p[b] = b = p[p[b]]
+        if a == b:
             return False
-        self.parent[rb] = ra
+        p[b] = a
         return True
 
 
 def classify(log: Log) -> LogClass:
     """LOT iff connected and acyclic, LOF iff acyclic, else GeneralLOG."""
-    uf = _UnionFind(log.vertices)
+    index = log.vertex_index()
+    uf = _UnionFind(len(index))
     acyclic = True
     for e in log.edges:
-        if not uf.union(e.src, e.tgt):
+        if not uf.union(index[e.src], index[e.tgt]):
             acyclic = False
-    components = len({uf.find(v) for v in log.vertices})
+    components = len({uf.find(i) for i in range(len(index))})
     if acyclic and components == 1:
         kind = "LOT"
     elif acyclic:
@@ -630,21 +642,22 @@ def maximal_proper_sub_lots(log: Log) -> tuple[SubLog, ...]:
     fixpoint itself).  Ordered like enumerate_sub_lots.  Raises ValueError
     unless log is a LOF.
     """
-    edges = log.edges
+    index = log.vertex_index()
+    ends = [(index[e.src], index[e.tgt]) for e in log.edges]
     # the edges of each closure class, keyed by the closure they share
     members: dict[frozenset[int], list[int]] = {}
     for i, c in enumerate(_closure_table(log)):
         if c is not None:
             members.setdefault(c, []).append(i)
     found = []
-    for f in range(len(edges)):
+    for f in range(len(ends)):
         kept = sorted(i for c, ids in members.items() if f not in c for i in ids)
-        uf = _UnionFind(log.vertices)
+        uf = _UnionFind(len(index))
         for i in kept:
-            uf.union(edges[i].src, edges[i].tgt)
-        parts: dict[str, list[int]] = {}
+            uf.union(*ends[i])
+        parts: dict[int, list[int]] = {}
         for i in kept:
-            parts.setdefault(uf.find(edges[i].src), []).append(i)
+            parts.setdefault(uf.find(ends[i][0]), []).append(i)
         found.extend(tuple(p) for p in parts.values())
     return _inclusion_maximal(log, found)
 
@@ -675,7 +688,8 @@ def validate_sub_lot(log: Log, sub: SubLog) -> None:
     vset = set(sub.vertices)
     if not set(sub.vertices) <= set(log.vertices):
         raise ValueError("sub-LOT vertices not in parent")
-    uf = _UnionFind(sub.vertices)
+    index = {v: i for i, v in enumerate(dict.fromkeys(sub.vertices))}
+    uf = _UnionFind(len(index))
     acyclic = True
     for eid in sub.edge_ids:
         if eid not in by_id:
@@ -685,9 +699,9 @@ def validate_sub_lot(log: Log, sub: SubLog) -> None:
             raise ValueError(f"sub-LOT edge {eid!r} leaves the vertex set")
         if e.lab not in vset:
             raise ValueError(f"sub-LOT not closed under labels at edge {eid!r}")
-        if not uf.union(e.src, e.tgt):
+        if not uf.union(index[e.src], index[e.tgt]):
             acyclic = False
-    components = len({uf.find(v) for v in sub.vertices})
+    components = len({uf.find(i) for i in range(len(index))})
     if not acyclic or components != 1:
         raise ValueError("sub-LOT is not a connected tree")
 
@@ -729,8 +743,11 @@ def quotient_lof(
 
 
 def restrict_log(log: Log, vertices: Iterable[str]) -> Log:
-    """The full sub-LOG on a label-closed vertex subset."""
+    """The full sub-LOG on a label-closed vertex subset; log itself when
+    the subset holds every vertex."""
     vset = set(vertices)
+    if vset.issuperset(log.vertices):
+        return log
     kept = tuple(v for v in log.vertices if v in vset)
     edges = tuple(
         e for e in log.edges if e.src in vset and e.tgt in vset and e.lab in vset

@@ -319,21 +319,22 @@ def fixpoint_maximal_sub_lots(log: Log) -> tuple[SubLog, ...]:
     sub-LOTs to filter.  O(n) per round and up to n rounds per f: O(n^3).
     """
     _rooted_forest(log)  # raises unless log is a LOF
-    edges = log.edges
+    index = log.vertex_index()
+    ends = [(index[e.src], index[e.tgt], index[e.lab]) for e in log.edges]
     found = []
-    for f in range(len(edges)):
-        kept = [i for i in range(len(edges)) if i != f]
+    for f in range(len(ends)):
+        kept = [i for i in range(len(ends)) if i != f]
         while True:
-            uf = _UnionFind(log.vertices)
+            uf = _UnionFind(len(index))
             for i in kept:
-                uf.union(edges[i].src, edges[i].tgt)
-            closed = [i for i in kept if uf.find(edges[i].lab) == uf.find(edges[i].src)]
+                uf.union(ends[i][0], ends[i][1])
+            closed = [i for i in kept if uf.find(ends[i][2]) == uf.find(ends[i][0])]
             if len(closed) == len(kept):
                 break
             kept = closed
-        parts: dict[str, list[int]] = {}
+        parts: dict[int, list[int]] = {}
         for i in kept:
-            parts.setdefault(uf.find(edges[i].src), []).append(i)
+            parts.setdefault(uf.find(ends[i][0]), []).append(i)
         found.extend(tuple(p) for p in parts.values())
     return _inclusion_maximal(log, found)
 

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import settings, strategies as st
 
-from lotcert import make_log
+from lotcert import Multigraph, make_log
 from lotcert.log_model import Log, reducedness_report
 
 settings.register_profile("ci", derandomize=True, max_examples=60, deadline=None)
@@ -127,3 +127,12 @@ def degrees(g) -> dict:
 def flipped(node: str) -> str:
     """The link node of the same vertex with the other sign."""
     return node[:-1] + ("-" if node.endswith("+") else "+")
+
+
+def induced_subgraph(g, nodes):
+    """Full subgraph of a Multigraph: keeps the edges with both ends among the nodes."""
+    nset = set(nodes)
+    return Multigraph(
+        tuple(n for n in g.nodes if n in nset),
+        tuple(e for e in g.edges if e[1] in nset and e[2] in nset),
+    )

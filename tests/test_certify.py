@@ -64,7 +64,8 @@ def test_lbf_matches_direct_check_on_all_signs():
         eps = dict(zip(PATH3.vertices, signs))
         res = lbf_check(PATH3, eps)
         link = build_link(PATH3)
-        from lotcert import induced_subgraph, is_forest
+        from conftest import induced_subgraph
+        from lotcert import is_forest
 
         side = induced_subgraph(link, [v + eps[v] for v in PATH3.vertices])
         other = induced_subgraph(
@@ -89,20 +90,26 @@ def test_lbf_requires_total_signs():
 # angle assignment
 
 
+def keyed_angles(log, eps):
+    """angles_from_bipartition's list, keyed by corner (owner, kind)."""
+    keys = [key for key, _, _ in build_link(log).edges]
+    return dict(zip(keys, angles_from_bipartition(log, eps)))
+
+
 def test_angles_of_reoriented_path3():
-    angles = angles_from_bipartition(PATH3_RHO, {v: "+" for v in PATH3_RHO.vertices})
+    angles = keyed_angles(PATH3_RHO, {v: "+" for v in PATH3_RHO.vertices})
     zeros = {k for k, a in angles.items() if a == 0}
     assert zeros == {(e, k) for e in ("e1", "e2") for k in ("positive", "negative")}
     assert all(angles[(e, k)] == 1 for e in ("e1", "e2") for k in ("mixed_source", "mixed_target"))
 
 
 def test_angles_empty_for_single_vertex():
-    assert angles_from_bipartition(TRIV, {"x": "+"}) == {}
+    assert angles_from_bipartition(TRIV, {"x": "+"}) == []
 
 
 def test_constant_signs_make_mixed_corners_heavy():
     for log in (PATH3, PATH3_RHO, BADSUB):
-        angles = angles_from_bipartition(log, {v: "-" for v in log.vertices})
+        angles = keyed_angles(log, {v: "-" for v in log.vertices})
         for e in log.edges:
             assert angles[(e.eid, "mixed_source")] == 1
             assert angles[(e.eid, "mixed_target")] == 1

@@ -1,12 +1,21 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import BADSUB, PATH3, PATH3_RHO, TRIV, degrees, flipped, logs, seeded_rng
+from conftest import (
+    BADSUB,
+    PATH3,
+    PATH3_RHO,
+    TRIV,
+    degrees,
+    flipped,
+    induced_subgraph,
+    logs,
+    seeded_rng,
+)
 from lotcert import (
     CurvatureReport,
     build_link,
     curvature,
-    induced_subgraph,
     is_forest,
     is_relative_forest,
     make_log,
@@ -139,8 +148,8 @@ TRIANGLE = Multigraph(("u", "v", "w"), (("a", "u", "v"), ("b", "v", "w"), ("c", 
 def test_relative_forest_examples():
     forest = Multigraph(("u", "v"), (("a", "u", "v"),))
     assert is_relative_forest(forest, []) == (True, None)
-    assert is_relative_forest(TRIANGLE, ["a", "b", "c"])[0]
-    ok, cycle = is_relative_forest(TRIANGLE, ["a"])
+    assert is_relative_forest(TRIANGLE, [0, 1, 2])[0]
+    ok, cycle = is_relative_forest(TRIANGLE, [0])
     assert not ok and set(cycle.edges) == {"a", "b", "c"}
 
 
@@ -150,7 +159,7 @@ def test_bridges_in_multigraph():
         ("u", "v", "w", "t"),
         (("a", "u", "v"), ("b", "v", "w"), ("c", "v", "w"), ("d", "w", "t"), ("l", "t", "t")),
     )
-    assert bridges(g) == frozenset({"a", "d"})
+    assert bridges(g) == frozenset({0, 3})  # edges a and d
 
 
 # ---------------------------------------------------------------------------
@@ -185,6 +194,11 @@ def test_curvature_all_ones_on_path3():
 def test_curvature_requires_total_angles():
     with pytest.raises(ValueError):
         curvature(PATH3, {})
+    # a list indexed by corner needs one 0 or 1 per corner
+    assert curvature(PATH3, [1] * 8).kappa_cells == {"e1": 2, "e2": 2}
+    for bad in ([1] * 7, [1] * 9, [2] + [1] * 7):
+        with pytest.raises(ValueError):
+            curvature(PATH3, bad)
 
 
 @given(logs(), st.integers(min_value=0, max_value=10**9))

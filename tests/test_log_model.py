@@ -2,7 +2,7 @@ import itertools
 import time
 
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
 from conftest import BADSUB, NONCOMP, PATH3, PATH3_RHO, TRIV, logs, lofs, path_lot
 from lotcert import (
@@ -22,8 +22,10 @@ from lotcert import (
     serialize_log,
 )
 from lotcert.log_model import (
+    Log,
     _closure_table,
     _sub_lot,
+    _valid_name,
     apply_reduction_move,
     find_reduction_move,
     restrict_log,
@@ -33,6 +35,24 @@ from lotcert.log_model import (
 
 # ---------------------------------------------------------------------------
 # parsing and serialization
+
+
+def _valid_name_by_scan(tok: str) -> bool:
+    """_valid_name as a per-character scan, the reference for the test below."""
+    return (
+        bool(tok)
+        and tok != "->"
+        and not any(c in tok for c in ":#\t\n\r ")
+        and tok == tok.strip()
+    )
+
+
+NAME_PIECES = [":", "#", "\t", "->", "-", ">", "\x0b", " ", "\n", "\r", "\xa0", "x", "é"]
+
+
+@given(st.lists(st.sampled_from(NAME_PIECES)).map("".join) | st.text())
+def test_valid_name_matches_scan(tok):
+    assert _valid_name(tok) == _valid_name_by_scan(tok)
 
 
 def test_parse_single_vertex():
@@ -549,6 +569,22 @@ def test_restrict_log_keeps_label_closed_edges():
     )
     left = restrict_log(two, ["x", "y", "z"])
     assert left == PATH3
+
+
+def _restrict_by_rebuilding(log, vertices):
+    """restrict_log as a fresh Log in every case, the reference for the test below."""
+    vset = set(vertices)
+    kept = tuple(v for v in log.vertices if v in vset)
+    edges = tuple(e for e in log.edges if e.src in vset and e.tgt in vset and e.lab in vset)
+    return Log(kept, edges)
+
+
+@given(logs(), st.data())
+def test_restrict_log_whole_or_proper_subset(log, data):
+    assert restrict_log(log, log.vertices) is log
+    assert restrict_log(log, reversed(log.vertices)) is log
+    subset = data.draw(st.lists(st.sampled_from(log.vertices), unique=True))
+    assert restrict_log(log, subset) == _restrict_by_rebuilding(log, subset)
 
 
 # ---------------------------------------------------------------------------

@@ -3,12 +3,11 @@ import itertools
 import pytest
 from hypothesis import given
 
-from conftest import PATH3, PATH3_RHO, TRIV, logs
+from conftest import PATH3, PATH3_RHO, TRIV, induced_subgraph, logs
 from lotcert import (
     beta_image,
     build_link,
     build_selection_graph,
-    induced_subgraph,
     is_admissible,
     reorientation_from_partition,
 )
