@@ -1,19 +1,13 @@
-"""Disjoint branchings in the selection graph via one dominator pass.
+"""Disjoint branchings in the selection graph, built first; one dominator
+pass for the cut when they cannot be.
 
 A branching rooted at r is a spanning arborescence: every vertex other than
 the root has exactly one incoming arc and is reachable from the root.  Two
 arc-disjoint branchings rooted at r exist iff every vertex set avoiding r is
-entered by at least two arcs, delta(S) >= 2 (Edmonds 1973).  By Menger's
-theorem that holds iff every vertex is reachable from r and no single arc
-lies on every path from r to it.  `edmonds_condition` tests both with one
-dominator pass (Cooper, Harvey and Kennedy, "A Simple, Fast Dominance
-Algorithm", 2001) over the selection graph with each arc subdivided: a
-vertex fails when it is unreachable (delta 0) or when an arc node dominates
-it (delta 1).  A failure is reported as a minimum violating cut: the
-unreachable vertices, or else the cut left by one unit-capacity max-flow to
-the first failing vertex.
+entered by at least two arcs, delta(S) >= 2 (Edmonds 1973).
 
-The first branching is grown greedily from a heap of frontier arcs keyed by
+`two_disjoint_branchings` builds the pair first and verifies both.  The
+first branching is grown greedily from a heap of frontier arcs keyed by
 arc index.  An arc u -> w is committed only when the root still reaches w
 without it and without the arcs already committed, which keeps every vertex
 reachable for the second branching.  A spanning tree of the uncommitted
@@ -22,7 +16,19 @@ arc passes iff the subtree below it can be hung from other uncommitted
 arcs, which then becomes the tree.  An arc that fails fails for good, since
 the committed set only grows.  The second branching takes the smallest-index
 frontier arc among the remaining arcs at each step, like Prim's algorithm.
-Both run over integer vertex and arc indices.
+Both run over integer vertex and arc indices.  When the cut condition
+fails, some set S is entered by at most one arc, which the first branching
+can never commit, so the construction stalls.
+
+Only then does `edmonds_condition` run, and it yields the cut.  By Menger's
+theorem the condition holds iff every vertex is reachable from r and no
+single arc lies on every path from r to it.  One dominator pass (Cooper,
+Harvey and Kennedy, "A Simple, Fast Dominance Algorithm", 2001) over the
+selection graph with each arc subdivided tests both: a vertex fails when it
+is unreachable (delta 0) or when an arc node dominates it (delta 1).  A
+failure is reported as a minimum violating cut: the unreachable vertices,
+or else the cut left by one unit-capacity max-flow to the first failing
+vertex.
 """
 
 from __future__ import annotations
@@ -317,14 +323,12 @@ def two_disjoint_branchings(
     not yet committed, which preserves the cut condition for the second
     branching; a spanning tree of those arcs, re-hung when one of its own
     arcs is taken, decides that.  The second branching is then grown on the
-    leftover arcs.
+    leftover arcs.  Both are verified.  Only when the construction stalls
+    does `edmonds_condition` run: it returns the minimum cut, and when the
+    condition holds after all the stall is a RuntimeError.
     """
-    ok, cut = edmonds_condition(sel, root, 2)
-    if not ok:
-        if cut is None:
-            raise RuntimeError("cut condition failed without a witness")
-        return cut
-
+    if root not in sel.nodes:
+        raise ValueError(f"unknown root {root!r}")
     g = _index(sel)
     _, dst, out, _ = g
     r = sel.nodes.index(root)
@@ -338,7 +342,7 @@ def two_disjoint_branchings(
     first = []
     while left:
         if not heap:
-            raise RuntimeError("branching construction stalled despite cut condition")
+            return _cut(sel, root, "branching construction stalled despite cut condition")
         i = heapq.heappop(heap)
         w = dst[i]
         if reached[w]:
@@ -355,7 +359,7 @@ def two_disjoint_branchings(
 
     second = _prim(out, dst, r, used)
     if second is None:
-        raise RuntimeError("second branching not found despite cut condition")
+        return _cut(sel, root, "second branching not found despite cut condition")
     b1 = Branching(root, tuple(sel.arcs[i].key for i in first))
     b2 = Branching(root, tuple(sel.arcs[i].key for i in second))
     for b in (b1, b2):
@@ -363,6 +367,15 @@ def two_disjoint_branchings(
         if not good:
             raise RuntimeError(f"constructed branching fails verification at {why!r}")
     return b1, b2
+
+
+def _cut(sel: SelectionGraph, root: str, stall: str) -> CutWitness:
+    """The minimum cut behind a stalled construction; RuntimeError(stall)
+    when the cut condition holds after all."""
+    ok, cut = edmonds_condition(sel, root, 2)
+    if ok:
+        raise RuntimeError(stall)
+    return cut
 
 
 def verify_branching(sel: SelectionGraph, b: Branching) -> tuple[bool, Optional[str]]:

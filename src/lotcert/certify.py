@@ -504,9 +504,9 @@ def certify_lof(log: Log) -> Certificate:
             sel = selection.build_selection_graph(log)
             roots = non_label_vertices(log)
             if len(roots) == 1:
-                res = arborescence.two_disjoint_branchings(sel, roots[0])
-                if isinstance(res, CutWitness):
-                    witnesses["cut"] = {"vertices": list(res.vertices), "delta": res.delta}
+                ok, cut = arborescence.edmonds_condition(sel, roots[0], 2)
+                if not ok:
+                    witnesses["cut"] = {"vertices": list(cut.vertices), "delta": cut.delta}
         hypothesis["suggestion"] = "certify-relative"
         verdicts, provenance, citations = _verdict_scaffold(HYPOTHESIS_FAILED)
         return Certificate(

@@ -106,13 +106,6 @@ def make_log(vertices: Sequence[str], edges: Iterable[tuple[str, str, str, str]]
 # text format
 
 
-def _check_token(tok: str, what: str, line: int, col: int) -> str:
-    # '#' opens a comment, so it can never occur inside a token
-    if not tok or ":" in tok or "#" in tok or tok == "->":
-        raise ParseError(f"invalid {what} {tok!r}", line, col)
-    return tok
-
-
 _TOKEN = re.compile(r"\S+")
 
 
@@ -122,8 +115,38 @@ def _tokens(line: str, start: int, end: Optional[int] = None) -> list[tuple[str,
     return [(m.group(), m.start() + 1) for m in _TOKEN.finditer(line, start, end)]
 
 
+def _parse_error(
+    message: str,
+    lineno: int,
+    line: str,
+    start: Optional[int] = None,
+    k: int = 0,
+    end: Optional[int] = None,
+) -> ParseError:
+    """ParseError at the k-th token of line.strip()[start:end], or at the
+    line's first character when start is None."""
+    indent = len(line) - len(line.lstrip())
+    col = 1 if start is None else _tokens(line.strip(), start, end)[k][1]
+    return ParseError(message, lineno, indent + col)
+
+
+def _ends_error(lineno: int, line: str, start: int, ends: list[str], known: set[str]) -> ParseError:
+    """The error for an edge whose src, tgt or label is not a known vertex:
+    the first invalid name, else the first unknown one."""
+    for k, tok in enumerate(ends):
+        if ":" in tok or tok == "->":
+            return _parse_error(f"invalid vertex name {tok!r}", lineno, line, start, 2 * k)
+    k = next(k for k, tok in enumerate(ends) if tok not in known)
+    return _parse_error(f"unknown vertex {ends[k]!r}", lineno, line, start, 2 * k)
+
+
 def parse_log(text: str) -> Log:
-    """Parse the text format; raises ParseError with line/column on bad input."""
+    """Parse the text format; raises ParseError with line/column on bad input.
+
+    Lines are split with str.partition and str.split; token columns are
+    worked out only for the error message.  A token never holds '#', which
+    opens a comment, nor whitespace.
+    """
     vertices: list[str] = []
     vertex_set: set[str] = set()
     header_seen = False
@@ -131,46 +154,45 @@ def parse_log(text: str) -> Log:
     explicit_ids: set[str] = set()
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0]
-        if not line.strip():
-            continue
+        line = raw.partition("#")[0]
         stripped = line.strip()
-        col = line.index(stripped[0]) + 1
+        if not stripped:
+            continue
         if not header_seen:
             if not stripped.startswith("vertices:"):
-                raise ParseError("expected 'vertices:' header", lineno, col)
+                raise _parse_error("expected 'vertices:' header", lineno, line)
             header_seen = True
-            for tok, tcol in _tokens(line, col - 1 + len("vertices:")):
-                _check_token(tok, "vertex name", lineno, tcol)
+            for k, tok in enumerate(stripped[9:].split()):
+                if ":" in tok or tok == "->":
+                    raise _parse_error(f"invalid vertex name {tok!r}", lineno, line, 9, k)
                 if tok in vertex_set:
-                    raise ParseError(f"duplicate vertex {tok!r}", lineno, tcol)
+                    raise _parse_error(f"duplicate vertex {tok!r}", lineno, line, 9, k)
                 vertices.append(tok)
                 vertex_set.add(tok)
             continue
         if not stripped.startswith("edge"):
-            raise ParseError("expected an 'edge' line", lineno, col)
-        head, sep, _ = stripped.partition(":")
+            raise _parse_error("expected an 'edge' line", lineno, line)
+        head, sep, tail = stripped.partition(":")
         if not sep:
-            raise ParseError("missing ':' after edge id", lineno, col)
-        id_toks = _tokens(line, col - 1 + len("edge"), col - 1 + len(head))
+            raise _parse_error("missing ':' after edge id", lineno, line)
+        id_toks = head[4:].split()
         if len(id_toks) > 1:
-            raise ParseError("malformed edge id", lineno, col)
-        eid = id_toks[0][0] if id_toks else None
+            raise _parse_error("malformed edge id", lineno, line)
+        eid = id_toks[0] if id_toks else None
         if eid is not None:
-            _check_token(eid, "edge id", lineno, id_toks[0][1])
+            if eid == "->":
+                raise _parse_error(f"invalid edge id {eid!r}", lineno, line, 4, 0, len(head))
             if eid in explicit_ids:
-                raise ParseError(f"duplicate edge id {eid!r}", lineno, id_toks[0][1])
+                raise _parse_error(f"duplicate edge id {eid!r}", lineno, line, 4, 0, len(head))
             explicit_ids.add(eid)
-        toks = _tokens(line, col + len(head))
-        if len(toks) != 5 or toks[1][0] != "->" or toks[3][0] != ":":
-            raise ParseError("expected '<src> -> <tgt> : <label>'", lineno, col)
-        ends = (toks[0], toks[2], toks[4])
-        for tok, tcol in ends:
-            _check_token(tok, "vertex name", lineno, tcol)
-        for tok, tcol in ends:
-            if tok not in vertex_set:
-                raise ParseError(f"unknown vertex {tok!r}", lineno, tcol)
-        raw_edges.append((eid, ends[0][0], ends[1][0], ends[2][0], lineno))
+        toks = tail.split()
+        if len(toks) != 5 or toks[1] != "->" or toks[3] != ":":
+            raise _parse_error("expected '<src> -> <tgt> : <label>'", lineno, line)
+        src, _, tgt, _, lab = toks
+        # every known vertex is a valid name, so only a miss needs a closer look
+        if src not in vertex_set or tgt not in vertex_set or lab not in vertex_set:
+            raise _ends_error(lineno, line, len(head) + 1, [src, tgt, lab], vertex_set)
+        raw_edges.append((eid, src, tgt, lab, lineno))
 
     if not header_seen:
         raise ParseError("empty document, expected 'vertices:' header", max(1, text.count("\n") + 1))
@@ -512,20 +534,20 @@ def enumerate_sub_lots(log: Log, max_size: Optional[int] = None) -> tuple[SubLog
 class _RootedForest:
     """Each tree of a LOF rooted at its first declared vertex; by vertex index."""
 
-    index: dict[str, int]
     parent: list[int]  # -1 at a root
     parent_edge: list[int]  # index into log.edges, -1 at a root
     depth: list[int]
     component: list[int]  # index of the component's root
+    ends: list[tuple[int, int]]  # source and target vertex of each edge
     label: list[int]  # label vertex of each edge
 
 
 def _rooted_forest(log: Log) -> _RootedForest:
     index = log.vertex_index()
     n = len(log.vertices)
+    ends = [(index[e.src], index[e.tgt]) for e in log.edges]
     adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for i, e in enumerate(log.edges):
-        u, w = index[e.src], index[e.tgt]
+    for i, (u, w) in enumerate(ends):
         adj[u].append((i, w))
         adj[w].append((i, u))
     parent, parent_edge, depth, component = [-1] * n, [-1] * n, [0] * n, [-1] * n
@@ -547,10 +569,13 @@ def _rooted_forest(log: Log) -> _RootedForest:
     if len(log.edges) != n - roots:
         raise ValueError("sub-LOT closures need a LOF (the underlying graph has a cycle)")
     label = [index[e.lab] for e in log.edges]
-    return _RootedForest(index, parent, parent_edge, depth, component, label)
+    return _RootedForest(parent, parent_edge, depth, component, ends, label)
 
 
-def _closure(log: Log, forest: _RootedForest, start: int, table: list) -> Optional[frozenset[int]]:
+_UNKNOWN = object()  # a closure-table slot not computed yet
+
+
+def _closure(forest: _RootedForest, start: int, table: list) -> Optional[frozenset[int]]:
     """Edge indices of the smallest sub-LOT containing edge `start`, if any.
 
     Adds each label together with the tree path joining it to the current
@@ -559,14 +584,14 @@ def _closure(log: Log, forest: _RootedForest, start: int, table: list) -> Option
     step adds a vertex: O(n) per closure.  None when a label lies in another
     component, since then no sub-LOT contains the edge.
 
-    table holds the closures of the edges before `start`.  An added edge f
-    among them ends the walk early: closure(f) lies inside closure(start),
-    so it is None if closure(f) is, and it equals closure(f) when that
-    contains `start`.
+    Each edge f the walk adds is checked at once against table, which holds
+    every closure known so far and _UNKNOWN elsewhere.  closure(f) lies
+    inside closure(start), so it is None if closure(f) is, and it equals
+    closure(f) when that contains `start`; otherwise the walk goes on.
     """
     parent, parent_edge, depth, label = forest.parent, forest.parent_edge, forest.depth, forest.label
-    e = log.edges[start]
-    u, w = forest.index[e.src], forest.index[e.tgt]
+    component = forest.component
+    u, w = forest.ends[start]
     top = u if depth[u] <= depth[w] else w
     inside = {u, w}
     eset = [start]
@@ -575,42 +600,43 @@ def _closure(log: Log, forest: _RootedForest, start: int, table: list) -> Option
         x = pending.pop()
         if x in inside:
             continue
-        if forest.component[x] != forest.component[top]:
+        if component[x] != component[top]:
             return None
-        joined = len(eset)
         path = []
         while x not in inside:
             if depth[x] > depth[top]:
                 path.append(x)
+                i = parent_edge[x]
                 x = parent[x]
             else:  # x is not below top, so the path runs through top's parent
-                eset.append(parent_edge[top])
+                i = parent_edge[top]
                 top = parent[top]
                 inside.add(top)
-        for y in path:
-            eset.append(parent_edge[y])
-            inside.add(y)
-        for i in eset[joined:]:
-            if i < start:
-                known = table[i]
-                if known is None or start in known:
-                    return known
+            known = table[i]
+            if known is not _UNKNOWN and (known is None or start in known):
+                return known
+            eset.append(i)
             pending.append(label[i])
+        inside.update(path)
     return frozenset(eset)
 
 
 def _closure_table(log: Log) -> list[Optional[frozenset[int]]]:
     """closure(e) for every edge index e of a LOF, None where no sub-LOT has e.
 
-    The edges whose closures contain each other form one closure class,
-    and the whole class shares one frozenset: a walk that reaches a class
-    member whose closure is known stops there.  Raises ValueError unless
-    log is a LOF.
+    The edges are taken in a scattered order (Fibonacci hashing of the
+    index, fixed by the edge count), so on a path-ordered input the early
+    walks are spread out and each later walk soon adds an edge whose
+    closure is known and ends there.  The edges whose closures contain each
+    other form one closure class, and the whole class shares one frozenset:
+    a walk that adds a class member whose closure is known returns it.
+    Raises ValueError unless log is a LOF.
     """
     forest = _rooted_forest(log)
-    table: list[Optional[frozenset[int]]] = []
-    for i in range(len(log.edges)):
-        table.append(_closure(log, forest, i, table))
+    m = len(log.edges)
+    table: list = [_UNKNOWN] * m
+    for i in sorted(range(m), key=lambda i: (i * 2654435761) % 2**32):
+        table[i] = _closure(forest, i, table)
     return table
 
 

@@ -201,6 +201,44 @@ def test_dominator_pass_matches_max_flow_on_drawn_logs(log):
         _assert_matches_oracles(sel, root, ns=(1, 2))
 
 
+def test_dominator_pass_runs_only_for_the_cut(monkeypatch):
+    failing = []
+    for n in range(1, 11):
+        for m in range(2 * n + 3):
+            for seed in range(4):
+                log = random_log(n, m, seed)
+                sel = build_selection_graph(log)
+                ok, cut = edmonds_condition(sel, log.vertices[0], 2)
+                if not ok:
+                    failing.append((sel, log.vertices[0], cut))
+    holding = []
+    for n in range(3, 41):
+        for seed in range(12):
+            lot = random_reduced_injective_lot(n, seed)
+            sel = build_selection_graph(lot)
+            root = non_label_vertices(lot)[0]
+            if edmonds_condition(sel, root, 2)[0]:
+                holding.append((sel, root))
+    assert len(failing) == 480 and len(holding) == 438
+
+    calls = []
+    real = arborescence.edmonds_condition
+    monkeypatch.setattr(
+        arborescence, "edmonds_condition", lambda *args: calls.append(args) or real(*args)
+    )
+    for sel, root, cut in failing:
+        assert two_disjoint_branchings(sel, root) == cut
+    assert len(calls) == len(failing)
+
+    monkeypatch.setattr(
+        arborescence, "edmonds_condition", lambda *args: pytest.fail("dominator pass ran")
+    )
+    for sel, root in holding:
+        b1, b2 = two_disjoint_branchings(sel, root)
+        assert verify_branching(sel, b1) == verify_branching(sel, b2) == (True, None)
+        assert not set(b1.arcs) & set(b2.arcs)
+
+
 @pytest.mark.parametrize(
     "lot", [random_reduced_injective_lot(512, 0), path_lot(512, 0)], ids=["random", "path"]
 )

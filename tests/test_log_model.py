@@ -55,6 +55,109 @@ def test_valid_name_matches_scan(tok):
     assert _valid_name(tok) == _valid_name_by_scan(tok)
 
 
+def _parse_log_by_regex(text: str) -> Log:
+    """parse_log with a regex pass and a token check per token, the
+    reference for the test below."""
+    import re
+
+    def check(tok, what, line, col):
+        if not tok or ":" in tok or "#" in tok or tok == "->":
+            raise ParseError(f"invalid {what} {tok!r}", line, col)
+
+    token = re.compile(r"\S+")
+
+    def tokens(line, start, end=None):
+        end = len(line) if end is None else end
+        return [(m.group(), m.start() + 1) for m in token.finditer(line, start, end)]
+
+    vertices, vertex_set, header_seen, raw_edges, explicit_ids = [], set(), False, [], set()
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0]
+        if not line.strip():
+            continue
+        stripped = line.strip()
+        col = line.index(stripped[0]) + 1
+        if not header_seen:
+            if not stripped.startswith("vertices:"):
+                raise ParseError("expected 'vertices:' header", lineno, col)
+            header_seen = True
+            for tok, tcol in tokens(line, col - 1 + len("vertices:")):
+                check(tok, "vertex name", lineno, tcol)
+                if tok in vertex_set:
+                    raise ParseError(f"duplicate vertex {tok!r}", lineno, tcol)
+                vertices.append(tok)
+                vertex_set.add(tok)
+            continue
+        if not stripped.startswith("edge"):
+            raise ParseError("expected an 'edge' line", lineno, col)
+        head, sep, _ = stripped.partition(":")
+        if not sep:
+            raise ParseError("missing ':' after edge id", lineno, col)
+        id_toks = tokens(line, col - 1 + len("edge"), col - 1 + len(head))
+        if len(id_toks) > 1:
+            raise ParseError("malformed edge id", lineno, col)
+        eid = id_toks[0][0] if id_toks else None
+        if eid is not None:
+            check(eid, "edge id", lineno, id_toks[0][1])
+            if eid in explicit_ids:
+                raise ParseError(f"duplicate edge id {eid!r}", lineno, id_toks[0][1])
+            explicit_ids.add(eid)
+        toks = tokens(line, col + len(head))
+        if len(toks) != 5 or toks[1][0] != "->" or toks[3][0] != ":":
+            raise ParseError("expected '<src> -> <tgt> : <label>'", lineno, col)
+        ends = (toks[0], toks[2], toks[4])
+        for tok, tcol in ends:
+            check(tok, "vertex name", lineno, tcol)
+        for tok, tcol in ends:
+            if tok not in vertex_set:
+                raise ParseError(f"unknown vertex {tok!r}", lineno, tcol)
+        raw_edges.append((eid, ends[0][0], ends[1][0], ends[2][0]))
+    if not header_seen:
+        raise ParseError("empty document, expected 'vertices:' header", max(1, text.count("\n") + 1))
+    edges, counter = [], 1
+    for eid, src, tgt, lab in raw_edges:
+        if eid is None:
+            while f"e{counter}" in explicit_ids:
+                counter += 1
+            eid = f"e{counter}"
+            explicit_ids.add(eid)
+        edges.append((eid, src, tgt, lab))
+    return make_log(vertices, edges)
+
+
+def _parse_outcome(parse, text):
+    try:
+        return parse(text)
+    except ParseError as exc:
+        return (str(exc), exc.line, exc.column)
+
+
+TEXT_PIECES = [
+    "vertices:", "vertices: x y z", "edge", "edge ", "edgee2:", "edge e1:", "edge:", ":", "#",
+    "->", " -> ", " : ", "x", "y", "z", "q", "e1", "e2", " ", "\t", "\x0b", "\x1c", "\xa0",
+    "\n", "\r\n", "\r", "\nedge: x -> y : z", "\nedgee2: z -> y : x", "\n edge e1 : y -> x : x",
+]
+
+
+@st.composite
+def mutated_documents(draw):
+    """The text of a drawn LOG with a few pieces inserted anywhere."""
+    text = serialize_log(draw(logs()))
+    for piece in draw(st.lists(st.sampled_from(TEXT_PIECES), max_size=3)):
+        i = draw(st.integers(0, len(text)))
+        text = text[:i] + piece + text[i:]
+    return text
+
+
+@given(
+    st.lists(st.sampled_from(TEXT_PIECES), max_size=30).map("".join)
+    | mutated_documents()
+    | st.text()
+)
+def test_parse_matches_regex_reference(text):
+    assert _parse_outcome(parse_log, text) == _parse_outcome(_parse_log_by_regex, text)
+
+
 def test_parse_single_vertex():
     assert parse_log("vertices: x\n") == TRIV
 
@@ -495,6 +598,16 @@ def test_sub_lot_layer_at_512_vertices(fn, shape):
     fn(lot)
     elapsed = time.perf_counter() - t0
     assert elapsed < 0.5, f"{fn.__name__} took {elapsed:.3f} s on a {shape} LOT at n=512"
+
+
+def test_closure_table_near_linear_on_a_4096_vertex_path():
+    # walks taken in edge order run to the far end of the path: O(n^2)
+    lot = path_lot(4096, 0)
+    for fn in (_closure_table, bad_sub_lot_witnesses):
+        t0 = time.perf_counter()
+        fn(lot)
+        elapsed = time.perf_counter() - t0
+        assert elapsed < 0.5, f"{fn.__name__} took {elapsed:.3f} s on a path at n=4096"
 
 
 def test_sub_lot_witnesses_badsub():
