@@ -13,12 +13,15 @@ without it and without the arcs already committed, which keeps every vertex
 reachable for the second branching.  A spanning tree of the uncommitted
 arcs answers that test: an arc outside the tree passes at once, and a tree
 arc passes iff the subtree below it can be hung from other uncommitted
-arcs, which then becomes the tree.  An arc that fails fails for good, since
-the committed set only grows.  The second branching takes the smallest-index
+arcs, which then becomes the tree.  Usually one arc into the subtree's top
+vertex from elsewhere in the tree carries the whole subtree; only when none
+does is the subtree searched.  An arc that fails fails for good, since the
+committed set only grows.  The second branching takes the smallest-index
 frontier arc among the remaining arcs at each step, like Prim's algorithm.
-Both run over integer vertex and arc indices.  When the cut condition
-fails, some set S is entered by at most one arc, which the first branching
-can never commit, so the construction stalls.
+Both run over the selection graph's node and arc numbers, and so does
+`verify_branching`, which maps a branching's arc keys to numbers once.  When
+the cut condition fails, some set S is entered by at most one arc, which the
+first branching can never commit, so the construction stalls.
 
 Only then does `edmonds_condition` run, and it yields the cut.  By Menger's
 theorem the condition holds iff every vertex is reachable from r and no
@@ -116,10 +119,8 @@ _Index = tuple[list[int], list[int], list[list[int]], list[list[int]]]
 
 def _index(sel: SelectionGraph) -> _Index:
     """Arc tails, arc heads, out-arc lists and in-arc lists over the
-    positions of nodes and arcs."""
-    pos = {v: i for i, v in enumerate(sel.nodes)}
-    src = [pos[a.src] for a in sel.arcs]
-    dst = [pos[a.dst] for a in sel.arcs]
+    node and arc numbers."""
+    src, dst = sel.src, sel.dst
     out: list[list[int]] = [[] for _ in sel.nodes]
     into: list[list[int]] = [[] for _ in sel.nodes]
     for i, (u, v) in enumerate(zip(src, dst)):
@@ -246,20 +247,35 @@ def _tree(g: _Index, root: int) -> tuple[list[int], list[list[int]]]:
 
 
 def _rehang(
-    g: _Index, used: bytearray, parent: list[int], children: list[list[int]], cut: int
+    g: _Index, root: int, used: bytearray, parent: list[int], children: list[list[int]], cut: int
 ) -> bool:
     """Hang the subtree below tree arc cut from unused arcs other than cut.
 
     The tree spans the unused arcs.  Vertices outside the subtree keep their
-    tree paths, which avoid cut, so the subtree stays reachable without cut
-    iff a search from the rest of the tree into it reaches all of it.  On
-    success the tree is changed to avoid cut; otherwise it is left alone and
-    the result is False.
+    tree paths, which avoid cut.  First the subtree's top vertex alone is
+    re-hung, when an unused arc enters it from a vertex whose tree path up
+    to the root does not pass through it; the whole subtree then hangs from
+    that arc.  Otherwise the subtree stays reachable without cut iff a
+    search from the rest of the tree into it reaches all of it.  On success
+    the tree is changed to avoid cut; otherwise it is left alone and the
+    result is False.
     """
     src, dst, out, into = g
-    below = [dst[cut]]
+    top = dst[cut]
+    for i in into[top]:
+        if used[i] or i == cut:
+            continue
+        x = src[i]
+        while x != top and x != root and parent[x] >= 0:
+            x = src[parent[x]]
+        if x == root:
+            children[src[cut]].remove(cut)
+            parent[top] = i
+            children[src[i]].append(i)
+            return True
+    below = [top]
     inside = bytearray(len(out))
-    inside[below[0]] = 1
+    inside[top] = 1
     for x in below:
         for t in children[x]:
             inside[dst[t]] = 1
@@ -348,7 +364,7 @@ def two_disjoint_branchings(
         if reached[w]:
             continue  # never a candidate again: reached only grows
         # an arc off the tree can go at once, a tree arc if its subtree re-hangs
-        if parent[w] == i and not _rehang(g, used, parent, children, i):
+        if parent[w] == i and not _rehang(g, r, used, parent, children, i):
             continue  # fails for good: used only grows
         used[i] = 1
         reached[w] = 1
@@ -379,38 +395,43 @@ def _cut(sel: SelectionGraph, root: str, stall: str) -> CutWitness:
 
 
 def verify_branching(sel: SelectionGraph, b: Branching) -> tuple[bool, Optional[str]]:
-    """Check the branching invariant; the witness names the violated vertex."""
-    keys = set()
-    arcs = []
-    by_key = {a.key: a for a in sel.arcs}
+    """Check the branching invariant; the witness names the violated vertex.
+
+    The arcs are checked in order (each known, none repeated), then the root,
+    then one incoming arc per vertex other than the root and none into it,
+    then reachability from the root; the first failure in node order is named.
+    """
+    number = sel.arc_number
+    taken: list[int] = []
+    seen = bytearray(len(sel.arcs))
     for k in b.arcs:
-        if k not in by_key:
+        i = number.get(k)
+        if i is None:
             return False, f"arc {k!r} not in the selection graph"
-        if k in keys:
+        if seen[i]:
             return False, f"arc {k!r} repeated"
-        keys.add(k)
-        arcs.append(by_key[k])
-    indeg = {v: 0 for v in sel.nodes}
-    for a in arcs:
-        indeg[a.dst] += 1
-    if b.root not in indeg:
+        seen[i] = 1
+        taken.append(i)
+    if b.root not in sel.nodes:
         return False, f"root {b.root!r} not a vertex"
-    for v in sel.nodes:
-        want = 0 if v == b.root else 1
-        if indeg[v] != want:
-            return False, v
-    adj = {}
-    for a in arcs:
-        adj.setdefault(a.src, []).append(a.dst)
-    seen = {b.root}
-    queue = deque([b.root])
-    while queue:
-        u = queue.popleft()
-        for v in adj.get(u, ()):
-            if v not in seen:
-                seen.add(v)
+    nodes, src, dst = sel.nodes, sel.src, sel.dst
+    r = nodes.index(b.root)
+    indeg = [0] * len(nodes)
+    out: list[list[int]] = [[] for _ in nodes]
+    for i in taken:
+        indeg[dst[i]] += 1
+        out[src[i]].append(dst[i])
+    for v, d in enumerate(indeg):
+        if d != (v != r):
+            return False, nodes[v]
+    reached = bytearray(len(nodes))
+    reached[r] = 1
+    queue = [r]
+    for u in queue:
+        for v in out[u]:
+            if not reached[v]:
+                reached[v] = 1
                 queue.append(v)
-    for v in sel.nodes:
-        if v not in seen:
-            return False, v
+    if len(queue) < len(nodes):
+        return False, nodes[reached.index(0)]
     return True, None

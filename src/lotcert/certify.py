@@ -26,7 +26,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Container, Iterable, Optional, Sequence
 
 from . import arborescence, link_complex, selection
 from .arborescence import Branching, CutWitness
@@ -36,6 +36,7 @@ from .link_complex import (
     Multigraph,
     Walk,
     build_link,
+    corner_ends,
     corner_key_str,
     curvature,
     is_forest,
@@ -57,7 +58,6 @@ from .log_model import (
     quotient_lof,
     reduce_log,
     reducedness_report,
-    reorient,
     restrict_log,
     serialize_log,
     sub_log_as_log,
@@ -470,20 +470,32 @@ def _certify_lot_core(lot: Log) -> dict:
     if not ok_adm:
         raise RuntimeError(f"branching pair not admissible at {bad_edge!r}")
     index = {e.eid: i for i, e in enumerate(lot.edges)}
-    flips = sorted(selection.flips_from_partition(lot, partition), key=index.__getitem__)
-    rho = reorient(lot, flips)
-    strong = strong_lbf_check(rho)
-    flipped_labels = {lot.edges[index[eid]].lab for eid in flips}
+    flipped = sorted(index[eid] for eid in selection.flips_from_partition(lot, partition))
+    strong = _reoriented_strong_lbf(lot, set(flipped))
+    flipped_labels = {lot.edges[j].lab for j in flipped}
     eps = {v: (MINUS if v in flipped_labels else PLUS) for v in lot.vertices}
     return {
-        "ok": strong.ok,
+        "ok": strong,
         "root": root,
         "branchings": (b1, b2),
         "partition": partition,
-        "flips": flips,
-        "reoriented_strong_lbf": strong.ok,
+        "flips": [lot.edges[j].eid for j in flipped],
+        "reoriented_strong_lbf": strong,
         "eps": eps,
     }
+
+
+def _reoriented_strong_lbf(lot: Log, flipped: Container[int]) -> bool:
+    """strong_lbf_check(reorient(lot, flips)).ok, from the corner ends alone.
+
+    flipped holds the numbers of the flipped edges.  The all-plus side of the
+    reoriented link is its positive corners (s+, l+), the all-minus side its
+    negative corners (l-, t-): corners 4j and 4j+1.  The two sides share no
+    node, so one union-find over all link nodes tests both for cycles.
+    """
+    tail, head = corner_ends(lot, flipped)
+    union = _UnionFind(2 * len(lot.vertices)).union
+    return all(union(tail[c], head[c]) for c in range(len(tail)) if c % 4 < 2)
 
 
 def certify_lof(log: Log) -> Certificate:
@@ -521,13 +533,15 @@ def certify_lof(log: Log) -> Certificate:
     roots_out = []
     failure = None
 
-    for group in label_closed_groups(log):
+    # a LOT is its own single label-closed group and needs no embedding
+    is_lot = cls.kind == "LOT"
+    for group in [log.vertices] if is_lot else label_closed_groups(log):
         glog = restrict_log(log, group)
         if not glog.edges:
             for v in group:
                 eps[v] = PLUS
             continue
-        hat, added = embed_into_lot(glog)
+        hat, added = (glog, []) if is_lot else embed_into_lot(glog)
         if added:
             hat_hyp = _hypothesis_section(hat, reducedness_report(hat), classify(hat))
             embeddings.append(

@@ -80,18 +80,30 @@ def build_link(log: Log) -> Multigraph:
     nodes = [""] * (2 * len(vertices))
     nodes[0::2] = [v + PLUS for v in vertices]
     nodes[1::2] = [v + MINUS for v in vertices]
-    plus = {v: 2 * i for i, v in enumerate(vertices)}
-    tail: list[int] = []
-    head: list[int] = []
-    for e in log.edges:
-        s, t, l = plus[e.src], plus[e.tgt], plus[e.lab]
-        # positive, negative, mixed_source, mixed_target
-        tail += (s, l + 1, s + 1, l + 1)
-        head += (l, t + 1, l, t)
+    tail, head = corner_ends(log)
     keys = [(e.eid, kind) for e in log.edges for kind in CORNER_KINDS]
     edges = tuple(zip(keys, map(nodes.__getitem__, tail), map(nodes.__getitem__, head)))
     names = tuple(map(corner_key_str, keys))
     return Multigraph(tuple(nodes), edges, tail, head, names)
+
+
+def corner_ends(log: Log, flipped: Container[int] = ()) -> tuple[list[int], list[int]]:
+    """The node numbers of each corner's two ends, tail and head, in corner order.
+
+    With the numbers of edges in flipped, these are the ends in the link of
+    the LOG with those edges reversed (source and target swapped).
+    """
+    plus = {v: 2 * i for i, v in enumerate(log.vertices)}
+    tail: list[int] = []
+    head: list[int] = []
+    for j, e in enumerate(log.edges):
+        s, t, l = plus[e.src], plus[e.tgt], plus[e.lab]
+        if j in flipped:
+            s, t = t, s
+        # positive, negative, mixed_source, mixed_target
+        tail += (s, l + 1, s + 1, l + 1)
+        head += (l, t + 1, l, t)
+    return tail, head
 
 
 def corner_key_str(key: CornerKey) -> str:

@@ -10,12 +10,20 @@ A two-coloring of the arcs is *admissible* when a(e) and b(e) receive
 different colors for every edge; an admissible coloring selects the
 reorientation for which the black arcs are exactly the images of the
 positive corners.
+
+build_selection_graph numbers the graph once: node i is the LOG's i-th
+vertex, and edge j's a-arc is arc 2j and its b-arc arc 2j+1.  The branching
+stage reads the integer lists src and dst (the node numbers of each arc's
+tail and head); the string view -- arcs (owner, kind, src, dst) with their
+(owner, kind) keys -- is kept beside them for witnesses, DOT output and the
+oracles.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, Optional
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .link_complex import _dot_quote
 from .log_model import Log, reorient
@@ -23,8 +31,7 @@ from .log_model import Log, reorient
 ArcKey = tuple[str, str]  # (owner edge id, 'a' | 'b')
 
 
-@dataclass(frozen=True)
-class SelArc:
+class SelArc(NamedTuple):
     owner: str
     kind: str  # 'a' or 'b'
     src: str
@@ -37,8 +44,26 @@ class SelArc:
 
 @dataclass(frozen=True)
 class SelectionGraph:
+    """Arc i runs from nodes[src[i]] to nodes[dst[i]].
+
+    src and dst are derived from arcs unless given.
+    """
+
     nodes: tuple[str, ...]
     arcs: tuple[SelArc, ...]
+    src: Optional[Sequence[int]] = field(default=None, compare=False, repr=False)
+    dst: Optional[Sequence[int]] = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        if self.src is None:
+            index = {v: i for i, v in enumerate(self.nodes)}
+            object.__setattr__(self, "src", [index[a.src] for a in self.arcs])
+            object.__setattr__(self, "dst", [index[a.dst] for a in self.arcs])
+
+    @cached_property
+    def arc_number(self) -> dict[ArcKey, int]:
+        """The number of the arc with each key."""
+        return {a.key: i for i, a in enumerate(self.arcs)}
 
 
 # Arc colors of a two-coloring; black arcs become the positive side.
@@ -49,11 +74,17 @@ WHITE = "white"
 
 
 def build_selection_graph(log: Log) -> SelectionGraph:
-    arcs = []
+    """The selection graph; edge j gives arc 2j (its a-arc) and 2j+1 (its b-arc)."""
+    index = log.vertex_index()
+    rows: list[tuple[str, str, str, str]] = []
+    src: list[int] = []
+    dst: list[int] = []
     for e in log.edges:
-        arcs.append(SelArc(e.eid, "a", e.src, e.lab))
-        arcs.append(SelArc(e.eid, "b", e.tgt, e.lab))
-    return SelectionGraph(log.vertices, tuple(arcs))
+        rows += ((e.eid, "a", e.src, e.lab), (e.eid, "b", e.tgt, e.lab))
+        src += (index[e.src], index[e.tgt])
+        lab = index[e.lab]
+        dst += (lab, lab)
+    return SelectionGraph(log.vertices, tuple(map(SelArc._make, rows)), src, dst)
 
 
 def is_admissible(sel: SelectionGraph, partition: Partition2) -> tuple[bool, Optional[str]]:

@@ -1,5 +1,6 @@
 import itertools
 import time
+from collections import deque
 
 import pytest
 from conftest import BADSUB, PATH3, TRIV, logs, path_lot
@@ -153,6 +154,93 @@ def test_condition_for_n_one_is_reachability():
     assert edmonds_condition(sel, "a", 2) == (False, CutWitness(("q",), 0))
 
 
+def reference_verify_branching(sel, b):
+    """The dict-based verifier the integer one replaced, kept as its reference."""
+    keys = set()
+    arcs = []
+    by_key = {a.key: a for a in sel.arcs}
+    for k in b.arcs:
+        if k not in by_key:
+            return False, f"arc {k!r} not in the selection graph"
+        if k in keys:
+            return False, f"arc {k!r} repeated"
+        keys.add(k)
+        arcs.append(by_key[k])
+    indeg = {v: 0 for v in sel.nodes}
+    for a in arcs:
+        indeg[a.dst] += 1
+    if b.root not in indeg:
+        return False, f"root {b.root!r} not a vertex"
+    for v in sel.nodes:
+        want = 0 if v == b.root else 1
+        if indeg[v] != want:
+            return False, v
+    adj = {}
+    for a in arcs:
+        adj.setdefault(a.src, []).append(a.dst)
+    seen = {b.root}
+    queue = deque([b.root])
+    while queue:
+        u = queue.popleft()
+        for v in adj.get(u, ()):
+            if v not in seen:
+                seen.add(v)
+                queue.append(v)
+    for v in sel.nodes:
+        if v not in seen:
+            return False, v
+    return True, None
+
+
+def _mutations(b):
+    """(name, branching): b itself, then b with one arc dropped, one repeated,
+    one swapped for its twin (the other arc of its edge), an unknown key, and
+    a root that is not a vertex."""
+    yield "valid", b
+    twin = {"a": "b", "b": "a"}
+    for pos, (owner, kind) in enumerate(b.arcs):
+        rest = b.arcs[:pos] + b.arcs[pos + 1 :]
+        yield "dropped", Branching(b.root, rest)
+        yield "repeated", Branching(b.root, b.arcs[: pos + 1] + b.arcs[pos:])
+        yield "twin", Branching(b.root, rest[:pos] + ((owner, twin[kind]),) + rest[pos:])
+        yield "unknown", Branching(b.root, rest[:pos] + (("nowhere", kind),) + rest[pos:])
+    yield "root", Branching(b.root + "_", b.arcs)
+
+
+def test_verifier_matches_dict_reference():
+    graphs = [
+        (build_selection_graph(lot), non_label_vertices(lot)[0])
+        for lot in (random_reduced_injective_lot(3 + s % 14, s) for s in range(40))
+    ]
+    for n in range(1, 9):
+        for seed in range(6):
+            log = random_log(n, 2 * n, seed)
+            graphs.append((build_selection_graph(log), log.vertices[0]))
+    outcomes = set()
+    for sel, root in graphs:
+        branchings = [greedy_arborescence(sel, root)]
+        res = two_disjoint_branchings(sel, root)
+        if not isinstance(res, CutWitness):
+            branchings += res
+        for b in filter(None, branchings):
+            for name, m in _mutations(b):
+                got = verify_branching(sel, m)
+                assert got == reference_verify_branching(sel, m)
+                witness = "none" if got[0] else "vertex" if got[1] in sel.nodes else "arc or root"
+                outcomes.add((name, witness))
+    # a swapped twin keeps every in-degree, so when it fails at a vertex the
+    # failure is one of reachability
+    assert outcomes == {
+        ("valid", "none"),
+        ("dropped", "vertex"),
+        ("repeated", "arc or root"),
+        ("twin", "none"),
+        ("twin", "vertex"),
+        ("unknown", "arc or root"),
+        ("root", "arc or root"),
+    }
+
+
 def test_failed_verification_raises(monkeypatch):
     monkeypatch.setattr(arborescence, "verify_branching", lambda sel, b: (False, "x"))
     with pytest.raises(RuntimeError):
@@ -191,6 +279,14 @@ def test_dominator_pass_matches_max_flow_on_reduced_injective_lots():
             _assert_matches_oracles(build_selection_graph(lot), non_label_vertices(lot)[0])
             cases += 1
     assert cases == 456
+
+
+@pytest.mark.parametrize("n", [16, 64, 128])
+def test_dominator_pass_matches_max_flow_on_path_lots(n):
+    # long tree paths: most re-hangs move the subtree's top vertex alone
+    for seed in range(3):
+        lot = path_lot(n, seed)
+        _assert_matches_oracles(build_selection_graph(lot), non_label_vertices(lot)[0])
 
 
 @given(logs(max_vertices=7, max_edges=10))

@@ -1,12 +1,13 @@
 import dataclasses
 import itertools
 import json
+import sys
 import time
 
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import BADSUB, NONCOMP, PATH3, PATH3_RHO, TRIV
+from conftest import BADSUB, NONCOMP, PATH3, PATH3_RHO, TRIV, path_lot, seeded_rng
 from lotcert import (
     bad_sub_lot_witnesses,
     build_link,
@@ -24,6 +25,7 @@ from lotcert.certify import (
     NON_GENERIC,
     NOT_EVALUATED,
     _json_text,
+    _reoriented_strong_lbf,
     angles_from_bipartition,
     embed_into_lot,
     label_closed_groups,
@@ -32,7 +34,12 @@ from lotcert.certify import (
 )
 from lotcert.link_complex import CORNER_KINDS
 from lotcert.log_model import reducedness_report
-from lotcert.oracle import exhaustive_lbf_search, random_log, random_reduced_injective_lot
+from lotcert.oracle import (
+    exhaustive_lbf_search,
+    random_lof,
+    random_log,
+    random_reduced_injective_lot,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -272,6 +279,77 @@ def test_reorientation_existence_matches_sign_search():
             for flips in itertools.combinations(ids, r)
         )
         assert exists_rho == bool(exhaustive_lbf_search(log))
+
+
+def test_reoriented_check_matches_strong_lbf_of_the_reorientation():
+    corpus = [random_reduced_injective_lot(3 + s % 14, s) for s in range(60)]
+    corpus += [path_lot(n, s) for n in (16, 64) for s in range(4)]
+    corpus += [random_log(n, m, s) for n in range(1, 8) for m in range(0, 2 * n, 3) for s in range(2)]
+    rng = seeded_rng("reoriented")
+    outcomes = []
+    for log in corpus:
+        ids = log.edge_ids()
+        flip_sets = [rng.sample(range(len(ids)), rng.randint(0, len(ids))) for _ in range(4)]
+        cert = certify_lof(log)
+        if cert.verdicts["lbf"] is True:
+            flip_sets.append([ids.index(eid) for eid in cert.witnesses["flips"]])
+        for flipped in flip_sets:
+            want = strong_lbf_check(reorient(log, [ids[j] for j in flipped])).ok
+            assert _reoriented_strong_lbf(log, set(flipped)) == want
+            outcomes.append(want)
+    assert outcomes.count(True) > 100 and outcomes.count(False) > 100
+
+
+def _count_calls(monkeypatch, fn) -> list:
+    """Count calls to fn through every name a lotcert module binds it to."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "lotcert" or name.startswith("lotcert."):
+            for key, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, key, counting)
+    return calls
+
+
+def test_plain_certify_of_a_lot_builds_each_graph_once(monkeypatch):
+    lots = [PATH3, path_lot(128, 0)]
+    lots += [random_reduced_injective_lot(3 + s % 14, s) for s in range(40)]
+    lots = [lot for lot in lots if not bad_sub_lot_witnesses(lot)]
+    assert len(lots) == 41
+    from lotcert import link_complex, log_model, selection
+
+    counts = {
+        fn.__name__: _count_calls(monkeypatch, fn)
+        for fn in (
+            link_complex.build_link,
+            selection.build_selection_graph,
+            log_model.reorient,
+            label_closed_groups,
+            embed_into_lot,
+        )
+    }
+    for lot in lots:
+        for calls in counts.values():
+            calls.clear()
+        assert certify_lof(lot).verdicts["DR_claim"] is True
+        assert {name: len(calls) for name, calls in counts.items()} == {
+            "build_link": 1,
+            "build_selection_graph": 1,
+            "reorient": 0,
+            "label_closed_groups": 0,
+            "embed_into_lot": 0,
+        }
+    # a LOF with several components is still split into groups
+    lof = random_lof(8, 24)
+    assert classify(lof).components == 4
+    assert certify_lof(lof).verdicts["DR_claim"] is True
+    assert len(counts["label_closed_groups"]) == 1
+    assert len(counts["embed_into_lot"]) >= 1
 
 
 # ---------------------------------------------------------------------------
