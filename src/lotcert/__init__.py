@@ -33,7 +33,6 @@ from .log_model import (
     ParseError,
     SubLog,
     bad_sub_lot_witnesses,
-    block_reorient,
     classify,
     enumerate_sub_lots,
     make_log,
@@ -43,15 +42,12 @@ from .log_model import (
     quotient_lof,
     reduce_log,
     reducedness_report,
-    reorient,
     serialize_log,
 )
 from .selection import (
     SelectionGraph,
-    beta_image,
     build_selection_graph,
     is_admissible,
-    reorientation_from_partition,
 )
 
 __version__ = "0.1.0"

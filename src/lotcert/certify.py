@@ -35,7 +35,6 @@ from .link_complex import (
     PLUS,
     Multigraph,
     Walk,
-    build_link,
     corner_ends,
     corner_key_str,
     curvature,
@@ -48,16 +47,12 @@ from .link_complex import (
 from .log_model import (
     Edge,
     Log,
-    LogClass,
-    ReducednessReport,
     SubLog,
     bad_sub_lot_witnesses,
-    classify,
     maximal_proper_sub_lots,
     non_label_vertices,
     quotient_lof,
     reduce_log,
-    reducedness_report,
     restrict_log,
     serialize_log,
     sub_log_as_log,
@@ -96,10 +91,6 @@ class BiForestResult:
     cycle_side: Optional[str] = None
 
 
-# Each check below takes the link of `log` as the keyword `link` when the
-# caller has built it already; without it the check builds it from `log`.
-
-
 def _side_mask(log: Log, eps: link_complex.SignAssignment) -> bytearray:
     """on[u] is 1 for the link nodes u that carry their vertex's sign eps[x]."""
     on = bytearray(2 * len(log.vertices))
@@ -130,30 +121,23 @@ def _bi_forest(link: Multigraph, on: bytearray, names: tuple[str, str]) -> BiFor
     return BiForestResult(True, first, second)
 
 
-def strong_lbf_check(log: Log, *, link: Optional[Multigraph] = None) -> BiForestResult:
+def strong_lbf_check(log: Log) -> BiForestResult:
     """Are the all-plus and all-minus sides of the link both forests?"""
-    link = build_link(log) if link is None else link
-    return _bi_forest(link, bytearray((1, 0)) * len(log.vertices), ("plus", "minus"))
+    return _bi_forest(log.link, bytearray((1, 0)) * len(log.vertices), ("plus", "minus"))
 
 
-def lbf_check(
-    log: Log, eps: link_complex.SignAssignment, *, link: Optional[Multigraph] = None
-) -> BiForestResult:
+def lbf_check(log: Log, eps: link_complex.SignAssignment) -> BiForestResult:
     """Do the signs eps split the link into two induced forests?"""
-    on = _side_mask(log, eps)
-    link = build_link(log) if link is None else link
-    return _bi_forest(link, on, ("epsilon", "minus_epsilon"))
+    return _bi_forest(log.link, _side_mask(log, eps), ("epsilon", "minus_epsilon"))
 
 
-def angles_from_bipartition(
-    log: Log, eps: link_complex.SignAssignment, *, link: Optional[Multigraph] = None
-) -> list[int]:
+def angles_from_bipartition(log: Log, eps: link_complex.SignAssignment) -> list[int]:
     """Angle 0 on corners joining equal sign classes, angle 1 across them.
 
-    The angles are a list indexed by the corner numbers of build_link(log).
+    The angles are a list indexed by the corner numbers of the link.
     """
     on = _side_mask(log, eps)
-    link = build_link(log) if link is None else link
+    link = log.link
     return [on[u] ^ on[v] for u, v in zip(link.tail, link.head)]
 
 
@@ -167,7 +151,7 @@ def _vertex_classes(log: Log, pairs: Iterable[tuple[str, str]]) -> list[tuple[st
     Each class lists its vertices in declaration order; classes are ordered
     by their first vertex.
     """
-    index = log.vertex_index()
+    index = log.vertex_index
     uf = _UnionFind(len(index))
     for a, b in pairs:
         uf.union(index[a], index[b])
@@ -208,7 +192,7 @@ def embed_into_lot(log: Log) -> tuple[Log, list]:
         if len(comps) <= 1:
             return work, added
         labels = work.label_set()
-        order = work.vertex_index()
+        order = work.vertex_index
         comp_of = {v: i for i, vs in enumerate(comps) for v in vs}
         # vertices of component i labeling an edge of component j
         lab_into: dict[tuple[int, int], list[str]] = {}
@@ -237,8 +221,7 @@ def embed_into_lot(log: Log) -> tuple[Log, list]:
                 raise ValueError("components cannot be joined at label vertices")
             pairs = [(anchors[0], anchors[1])]
         free_names = tuple(v for v in work.vertices if v not in labels)
-        eids = {e.eid for e in work.edges}
-        while f"_c{counter}" in eids:
+        while f"_c{counter}" in work.edge_index:
             counter += 1
         eid = f"_c{counter}"
         counter += 1
@@ -372,7 +355,8 @@ def _input_section(log: Log) -> dict:
     }
 
 
-def _flags_section(rep: ReducednessReport, cls: LogClass) -> dict:
+def _flags_section(log: Log) -> dict:
+    rep, cls = log.reducedness, log.log_class
     return {
         "boundary_reduced": rep.boundary_reduced.ok,
         "interior_reduced": rep.interior_reduced.ok,
@@ -396,7 +380,7 @@ def _curvature_dict(report: link_complex.CurvatureReport) -> dict:
     lhs, rhs = report.gauss_bonnet
     return {
         "kappa_vertex": report.kappa_vertex,
-        "kappa_cells": dict(sorted(report.kappa_cells.items())),
+        "kappa_cells": report.kappa_cells,
         "chi_complex": report.chi_complex,
         "chi_link": report.chi_link,
         "gauss_bonnet": [lhs, rhs],
@@ -433,11 +417,11 @@ def _verdict_scaffold(value) -> tuple[dict, dict, dict]:
 # plain pipeline
 
 
-def _hypothesis_section(log: Log, rep: ReducednessReport, cls: LogClass) -> dict:
-    """The hypothesis report from log's reducedness report and class; the
-    sub-LOT scan runs only on a LOF, since a cycle already fails the
-    hypothesis and closures need a forest."""
-    forest = cls.kind in ("LOT", "LOF")
+def _hypothesis_section(log: Log) -> dict:
+    """The hypothesis report; the sub-LOT scan runs only on a LOF, since a
+    cycle already fails the hypothesis and closures need a forest."""
+    rep = log.reducedness
+    forest = log.log_class.kind in ("LOT", "LOF")
     bad = bad_sub_lot_witnesses(log) if forest else ()
     return {
         "satisfied": rep.reduced and rep.injective.ok and forest and not bad,
@@ -469,8 +453,7 @@ def _certify_lot_core(lot: Log) -> dict:
     ok_adm, bad_edge = selection.is_admissible(sel, partition)
     if not ok_adm:
         raise RuntimeError(f"branching pair not admissible at {bad_edge!r}")
-    index = {e.eid: i for i, e in enumerate(lot.edges)}
-    flipped = sorted(index[eid] for eid in selection.flips_from_partition(lot, partition))
+    flipped = selection.flips_from_partition(lot, partition)
     strong = _reoriented_strong_lbf(lot, set(flipped))
     flipped_labels = {lot.edges[j].lab for j in flipped}
     eps = {v: (MINUS if v in flipped_labels else PLUS) for v in lot.vertices}
@@ -486,7 +469,7 @@ def _certify_lot_core(lot: Log) -> dict:
 
 
 def _reoriented_strong_lbf(lot: Log, flipped: Container[int]) -> bool:
-    """strong_lbf_check(reorient(lot, flips)).ok, from the corner ends alone.
+    """strong_lbf_check(oracle.reorient(lot, flips)).ok, from the corner ends alone.
 
     flipped holds the numbers of the flipped edges.  The all-plus side of the
     reoriented link is its positive corners (s+, l+), the all-minus side its
@@ -506,9 +489,8 @@ def certify_lof(log: Log) -> Certificate:
     delta=1 cut of the selection graph is included and the relative pipeline
     is suggested.
     """
-    rep, cls = reducedness_report(log), classify(log)
-    hypothesis = _hypothesis_section(log, rep, cls)
-    flags = _flags_section(rep, cls)
+    hypothesis = _hypothesis_section(log)
+    flags = _flags_section(log)
     witnesses: dict = {}
 
     if not hypothesis["satisfied"]:
@@ -534,7 +516,7 @@ def certify_lof(log: Log) -> Certificate:
     failure = None
 
     # a LOT is its own single label-closed group and needs no embedding
-    is_lot = cls.kind == "LOT"
+    is_lot = log.log_class.kind == "LOT"
     for group in [log.vertices] if is_lot else label_closed_groups(log):
         glog = restrict_log(log, group)
         if not glog.edges:
@@ -543,7 +525,7 @@ def certify_lof(log: Log) -> Certificate:
             continue
         hat, added = (glog, []) if is_lot else embed_into_lot(glog)
         if added:
-            hat_hyp = _hypothesis_section(hat, reducedness_report(hat), classify(hat))
+            hat_hyp = _hypothesis_section(hat)
             embeddings.append(
                 {
                     "group": list(group),
@@ -567,9 +549,8 @@ def certify_lof(log: Log) -> Certificate:
                 note = "selected reorientation failed the strong bi-forest check"
             failure = {"note": note, "group": list(group)}
             break
-        real_edges = {e.eid for e in glog.edges}
         eps.update({v: core["eps"][v] for v in group})
-        flips.extend(e for e in core["flips"] if e in real_edges)
+        flips.extend(e for e in core["flips"] if e in glog.edge_index)
         b1, b2 = core["branchings"]
         branchings_out.append(
             {"root": b1.root, "arcs": [list(k) for k in b1.arcs]}
@@ -578,11 +559,10 @@ def certify_lof(log: Log) -> Certificate:
             {"root": b2.root, "arcs": [list(k) for k in b2.arcs]}
         )
         partition_out.update(
-            {corner_key_str(k): color for k, color in sorted(core["partition"].items())}
+            {corner_key_str(k): color for k, color in core["partition"].items()}
         )
 
-    link = build_link(log)
-    strong_input = strong_lbf_check(log, link=link)
+    strong_input = strong_lbf_check(log)
     verdicts, provenance, citations = _verdict_scaffold(False)
     verdicts["strong_lbf"] = strong_input.ok
     verdicts["relative_coloring_test"] = NOT_EVALUATED
@@ -594,10 +574,11 @@ def certify_lof(log: Log) -> Certificate:
             _input_section(log), flags, hypothesis, witnesses, verdicts, provenance, citations
         )
 
-    lbf = lbf_check(log, eps, link=link)
-    angles = angles_from_bipartition(log, eps, link=link)
+    lbf = lbf_check(log, eps)
+    angles = angles_from_bipartition(log, eps)
     report = curvature(log, angles)
-    coloring = verify_coloring_test(log, angles, link=link, report=report)
+    coloring = verify_coloring_test(log, angles, report=report)
+    link = log.link
 
     witnesses.update(
         {
@@ -657,13 +638,10 @@ def certify_relative(log: Log, parts: Optional[Sequence[SubLog]] = None) -> Cert
     """
     work = log
     moves: tuple = ()
-    rep = reducedness_report(work)
-    if not rep.reduced:
+    if not work.reducedness.reduced:
         work, moves = reduce_log(work)
-        rep = reducedness_report(work)
-
-    cls = classify(work)
-    flags = _flags_section(rep, cls)
+    rep, cls = work.reducedness, work.log_class
+    flags = _flags_section(work)
     base_witnesses: dict = {}
     if moves:
         base_witnesses["reduction_moves"] = [list(map(str, m)) for m in moves]
@@ -684,10 +662,9 @@ def certify_relative(log: Log, parts: Optional[Sequence[SubLog]] = None) -> Cert
 
     explicit = parts is not None
     if explicit:
-        all_edges = frozenset(e.eid for e in work.edges)
         for p in parts:
             validate_sub_lot(work, p)
-            if frozenset(p.edge_ids) == all_edges:
+            if frozenset(p.edge_ids) == work.edge_index.keys():
                 raise ValueError("a part may not be the whole graph")
         if not _pairwise_disjoint(parts):
             raise ValueError("parts are not vertex-disjoint")
@@ -704,9 +681,8 @@ def certify_relative(log: Log, parts: Optional[Sequence[SubLog]] = None) -> Cert
         cert.input = _input_section(log)
         return cert
 
-    link = build_link(work)
     verdicts, provenance, citations = _verdict_scaffold(NOT_EVALUATED)
-    verdicts["strong_lbf"] = strong_lbf_check(work, link=link).ok
+    verdicts["strong_lbf"] = strong_lbf_check(work).ok
     provenance["aspherical_claim"] = "by-citation"
     citations["aspherical_claim"] = CITATIONS["relative_aspherical_claim"]
     citations["VA_claim"] = CITATIONS["relative_aspherical_claim"]
@@ -730,7 +706,7 @@ def certify_relative(log: Log, parts: Optional[Sequence[SubLog]] = None) -> Cert
         qcert = certify_lof(quotient)
         base_witnesses["quotient"] = {
             "log": serialize_log(quotient),
-            "vertex_map": dict(sorted(vmap.items())),
+            "vertex_map": vmap,
             "certificate": qcert.to_dict(),
         }
         certified = qcert.verdicts["lbf"] is True
@@ -746,7 +722,7 @@ def certify_relative(log: Log, parts: Optional[Sequence[SubLog]] = None) -> Cert
 
     epsbar = qcert.witnesses["epsilon"]
     eps = {v: epsbar[vmap[v]] for v in work.vertices}
-    angles = angles_from_bipartition(work, eps, link=link)
+    angles = angles_from_bipartition(work, eps)
     report = curvature(work, angles)
     all_cells_ok = all(k <= 0 for k in report.kappa_cells.values())
     part_edge_ids = {eid for p in part_list for eid in p.edge_ids}
@@ -754,13 +730,14 @@ def certify_relative(log: Log, parts: Optional[Sequence[SubLog]] = None) -> Cert
     if not part_cells_zero:
         raise RuntimeError("cells of collapsed parts must be flat")
 
+    link = work.link
     side, coside = _sides(link, _side_mask(work, eps))
     inside = part_corners(work, part_edge_ids)
     rel1, _w1 = is_relative_forest(link, inside, side)
     rel2, _w2 = is_relative_forest(link, inside, coside)
 
-    rct = verify_relative_coloring_test(work, part_list, angles, link=link, report=report)
-    coloring = verify_coloring_test(work, angles, link=link, report=report)
+    rct = verify_relative_coloring_test(work, part_list, angles, report=report)
+    coloring = verify_coloring_test(work, angles, report=report)
 
     part_certs = []
     parts_ok = True

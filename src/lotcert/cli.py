@@ -18,16 +18,14 @@ import sys
 from pathlib import Path
 
 from . import arborescence, certify, oracle
-from .link_complex import build_link, is_forest, link_to_dot, parse_corner_key
+from .link_complex import is_forest, link_to_dot, parse_corner_key
 from .log_model import (
     Log,
     ParseError,
     bad_sub_lot_witnesses,
-    classify,
     non_label_vertices,
     parse_log,
     reduce_log,
-    reducedness_report,
     serialize_log,
 )
 from .selection import build_selection_graph, selection_to_dot
@@ -59,8 +57,7 @@ def _write(path: Path, text: str) -> None:
 
 def cmd_validate(args) -> int:
     log = _load(args.file)
-    rep = reducedness_report(log)
-    cls = classify(log)
+    rep, cls = log.reducedness, log.log_class
     payload = {
         "boundary_reduced": {"ok": rep.boundary_reduced.ok, "witnesses": list(rep.boundary_reduced.witnesses)},
         "interior_reduced": {"ok": rep.interior_reduced.ok, "witnesses": [list(w) for w in rep.interior_reduced.witnesses]},
@@ -113,7 +110,7 @@ def cmd_certify(args) -> int:
         partition = None
         if partition_raw:
             partition = {parse_corner_key(key): color for key, color in partition_raw.items()}
-        _write(outdir / "link.dot", link_to_dot(build_link(drawn), angles))
+        _write(outdir / "link.dot", link_to_dot(drawn.link, angles))
         sel = build_selection_graph(drawn)
         if partition is not None:
             partition = {a.key: partition.get(a.key, "black") for a in sel.arcs}
@@ -134,7 +131,7 @@ def cmd_certify(args) -> int:
 def cmd_export(args) -> int:
     log = _load(args.file)
     if args.what == "link":
-        text = link_to_dot(build_link(log))
+        text = link_to_dot(log.link)
     else:
         text = selection_to_dot(build_selection_graph(log))
     if args.dot:
@@ -154,7 +151,7 @@ def cmd_generate(args) -> int:
         text = serialize_log(log)
         name = f"lot_n{args.n}_s{args.seed}_{i:03d}.lot"
         _write(outdir / name, text)
-        rep = reducedness_report(log)
+        rep = log.reducedness
         bad = bad_sub_lot_witnesses(log)
         instances.append(
             {
@@ -166,7 +163,7 @@ def cmd_generate(args) -> int:
                 "flags": {
                     "reduced": rep.reduced,
                     "injective": rep.injective.ok,
-                    "log_class": classify(log).kind,
+                    "log_class": log.log_class.kind,
                     "all_sub_lots_boundary_reduced": not bad,
                     "bad_sub_lot_count": len(bad),
                 },
@@ -188,7 +185,7 @@ def cmd_oracle_check(args) -> int:
     log = _load(args.file)
     checks = []
 
-    g = build_link(log)
+    g = log.link
     forest_fast = is_forest(g)[0]
     forest_slow = not oracle.enumerate_simple_cycles(g, max_len=len(g.edges))
     checks.append(("forest-vs-cycle-enumeration", forest_fast == forest_slow))

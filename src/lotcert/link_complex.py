@@ -12,16 +12,16 @@ contributes four corners:
     mixed_source   x_i- x_k+
     mixed_target   x_k- x_j+
 
-build_link numbers the link once: node 2i is vertex i's ``x+`` and node
-2i+1 its ``x-``; corner 4j+k is edge j's k-th kind in CORNER_KINDS order.
-Every check here reads the integer arrays tail and head (the node numbers
-of each corner's ends) and takes a subgraph as a list of corner numbers:
-a side of a sign choice, the angle-0 corners, the corners inside the parts.
-Angles are a list indexed by corner.  The string view -- nodes ``x+``, and
-corners ``((owner edge, kind), u, v)`` -- is kept beside the arrays for
-witnesses, DOT output and the oracles.  Corners are never deduplicated, so
-parallel corners or loops are honest cycles.  All curvature arithmetic is
-exact integer arithmetic.
+build_link numbers the link once, and Log.link keeps the result: node 2i
+is vertex i's ``x+`` and node 2i+1 its ``x-``; corner 4j+k is edge j's k-th
+kind in CORNER_KINDS order.  Every check here reads the integer arrays
+tail and head (the node numbers of each corner's ends) and takes a subgraph
+as a list of corner numbers: a side of a sign choice, the angle-0 corners,
+the corners inside the parts.  Angles are a list indexed by corner.  The
+string view -- nodes ``x+``, and corners ``((owner edge, kind), u, v)`` --
+is kept beside the arrays for witnesses, DOT output and the oracles.
+Corners are never deduplicated, so parallel corners or loops are honest
+cycles.  All curvature arithmetic is exact integer arithmetic.
 """
 
 from __future__ import annotations
@@ -93,11 +93,10 @@ def corner_ends(log: Log, flipped: Container[int] = ()) -> tuple[list[int], list
     With the numbers of edges in flipped, these are the ends in the link of
     the LOG with those edges reversed (source and target swapped).
     """
-    plus = {v: 2 * i for i, v in enumerate(log.vertices)}
     tail: list[int] = []
     head: list[int] = []
-    for j, e in enumerate(log.edges):
-        s, t, l = plus[e.src], plus[e.tgt], plus[e.lab]
+    for j, (s, t, l) in enumerate(log.edge_ends):
+        s, t, l = 2 * s, 2 * t, 2 * l
         if j in flipped:
             s, t = t, s
         # positive, negative, mixed_source, mixed_target
@@ -118,9 +117,9 @@ def parse_corner_key(text: str) -> CornerKey:
 
 def part_corners(log: Log, part_edges: Iterable[str]) -> frozenset[int]:
     """The numbers of the corners whose owner edge is one of part_edges."""
-    eids = set(part_edges)
+    index = log.edge_index
     return frozenset(
-        c for j, e in enumerate(log.edges) if e.eid in eids for c in range(4 * j, 4 * j + 4)
+        c for eid in part_edges if eid in index for c in range(4 * index[eid], 4 * index[eid] + 4)
     )
 
 
@@ -362,21 +361,17 @@ class ColoringResult:
 
 
 def verify_coloring_test(
-    log: Log,
-    angles: AngleAssignment,
-    *,
-    link: Optional[Multigraph] = None,
-    report: Optional[CurvatureReport] = None,
+    log: Log, angles: AngleAssignment, *, report: Optional[CurvatureReport] = None
 ) -> ColoringResult:
     """Zero/one coloring test.
 
     (a) every 2-cell has curvature <= 0 and (b) every simple reduced cycle of
     the link has total angle >= 2.  Condition (b) is checked through the
     equivalent criterion: the angle-0 corners form a forest Z and every
-    angle-1 corner joins two distinct components of Z.  `link`, when given,
-    must be build_link(log), and `report` must be curvature(log, angles).
+    angle-1 corner joins two distinct components of Z.  `report`, when
+    given, must be curvature(log, angles).
     """
-    link = build_link(log) if link is None else link
+    link = log.link
     a = _angle_list(angles, _log_keys(log), len(link.edges))
     report = curvature(log, a) if report is None else report
     positive = tuple(eid for eid, k in report.kappa_cells.items() if k > 0)
@@ -403,12 +398,7 @@ class RelativeColoringResult:
 
 
 def verify_relative_coloring_test(
-    log: Log,
-    parts,
-    angles: AngleAssignment,
-    *,
-    link: Optional[Multigraph] = None,
-    report: Optional[CurvatureReport] = None,
+    log: Log, parts, angles: AngleAssignment, *, report: Optional[CurvatureReport] = None
 ) -> RelativeColoringResult:
     """Relative zero/one coloring test against a wedge of sub-LOT complexes.
 
@@ -418,8 +408,8 @@ def verify_relative_coloring_test(
     parts is a bridge of Z and every angle-1 corner either joins distinct
     Z-components or lies in a part with a Z-path between its endpoints inside
     the parts.  Simple cycles suffice: homology reduced closed walks
-    decompose into them.  `link`, when given, must be build_link(log), and
-    `report` must be curvature(log, angles).
+    decompose into them.  `report`, when given, must be curvature(log,
+    angles).
     """
     part_edges: set[str] = set()
     for sub in parts:
@@ -428,7 +418,7 @@ def verify_relative_coloring_test(
             raise ValueError("parts are not edge-disjoint")
         part_edges |= eids
 
-    link = build_link(log) if link is None else link
+    link = log.link
     a = _angle_list(angles, _log_keys(log), len(link.edges))
     report = curvature(log, a) if report is None else report
     positive = tuple(

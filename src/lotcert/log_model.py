@@ -23,7 +23,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from functools import cached_property
+from typing import Iterable, Optional, Sequence
 
 
 class ParseError(ValueError):
@@ -53,7 +54,12 @@ def _valid_name(tok: str) -> bool:
 
 @dataclass(frozen=True)
 class Log:
-    """An immutable LOG; vertices and edges keep their declaration order."""
+    """An immutable LOG; vertices and edges keep their declaration order.
+
+    The facts derived from the LOG alone -- its numbering, reducedness
+    report, class, closure table and link -- are computed on first use and
+    kept on the LOG, so each is built once however many stages read it.
+    """
 
     vertices: tuple[str, ...]
     edges: tuple[Edge, ...]
@@ -85,8 +91,41 @@ class Log:
     def label_set(self) -> frozenset[str]:
         return frozenset(e.lab for e in self.edges)
 
+    @cached_property
     def vertex_index(self) -> dict[str, int]:
+        """The number of each vertex: its place in declaration order."""
         return {v: i for i, v in enumerate(self.vertices)}
+
+    @cached_property
+    def edge_index(self) -> dict[str, int]:
+        """The number of each edge id: its place in declaration order."""
+        return {e.eid: j for j, e in enumerate(self.edges)}
+
+    @cached_property
+    def edge_ends(self) -> list[tuple[int, int, int]]:
+        """The source, target and label vertex numbers of each edge."""
+        index = self.vertex_index
+        return [(index[e.src], index[e.tgt], index[e.lab]) for e in self.edges]
+
+    @cached_property
+    def reducedness(self) -> ReducednessReport:
+        return reducedness_report(self)
+
+    @cached_property
+    def log_class(self) -> LogClass:
+        return classify(self)
+
+    @cached_property
+    def closures(self) -> list[Optional[frozenset[int]]]:
+        """_closure_table(self); raises ValueError unless the LOG is a LOF."""
+        return _closure_table(self)
+
+    @cached_property
+    def link(self):
+        """build_link(self), the link as one numbered Multigraph."""
+        from . import link_complex
+
+        return link_complex.build_link(self)
 
     def valency(self) -> dict[str, int]:
         """Undirected degree per vertex; a loop contributes 2."""
@@ -256,13 +295,13 @@ class _UnionFind:
 
 def classify(log: Log) -> LogClass:
     """LOT iff connected and acyclic, LOF iff acyclic, else GeneralLOG."""
-    index = log.vertex_index()
-    uf = _UnionFind(len(index))
+    n = len(log.vertices)
+    uf = _UnionFind(n)
     acyclic = True
-    for e in log.edges:
-        if not uf.union(index[e.src], index[e.tgt]):
+    for s, t, _ in log.edge_ends:
+        if not uf.union(s, t):
             acyclic = False
-    components = len({uf.find(i) for i in range(len(index))})
+    components = len({uf.find(i) for i in range(n)})
     if acyclic and components == 1:
         kind = "LOT"
     elif acyclic:
@@ -341,7 +380,7 @@ def reducedness_report(log: Log) -> ReducednessReport:
 
 def _merge_vertices(log: Log, keep: str, drop: str, removed_eids: set[str]) -> Log:
     if keep != drop:
-        idx = log.vertex_index()
+        idx = log.vertex_index
         if idx[drop] < idx[keep]:
             keep, drop = drop, keep
     vertices = tuple(v for v in log.vertices if v != drop or drop == keep)
@@ -413,29 +452,6 @@ def reduce_log(log: Log) -> tuple[Log, tuple]:
             raise RuntimeError(f"reduction move {move!r} does not shrink the LOG")
         moves.append(move)
         current = nxt
-
-
-# ---------------------------------------------------------------------------
-# reorientations
-
-
-def reorient(log: Log, flips: Iterable[str]) -> Log:
-    """Reverse the direction of the given edges; labels are untouched."""
-    flipset = set(flips)
-    known = {e.eid for e in log.edges}
-    for eid in flipset:
-        if eid not in known:
-            raise ValueError(f"unknown edge id {eid!r}")
-    edges = tuple(
-        Edge(e.eid, e.tgt, e.src, e.lab) if e.eid in flipset else e for e in log.edges
-    )
-    return Log(log.vertices, edges)
-
-
-def block_reorient(log: Log, labels: Iterable[str]) -> Log:
-    """Reverse every edge whose label lies in the given set."""
-    labset = set(labels)
-    return reorient(log, {e.eid for e in log.edges if e.lab in labset})
 
 
 def non_label_vertices(log: Log) -> tuple[str, ...]:
@@ -538,16 +554,14 @@ class _RootedForest:
     parent_edge: list[int]  # index into log.edges, -1 at a root
     depth: list[int]
     component: list[int]  # index of the component's root
-    ends: list[tuple[int, int]]  # source and target vertex of each edge
-    label: list[int]  # label vertex of each edge
+    ends: list[tuple[int, int, int]]  # source, target and label vertex of each edge
 
 
 def _rooted_forest(log: Log) -> _RootedForest:
-    index = log.vertex_index()
     n = len(log.vertices)
-    ends = [(index[e.src], index[e.tgt]) for e in log.edges]
+    ends = log.edge_ends
     adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for i, (u, w) in enumerate(ends):
+    for i, (u, w, _) in enumerate(ends):
         adj[u].append((i, w))
         adj[w].append((i, u))
     parent, parent_edge, depth, component = [-1] * n, [-1] * n, [0] * n, [-1] * n
@@ -568,8 +582,7 @@ def _rooted_forest(log: Log) -> _RootedForest:
     # a spanning forest has n - roots edges; any further edge closes a cycle
     if len(log.edges) != n - roots:
         raise ValueError("sub-LOT closures need a LOF (the underlying graph has a cycle)")
-    label = [index[e.lab] for e in log.edges]
-    return _RootedForest(parent, parent_edge, depth, component, ends, label)
+    return _RootedForest(parent, parent_edge, depth, component, ends)
 
 
 _UNKNOWN = object()  # a closure-table slot not computed yet
@@ -589,13 +602,13 @@ def _closure(forest: _RootedForest, start: int, table: list) -> Optional[frozens
     inside closure(start), so it is None if closure(f) is, and it equals
     closure(f) when that contains `start`; otherwise the walk goes on.
     """
-    parent, parent_edge, depth, label = forest.parent, forest.parent_edge, forest.depth, forest.label
+    parent, parent_edge, depth, ends = forest.parent, forest.parent_edge, forest.depth, forest.ends
     component = forest.component
-    u, w = forest.ends[start]
+    u, w, lab = ends[start]
     top = u if depth[u] <= depth[w] else w
     inside = {u, w}
     eset = [start]
-    pending = [label[start]]
+    pending = [lab]
     while pending:
         x = pending.pop()
         if x in inside:
@@ -616,7 +629,7 @@ def _closure(forest: _RootedForest, start: int, table: list) -> Optional[frozens
             if known is not _UNKNOWN and (known is None or start in known):
                 return known
             eset.append(i)
-            pending.append(label[i])
+            pending.append(ends[i][2])
         inside.update(path)
     return frozenset(eset)
 
@@ -649,7 +662,7 @@ def bad_sub_lot_witnesses(log: Log) -> tuple[SubLog, ...]:
     at most one witness per closure class.  Raises ValueError unless log
     is a LOF.
     """
-    classes = {c for c in _closure_table(log) if c is not None}
+    classes = {c for c in log.closures if c is not None}
     closures = [tuple(sorted(c)) for c in classes]
     bad = [t for t in closures if _has_bad_leaf([log.edges[j] for j in t])]
     return tuple(_sub_lot(log, t) for t in _by_size(bad))
@@ -668,19 +681,18 @@ def maximal_proper_sub_lots(log: Log) -> tuple[SubLog, ...]:
     fixpoint itself).  Ordered like enumerate_sub_lots.  Raises ValueError
     unless log is a LOF.
     """
-    index = log.vertex_index()
-    ends = [(index[e.src], index[e.tgt]) for e in log.edges]
+    ends = log.edge_ends
     # the edges of each closure class, keyed by the closure they share
     members: dict[frozenset[int], list[int]] = {}
-    for i, c in enumerate(_closure_table(log)):
+    for i, c in enumerate(log.closures):
         if c is not None:
             members.setdefault(c, []).append(i)
     found = []
     for f in range(len(ends)):
         kept = sorted(i for c, ids in members.items() if f not in c for i in ids)
-        uf = _UnionFind(len(index))
+        uf = _UnionFind(len(log.vertices))
         for i in kept:
-            uf.union(*ends[i])
+            uf.union(ends[i][0], ends[i][1])
         parts: dict[int, list[int]] = {}
         for i in kept:
             parts.setdefault(uf.find(ends[i][0]), []).append(i)
@@ -700,35 +712,33 @@ def _inclusion_maximal(log: Log, found) -> tuple[SubLog, ...]:
 
 def sub_log_as_log(log: Log, sub: SubLog) -> Log:
     """The sub-LOT as a standalone Log (vertex order inherited)."""
-    by_id = {e.eid: e for e in log.edges}
+    index = log.edge_index
     for eid in sub.edge_ids:
-        if eid not in by_id:
+        if eid not in index:
             raise ValueError(f"unknown edge id {eid!r}")
-    return Log(sub.vertices, tuple(by_id[eid] for eid in sub.edge_ids))
+    return Log(sub.vertices, tuple(log.edges[index[eid]] for eid in sub.edge_ids))
 
 
 def validate_sub_lot(log: Log, sub: SubLog) -> None:
-    by_id = {e.eid: e for e in log.edges}
     if not sub.edge_ids:
         raise ValueError("sub-LOT must contain at least one edge")
+    index, by_id = log.vertex_index, log.edge_index
     vset = set(sub.vertices)
-    if not set(sub.vertices) <= set(log.vertices):
+    if not vset.issubset(index):
         raise ValueError("sub-LOT vertices not in parent")
-    index = {v: i for i, v in enumerate(dict.fromkeys(sub.vertices))}
     uf = _UnionFind(len(index))
     acyclic = True
     for eid in sub.edge_ids:
         if eid not in by_id:
             raise ValueError(f"sub-LOT edge {eid!r} not in parent")
-        e = by_id[eid]
+        e = log.edges[by_id[eid]]
         if e.src not in vset or e.tgt not in vset:
             raise ValueError(f"sub-LOT edge {eid!r} leaves the vertex set")
         if e.lab not in vset:
             raise ValueError(f"sub-LOT not closed under labels at edge {eid!r}")
         if not uf.union(index[e.src], index[e.tgt]):
             acyclic = False
-    components = len({uf.find(i) for i in range(len(index))})
-    if not acyclic or components != 1:
+    if not acyclic or len({uf.find(index[v]) for v in vset}) != 1:
         raise ValueError("sub-LOT is not a connected tree")
 
 

@@ -6,8 +6,9 @@ enumeration, the dominator cut test against one max-flow per vertex and
 against subset enumeration, the heap-driven branchings against the rescanning
 greedy they replaced, the maximal sub-LOTs read from the closure table
 against one label-closed fixpoint per edge, the pipeline sign choice against
-the full 2^n search) and generate reproducible random fixtures.  Caps
-guard the exponential searches; LOT_ORACLE_CAP overrides them globally.
+the full 2^n search, the reoriented bi-forest check against the reoriented
+LOG) and generate reproducible random fixtures.  Caps guard the exponential
+searches; LOT_ORACLE_CAP overrides them globally.
 """
 
 from __future__ import annotations
@@ -22,15 +23,15 @@ from typing import Iterable, Optional, Union
 
 from . import certify
 from .arborescence import Branching, CutWitness, _max_flow, cut_delta, verify_branching
-from .link_complex import MINUS, PLUS, Multigraph, build_link
+from .link_complex import MINUS, PLUS, Multigraph
 from .log_model import (
+    Edge,
     Log,
     SubLog,
     _inclusion_maximal,
     _rooted_forest,
     _UnionFind,
     make_log,
-    reducedness_report,
 )
 from .selection import ArcKey, SelectionGraph
 
@@ -170,11 +171,10 @@ def exhaustive_lbf_search(log: Log, cap: Optional[int] = None) -> list[dict]:
     n = len(log.vertices)
     if n > _cap(cap, DEFAULT_LBF_CAP):
         raise CapExceeded(f"{n} vertices exceed the sign-search cap")
-    link = build_link(log)
     hits = []
     for signs in itertools.product((PLUS, MINUS), repeat=n):
         eps = dict(zip(log.vertices, signs))
-        if certify.lbf_check(log, eps, link=link).ok:
+        if certify.lbf_check(log, eps).ok:
             hits.append(eps)
     return hits
 
@@ -308,6 +308,31 @@ def exhaustive_branching_search(
 
 
 # ---------------------------------------------------------------------------
+# reorientations
+
+
+def reorient(log: Log, flips: Iterable[str]) -> Log:
+    """Reverse the direction of the given edges; labels are untouched.
+
+    Production checks a reorientation on corner_ends instead of building it.
+    """
+    flipset = set(flips)
+    for eid in flipset:
+        if eid not in log.edge_index:
+            raise ValueError(f"unknown edge id {eid!r}")
+    edges = tuple(
+        Edge(e.eid, e.tgt, e.src, e.lab) if e.eid in flipset else e for e in log.edges
+    )
+    return Log(log.vertices, edges)
+
+
+def block_reorient(log: Log, labels: Iterable[str]) -> Log:
+    """Reverse every edge whose label lies in the given set."""
+    labset = set(labels)
+    return reorient(log, {e.eid for e in log.edges if e.lab in labset})
+
+
+# ---------------------------------------------------------------------------
 # sub-LOTs
 
 
@@ -319,13 +344,12 @@ def fixpoint_maximal_sub_lots(log: Log) -> tuple[SubLog, ...]:
     sub-LOTs to filter.  O(n) per round and up to n rounds per f: O(n^3).
     """
     _rooted_forest(log)  # raises unless log is a LOF
-    index = log.vertex_index()
-    ends = [(index[e.src], index[e.tgt], index[e.lab]) for e in log.edges]
+    ends = log.edge_ends
     found = []
     for f in range(len(ends)):
         kept = [i for i in range(len(ends)) if i != f]
         while True:
-            uf = _UnionFind(len(index))
+            uf = _UnionFind(len(log.vertices))
             for i in kept:
                 uf.union(ends[i][0], ends[i][1])
             closed = [i for i in kept if uf.find(ends[i][2]) == uf.find(ends[i][0])]
@@ -398,7 +422,7 @@ def random_reduced_injective_lot(n: int, seed: int, max_tries: int = 2000) -> Lo
                 for i, ((u, v), lab) in enumerate(zip(oriented, labels))
             ],
         )
-        if reducedness_report(log).reduced:
+        if log.reducedness.reduced:
             return log
     raise RuntimeError(f"no reduced injective LOT found for n={n}, seed={seed}")
 

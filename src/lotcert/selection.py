@@ -26,7 +26,7 @@ from functools import cached_property
 from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .link_complex import _dot_quote
-from .log_model import Log, reorient
+from .log_model import Log
 
 ArcKey = tuple[str, str]  # (owner edge id, 'a' | 'b')
 
@@ -44,21 +44,12 @@ class SelArc(NamedTuple):
 
 @dataclass(frozen=True)
 class SelectionGraph:
-    """Arc i runs from nodes[src[i]] to nodes[dst[i]].
-
-    src and dst are derived from arcs unless given.
-    """
+    """Arc i runs from nodes[src[i]] to nodes[dst[i]]."""
 
     nodes: tuple[str, ...]
     arcs: tuple[SelArc, ...]
-    src: Optional[Sequence[int]] = field(default=None, compare=False, repr=False)
-    dst: Optional[Sequence[int]] = field(default=None, compare=False, repr=False)
-
-    def __post_init__(self):
-        if self.src is None:
-            index = {v: i for i, v in enumerate(self.nodes)}
-            object.__setattr__(self, "src", [index[a.src] for a in self.arcs])
-            object.__setattr__(self, "dst", [index[a.dst] for a in self.arcs])
+    src: Sequence[int] = field(compare=False, repr=False)
+    dst: Sequence[int] = field(compare=False, repr=False)
 
     @cached_property
     def arc_number(self) -> dict[ArcKey, int]:
@@ -75,14 +66,12 @@ WHITE = "white"
 
 def build_selection_graph(log: Log) -> SelectionGraph:
     """The selection graph; edge j gives arc 2j (its a-arc) and 2j+1 (its b-arc)."""
-    index = log.vertex_index()
     rows: list[tuple[str, str, str, str]] = []
     src: list[int] = []
     dst: list[int] = []
-    for e in log.edges:
+    for e, (s, t, lab) in zip(log.edges, log.edge_ends):
         rows += ((e.eid, "a", e.src, e.lab), (e.eid, "b", e.tgt, e.lab))
-        src += (index[e.src], index[e.tgt])
-        lab = index[e.lab]
+        src += (s, t)
         dst += (lab, lab)
     return SelectionGraph(log.vertices, tuple(map(SelArc._make, rows)), src, dst)
 
@@ -108,35 +97,10 @@ def is_admissible(sel: SelectionGraph, partition: Partition2) -> tuple[bool, Opt
     return True, None
 
 
-def flips_from_partition(log: Log, partition: Partition2) -> frozenset[str]:
-    """Edges whose a-arc is white; flipping them makes every a-arc black."""
-    return frozenset(e.eid for e in log.edges if partition[(e.eid, "a")] == WHITE)
-
-
-def reorientation_from_partition(log: Log, partition: Partition2) -> Log:
-    """The reorientation selected by an admissible partition.
-
-    After reorienting, the positive side of the link maps isomorphically onto
-    the black subgraph and the negative side onto the white subgraph.
-    """
-    sel = build_selection_graph(log)
-    ok, witness = is_admissible(sel, partition)
-    if not ok:
-        raise ValueError(f"partition is not admissible at edge {witness!r}")
-    return reorient(log, flips_from_partition(log, partition))
-
-
-def beta_image(log: Log, sign: str) -> SelectionGraph:
-    """Image of the signed side of the link under the vertex-collapsing map.
-
-    The positive side maps onto the a-arcs, the negative side onto the
-    b-arcs; either restriction is a bijection on edges.
-    """
-    if sign not in ("+", "-"):
-        raise ValueError("sign must be '+' or '-'")
-    kind = "a" if sign == "+" else "b"
-    sel = build_selection_graph(log)
-    return SelectionGraph(sel.nodes, tuple(a for a in sel.arcs if a.kind == kind))
+def flips_from_partition(log: Log, partition: Partition2) -> list[int]:
+    """The numbers of the edges whose a-arc is white, ascending; flipping
+    them makes every a-arc black."""
+    return [j for j, e in enumerate(log.edges) if partition[(e.eid, "a")] == WHITE]
 
 
 def selection_to_dot(sel: SelectionGraph, partition: Optional[Partition2] = None) -> str:

@@ -24,21 +24,17 @@ from lotcert.arborescence import CutWitness, cut_delta, two_disjoint_branchings,
 from lotcert.arborescence import edmonds_condition
 from lotcert.certify import lbf_check, strong_lbf_check
 from lotcert.link_complex import CORNER_KINDS, Multigraph, parse_corner_key
-from lotcert.log_model import (
-    block_reorient,
-    enumerate_sub_lots,
-    non_label_vertices,
-    reorient,
-    serialize_log,
-)
+from lotcert.log_model import enumerate_sub_lots, non_label_vertices, serialize_log
 from lotcert import oracle
 from lotcert.oracle import (
+    block_reorient,
     enumerate_simple_cycles,
     exhaustive_lbf_search,
     homology_reduced_cycle_search,
     random_lof,
     random_log,
     random_reduced_injective_lot,
+    reorient,
 )
 
 
@@ -155,7 +151,7 @@ def test_criterion_3_reorientation_isomorphisms():
     for i in range(200):
         log = random_lof(3 + i % 8, seed=i)
         link = _corner_multiset(build_link(log))
-        labels = sorted(log.label_set(), key=log.vertex_index().__getitem__)
+        labels = sorted(log.label_set(), key=log.vertex_index.__getitem__)
         for lab in labels:
             rho = block_reorient(log, {lab})
             assert _corner_multiset(build_link(log), swap_vertex=lab) == _corner_multiset(

@@ -16,7 +16,6 @@ from lotcert import (
     classify,
     enumerate_sub_lots,
     make_log,
-    reorient,
     serialize_log,
 )
 from lotcert import certify as certify_module
@@ -33,12 +32,13 @@ from lotcert.certify import (
     strong_lbf_check,
 )
 from lotcert.link_complex import CORNER_KINDS
-from lotcert.log_model import reducedness_report
+from lotcert.log_model import Log, reducedness_report
 from lotcert.oracle import (
     exhaustive_lbf_search,
     random_lof,
     random_log,
     random_reduced_injective_lot,
+    reorient,
 )
 
 
@@ -321,14 +321,14 @@ def test_plain_certify_of_a_lot_builds_each_graph_once(monkeypatch):
     lots += [random_reduced_injective_lot(3 + s % 14, s) for s in range(40)]
     lots = [lot for lot in lots if not bad_sub_lot_witnesses(lot)]
     assert len(lots) == 41
-    from lotcert import link_complex, log_model, selection
+    from lotcert import link_complex, oracle, selection
 
     counts = {
         fn.__name__: _count_calls(monkeypatch, fn)
         for fn in (
             link_complex.build_link,
             selection.build_selection_graph,
-            log_model.reorient,
+            oracle.reorient,
             label_closed_groups,
             embed_into_lot,
         )
@@ -336,7 +336,8 @@ def test_plain_certify_of_a_lot_builds_each_graph_once(monkeypatch):
     for lot in lots:
         for calls in counts.values():
             calls.clear()
-        assert certify_lof(lot).verdicts["DR_claim"] is True
+        # a fresh LOG: the fixtures may carry a link from earlier calls
+        assert certify_lof(Log(lot.vertices, lot.edges)).verdicts["DR_claim"] is True
         assert {name: len(calls) for name, calls in counts.items()} == {
             "build_link": 1,
             "build_selection_graph": 1,
@@ -350,6 +351,24 @@ def test_plain_certify_of_a_lot_builds_each_graph_once(monkeypatch):
     assert certify_lof(lof).verdicts["DR_claim"] is True
     assert len(counts["label_closed_groups"]) == 1
     assert len(counts["embed_into_lot"]) >= 1
+
+
+def test_relative_certify_derives_each_fact_once_per_log(monkeypatch):
+    # the report, the class and the closure table are kept on the LOG, so
+    # no LOG of the call tree has any of them computed twice
+    from lotcert import log_model
+
+    counts = [
+        _count_calls(monkeypatch, fn)
+        for fn in (log_model.reducedness_report, log_model.classify, log_model._closure_table)
+    ]
+    for s in range(150):
+        lot = random_reduced_injective_lot(16, s)
+        for calls in counts:
+            calls.clear()
+        certify_relative(Log(lot.vertices, lot.edges))  # nothing computed yet
+        for calls in counts:
+            assert calls and len({id(args[0]) for args in calls}) == len(calls)
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,8 @@ from lotcert.link_complex import (
     link_to_dot,
     verify_relative_coloring_test,
 )
-from lotcert.log_model import block_reorient, enumerate_sub_lots, non_label_vertices
+from lotcert.log_model import enumerate_sub_lots, non_label_vertices
+from lotcert.oracle import block_reorient
 
 
 def corner_pairs(link):

@@ -8,7 +8,6 @@ from conftest import BADSUB, NONCOMP, PATH3, PATH3_RHO, TRIV, logs, lofs, path_l
 from lotcert import (
     ParseError,
     bad_sub_lot_witnesses,
-    block_reorient,
     classify,
     enumerate_sub_lots,
     make_log,
@@ -18,7 +17,6 @@ from lotcert import (
     quotient_lof,
     reduce_log,
     reducedness_report,
-    reorient,
     serialize_log,
 )
 from lotcert.log_model import (
@@ -31,6 +29,7 @@ from lotcert.log_model import (
     restrict_log,
     sub_log_as_log,
 )
+from lotcert.oracle import block_reorient, reorient
 
 
 # ---------------------------------------------------------------------------

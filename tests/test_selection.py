@@ -4,15 +4,9 @@ import pytest
 from hypothesis import given
 
 from conftest import PATH3, PATH3_RHO, TRIV, induced_subgraph, logs
-from lotcert import (
-    beta_image,
-    build_link,
-    build_selection_graph,
-    is_admissible,
-    reorientation_from_partition,
-)
-from lotcert.oracle import random_reduced_injective_lot
-from lotcert.selection import BLACK, WHITE, selection_to_dot
+from lotcert import build_link, build_selection_graph, is_admissible
+from lotcert.oracle import random_reduced_injective_lot, reorient
+from lotcert.selection import BLACK, WHITE, flips_from_partition, selection_to_dot
 
 
 def arc_set(sel):
@@ -21,6 +15,21 @@ def arc_set(sel):
 
 def arcs_by_key(sel):
     return {a.key: a for a in sel.arcs}
+
+
+def reorientation_from_partition(log, partition):
+    """The reorientation an admissible partition selects: the edges whose
+    a-arc is white are flipped, so every a-arc of the result is black."""
+    ok, witness = is_admissible(build_selection_graph(log), partition)
+    if not ok:
+        raise ValueError(f"partition is not admissible at edge {witness!r}")
+    return reorient(log, [log.edges[j].eid for j in flips_from_partition(log, partition)])
+
+
+def beta_image(log, kind):
+    """The a-arcs (kind "a") or b-arcs ("b") as (src, dst) pairs: the images
+    of the positive or negative corners under the vertex-collapsing map."""
+    return {(a.src, a.dst) for a in build_selection_graph(log).arcs if a.kind == kind}
 
 
 def indegree(sel):
@@ -117,26 +126,23 @@ def test_reorientation_rejects_inadmissible():
 
 
 def test_beta_image_examples():
-    plus = beta_image(PATH3_RHO, "+")
-    minus = beta_image(PATH3_RHO, "-")
-    assert {(a.src, a.dst) for a in plus.arcs} == {("x", "z"), ("y", "x")}
-    assert {(a.src, a.dst) for a in minus.arcs} == {("y", "z"), ("z", "x")}
-    assert beta_image(TRIV, "+").arcs == ()
+    assert beta_image(PATH3_RHO, "a") == {("x", "z"), ("y", "x")}
+    assert beta_image(PATH3_RHO, "b") == {("y", "z"), ("z", "x")}
+    assert beta_image(TRIV, "a") == set()
 
 
 def test_beta_image_matches_positive_corners():
-    # the collapsing map sends the positive corner of e to its a-arc
+    # the collapsing map sends the positive corner of e to its a-arc and the
+    # negative corner to its b-arc
     link = build_link(PATH3_RHO)
-    plus_side = induced_subgraph(link, [n for n in link.nodes if n.endswith("+")])
-    collapsed = {tuple(sorted((u[:-1], v[:-1]))) for _, u, v in plus_side.edges}
-    arcs = {tuple(sorted((a.src, a.dst))) for a in beta_image(PATH3_RHO, "+").arcs}
-    assert collapsed == arcs
+    for sign, kind in (("+", "a"), ("-", "b")):
+        side = induced_subgraph(link, [n for n in link.nodes if n.endswith(sign)])
+        collapsed = {tuple(sorted((u[:-1], v[:-1]))) for _, u, v in side.edges}
+        assert collapsed == {tuple(sorted(arc)) for arc in beta_image(PATH3_RHO, kind)}
 
 
 @given(logs())
 def test_selection_graph_is_reorientation_invariant(log):
-    from lotcert import reorient
-
     sel = build_selection_graph(log)
     ids = log.edge_ids()
     flips = set(ids[::2])

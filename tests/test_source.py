@@ -15,3 +15,26 @@ def test_no_assert_statements_in_src():
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def _imported_modules(tree) -> list[str]:
+    """Every dotted name an import statement of the tree names."""
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names += [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            names += [module] + [f"{module}.{a.name}" for a in node.names]
+    return names
+
+
+def test_only_the_cli_imports_the_oracles():
+    # brute-force references stay off the production path
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name in ("cli.py", "oracle.py"):
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.name}: {n}" for n in _imported_modules(tree) if n.split(".")[-1] == "oracle"]
+    assert found == []
