@@ -29,15 +29,16 @@ single arc lies on every path from r to it.  One dominator pass (Cooper,
 Harvey and Kennedy, "A Simple, Fast Dominance Algorithm", 2001) over the
 selection graph with each arc subdivided tests both: a vertex fails when it
 is unreachable (delta 0) or when an arc node dominates it (delta 1).  A
-failure is reported as a minimum violating cut: the unreachable vertices,
-or else the cut left by one unit-capacity max-flow to the first failing
-vertex.
+failure is reported as a minimum violating cut read off the dominator tree:
+the unreachable vertices, or else the vertices that share the first failing
+vertex's top arc, its dominating arc nearest the root.  That is the cut a
+unit-capacity max-flow to that vertex leaves (see `edmonds_condition`);
+`oracle.flow_cut_condition` finds it by max-flow, as the reference.
 """
 
 from __future__ import annotations
 
 import heapq
-from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -63,63 +64,11 @@ def cut_delta(sel: SelectionGraph, vertices) -> int:
     return sum(1 for a in sel.arcs if a.src not in vset and a.dst in vset)
 
 
-def _max_flow(arcs: list[tuple[str, str]], source: str, sink: str, limit: int) -> tuple[int, set]:
-    """Unit-capacity max flow by BFS augmentation, stopping at `limit` units.
-
-    Returns the flow value and the residual-reachable set from the source
-    (the complement is a minimum cut when the flow is maximum).
-    """
-    cap = [1] * len(arcs)
-    rev = [0] * len(arcs)
-    out = {}
-    into = {}
-    for i, (u, v) in enumerate(arcs):
-        out.setdefault(u, []).append(i)
-        into.setdefault(v, []).append(i)
-
-    def reachable() -> tuple[set, dict]:
-        prev = {source: None}
-        queue = deque([source])
-        while queue:
-            u = queue.popleft()
-            for i in out.get(u, ()):  # forward residual
-                v = arcs[i][1]
-                if cap[i] > 0 and v not in prev:
-                    prev[v] = (u, i, True)
-                    queue.append(v)
-            for i in into.get(u, ()):  # backward residual
-                v = arcs[i][0]
-                if rev[i] > 0 and v not in prev:
-                    prev[v] = (u, i, False)
-                    queue.append(v)
-        return set(prev), prev
-
-    flow = 0
-    while flow < limit:
-        reach, prev = reachable()
-        if sink not in reach:
-            return flow, reach
-        cur = sink
-        while prev[cur] is not None:
-            u, i, fwd = prev[cur]
-            if fwd:
-                cap[i] -= 1
-                rev[i] += 1
-            else:
-                cap[i] += 1
-                rev[i] -= 1
-            cur = u
-        flow += 1
-    reach, _ = reachable()
-    return flow, reach
-
-
 _Index = tuple[list[int], list[int], list[list[int]], list[list[int]]]
 
 
 def _index(sel: SelectionGraph) -> _Index:
-    """Arc tails, arc heads, out-arc lists and in-arc lists over the
-    node and arc numbers."""
+    """Arc tails, arc heads, out-arc and in-arc lists, all by number."""
     src, dst = sel.src, sel.dst
     out: list[list[int]] = [[] for _ in sel.nodes]
     into: list[list[int]] = [[] for _ in sel.nodes]
@@ -129,12 +78,18 @@ def _index(sel: SelectionGraph) -> _Index:
     return src, dst, out, into
 
 
+_TWO_PATHS = -1  # _disjoint_paths' entry for a vertex no single arc cuts off
+_UNREACHED = -2  # and for one the root does not reach
+
+
 def _disjoint_paths(g: _Index, root: int) -> list[int]:
-    """min(2, number of arc-disjoint paths from root) for every vertex.
+    """For every vertex, the arc nearest the root among the arcs that lie on
+    every path from the root to it: its number, or _TWO_PATHS when no arc
+    does (the root included), or _UNREACHED when no path reaches it.
 
     Dominators of the graph with each arc subdivided: vertex v is node v and
-    arc i is node n + i.  A reachable vertex has one path at most iff an arc
-    node dominates it.
+    arc i is node n + i.  By Menger's theorem two arc-disjoint paths reach a
+    vertex iff it is reachable and no arc node dominates it.
     """
     src, dst, out, into = g
     n, m = len(out), len(src)
@@ -189,43 +144,43 @@ def _disjoint_paths(g: _Index, root: int) -> list[int]:
                 idom[v] = new
                 changed = True
 
-    paths = [0] * n
-    paths[root] = 2
+    top = [_UNREACHED] * n
+    top[root] = _TWO_PATHS
     for v in vertices:  # a dominator precedes the vertices it dominates
         d = idom[v]
-        paths[v] = 1 if d >= n else paths[d]
-    return paths
+        if d < n:
+            top[v] = top[d]
+        else:  # the arc's tail is its arc node's immediate dominator
+            above = top[src[d - n]]
+            top[v] = d - n if above == _TWO_PATHS else above
+    return top
 
 
-def edmonds_condition(
-    sel: SelectionGraph, root: str, n: int
-) -> tuple[bool, Optional[CutWitness]]:
-    """delta(S) >= n for every nonempty S avoiding the root, for n in {1, 2}.
+def edmonds_condition(sel: SelectionGraph, root: str) -> tuple[bool, Optional[CutWitness]]:
+    """delta(S) >= 2 for every nonempty S avoiding the root; else a minimum cut.
 
-    n = 1 asks that every vertex be reachable from the root; n = 2 also asks
-    that no arc lie on every path from the root to a vertex.  Both come from
-    one dominator pass; any other n raises ValueError.  On failure the
-    witness is a minimum violating cut: the set of unreachable vertices if
-    there are any, else the cut of a unit-capacity max-flow from the root to
-    the first failing vertex in node order.
+    The cut is read off the dominator tree: the unreachable vertices (delta
+    0) if there are any, else the vertices whose top arc -- the dominating
+    arc nearest the root -- is the first failing vertex's top arc a (delta
+    1).  That is the cut a unit-capacity max-flow from the root to that
+    vertex leaves.  The residual graph of every maximum flow reaches the same
+    set, the source side of the smallest minimum cut.  With flow 1 the
+    minimum cuts are the arcs on every path to the sink, and a leaves the
+    smallest side: the vertices a does not dominate.  A vertex is dominated
+    by a iff its top arc is a, since an arc above a on its dominator chain
+    would dominate the sink too.
     """
     if root not in sel.nodes:
         raise ValueError(f"unknown root {root!r}")
-    if n not in (1, 2):
-        raise ValueError(f"edmonds_condition supports n = 1 or 2, not {n!r}")
-    paths = _disjoint_paths(_index(sel), sel.nodes.index(root))
-    if min(paths) >= n:
+    top = _disjoint_paths(_index(sel), sel.nodes.index(root))
+    failing = [t for t in top if t != _TWO_PATHS]
+    if not failing:
         return True, None
-    if min(paths) == 0:
-        flow = 0
-        cut = tuple(v for v, k in zip(sel.nodes, paths) if k == 0)
-    else:
-        sink = next(v for v, k in zip(sel.nodes, paths) if k < n)
-        flow, reach = _max_flow([(a.src, a.dst) for a in sel.arcs], root, sink, n)
-        cut = tuple(v for v in sel.nodes if v not in reach)
+    delta, cut_at = (0, _UNREACHED) if _UNREACHED in failing else (1, failing[0])
+    cut = tuple(v for v, t in zip(sel.nodes, top) if t == cut_at)
     witness = CutWitness(cut, cut_delta(sel, cut))
-    if flow >= n or witness.delta != flow:
-        raise RuntimeError(f"cut {cut!r} has delta {witness.delta}, max-flow gave {flow}")
+    if witness.delta != delta:
+        raise RuntimeError(f"cut {cut!r} has delta {witness.delta}, the dominator pass gave {delta}")
     return False, witness
 
 
@@ -388,7 +343,7 @@ def two_disjoint_branchings(
 def _cut(sel: SelectionGraph, root: str, stall: str) -> CutWitness:
     """The minimum cut behind a stalled construction; RuntimeError(stall)
     when the cut condition holds after all."""
-    ok, cut = edmonds_condition(sel, root, 2)
+    ok, cut = edmonds_condition(sel, root)
     if ok:
         raise RuntimeError(stall)
     return cut

@@ -498,7 +498,7 @@ def certify_lof(log: Log) -> Certificate:
             sel = selection.build_selection_graph(log)
             roots = non_label_vertices(log)
             if len(roots) == 1:
-                ok, cut = arborescence.edmonds_condition(sel, roots[0], 2)
+                ok, cut = arborescence.edmonds_condition(sel, roots[0])
                 if not ok:
                     witnesses["cut"] = {"vertices": list(cut.vertices), "delta": cut.delta}
         hypothesis["suggestion"] = "certify-relative"

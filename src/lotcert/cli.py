@@ -194,7 +194,7 @@ def cmd_oracle_check(args) -> int:
     roots = non_label_vertices(log)
     root = roots[0] if roots else (log.vertices[0] if log.vertices else None)
     if root is not None:
-        cut_result = arborescence.edmonds_condition(sel, root, 2)
+        cut_result = arborescence.edmonds_condition(sel, root)
         ok_cut = cut_result[0]
         checks.append(
             ("cut-condition-vs-max-flow", cut_result == oracle.flow_cut_condition(sel, root))
@@ -228,15 +228,19 @@ def cmd_oracle_check(args) -> int:
     return EXIT_OK if ok else EXIT_PROPERTY
 
 
-def _lot_size(text: str) -> int:
-    """The vertex count of generate; its random LOT generator needs n >= 3."""
-    try:
-        n = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    if n < 3:
-        raise argparse.ArgumentTypeError(f"n must be at least 3, got {n}")
-    return n
+def _at_least(low: int, name: str):
+    """An argparse type for an int of at least low, named in the error."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{name} must be at least {low}, got {value}")
+        return value
+
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -270,8 +274,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_export)
 
     p = sub.add_parser("generate", help="reproducible random LOT corpus")
-    p.add_argument("n", type=_lot_size)
-    p.add_argument("count", type=int)
+    p.add_argument("n", type=_at_least(3, "n"))  # the random LOT generator needs n >= 3
+    p.add_argument("count", type=_at_least(0, "count"))
     p.add_argument("seed", type=int)
     p.add_argument("out")
     p.set_defaults(func=cmd_generate)

@@ -44,21 +44,15 @@ class Multigraph:
     """A plain undirected multigraph: edges are (key, u, v) with keys unique.
 
     The checks read the integer view: edge i joins nodes[tail[i]] and
-    nodes[head[i]].  tail and head are derived from edges unless given.
-    build_link also sets names[i], edge i's key as "owner:kind" text.
+    nodes[head[i]].  build_link also sets names[i], edge i's key as
+    "owner:kind" text.
     """
 
     nodes: tuple
     edges: tuple
-    tail: Optional[Sequence[int]] = field(default=None, compare=False, repr=False)
-    head: Optional[Sequence[int]] = field(default=None, compare=False, repr=False)
+    tail: Sequence[int] = field(compare=False, repr=False)
+    head: Sequence[int] = field(compare=False, repr=False)
     names: Optional[tuple] = field(default=None, compare=False, repr=False)
-
-    def __post_init__(self):
-        if self.tail is None:
-            index = {n: i for i, n in enumerate(self.nodes)}
-            object.__setattr__(self, "tail", [index[u] for _, u, _ in self.edges])
-            object.__setattr__(self, "head", [index[v] for _, _, v in self.edges])
 
 
 @dataclass(frozen=True)

@@ -2,13 +2,14 @@
 
 Nothing here is a production path: these enumerations anchor the fast
 implementations in the other modules (forest tests against explicit cycle
-enumeration, the dominator cut test against one max-flow per vertex and
-against subset enumeration, the heap-driven branchings against the rescanning
-greedy they replaced, the maximal sub-LOTs read from the closure table
-against one label-closed fixpoint per edge, the pipeline sign choice against
-the full 2^n search, the reoriented bi-forest check against the reoriented
-LOG) and generate reproducible random fixtures.  Caps guard the exponential
-searches; LOT_ORACLE_CAP overrides them globally.
+enumeration, the dominator cut test and the cut it reads off the dominator
+tree against one max-flow per vertex and against subset enumeration, the
+heap-driven branchings against the rescanning greedy they replaced, the
+maximal sub-LOTs read from the closure table against one label-closed
+fixpoint per edge, the pipeline sign choice against the full 2^n search,
+the reoriented bi-forest check against the reoriented LOG) and generate
+reproducible random fixtures.  Caps guard the exponential searches;
+LOT_ORACLE_CAP overrides them globally.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
 from . import certify
-from .arborescence import Branching, CutWitness, _max_flow, cut_delta, verify_branching
+from .arborescence import Branching, CutWitness, cut_delta, verify_branching
 from .link_complex import MINUS, PLUS, Multigraph
 from .log_model import (
     Edge,
@@ -194,9 +195,58 @@ def exhaustive_cut_condition(sel: SelectionGraph, root: str, cap: Optional[int] 
     )
 
 
-def flow_cut_condition(
-    sel: SelectionGraph, root: str, n: int = 2
-) -> tuple[bool, Optional[CutWitness]]:
+def _max_flow(arcs: list[tuple[str, str]], source: str, sink: str, limit: int) -> tuple[int, set]:
+    """Unit-capacity max flow by BFS augmentation, stopping at `limit` units.
+
+    Returns the flow value and the residual-reachable set from the source
+    (the complement is a minimum cut when the flow is maximum).
+    """
+    cap = [1] * len(arcs)
+    rev = [0] * len(arcs)
+    out = {}
+    into = {}
+    for i, (u, v) in enumerate(arcs):
+        out.setdefault(u, []).append(i)
+        into.setdefault(v, []).append(i)
+
+    def reachable() -> tuple[set, dict]:
+        prev = {source: None}
+        queue = deque([source])
+        while queue:
+            u = queue.popleft()
+            for i in out.get(u, ()):  # forward residual
+                v = arcs[i][1]
+                if cap[i] > 0 and v not in prev:
+                    prev[v] = (u, i, True)
+                    queue.append(v)
+            for i in into.get(u, ()):  # backward residual
+                v = arcs[i][0]
+                if rev[i] > 0 and v not in prev:
+                    prev[v] = (u, i, False)
+                    queue.append(v)
+        return set(prev), prev
+
+    flow = 0
+    while flow < limit:
+        reach, prev = reachable()
+        if sink not in reach:
+            return flow, reach
+        cur = sink
+        while prev[cur] is not None:
+            u, i, fwd = prev[cur]
+            if fwd:
+                cap[i] -= 1
+                rev[i] += 1
+            else:
+                cap[i] += 1
+                rev[i] -= 1
+            cur = u
+        flow += 1
+    reach, _ = reachable()
+    return flow, reach
+
+
+def flow_cut_condition(sel: SelectionGraph, root: str) -> tuple[bool, Optional[CutWitness]]:
     """`arborescence.edmonds_condition` by one unit-capacity max-flow per vertex.
 
     The worst vertex (smallest flow, first in node order) gives the witness:
@@ -209,8 +259,8 @@ def flow_cut_condition(
     for v in sel.nodes:
         if v == root:
             continue
-        flow, reach = _max_flow(arcs, root, v, n)
-        if flow < n and (worst is None or flow < worst[0]):
+        flow, reach = _max_flow(arcs, root, v, 2)
+        if flow < 2 and (worst is None or flow < worst[0]):
             worst = (flow, reach)
     if worst is None:
         return True, None

@@ -129,10 +129,22 @@ def flipped(node: str) -> str:
     return node[:-1] + ("-" if node.endswith("+") else "+")
 
 
+def multigraph(nodes, edges) -> Multigraph:
+    """A Multigraph on the given nodes and (key, u, v) edges, its integer
+    tail and head numbered from the node order."""
+    index = {n: i for i, n in enumerate(nodes)}
+    return Multigraph(
+        tuple(nodes),
+        tuple(edges),
+        [index[u] for _, u, _ in edges],
+        [index[v] for _, _, v in edges],
+    )
+
+
 def induced_subgraph(g, nodes):
     """Full subgraph of a Multigraph: keeps the edges with both ends among the nodes."""
     nset = set(nodes)
-    return Multigraph(
-        tuple(n for n in g.nodes if n in nset),
-        tuple(e for e in g.edges if e[1] in nset and e[2] in nset),
+    return multigraph(
+        [n for n in g.nodes if n in nset],
+        [e for e in g.edges if e[1] in nset and e[2] in nset],
     )

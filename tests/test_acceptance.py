@@ -170,7 +170,7 @@ def test_criterion_4_edmonds_equivalence():
         log = random_log(n, rng.randint(1, min(2 * n, 9)), seed=4000 + i)
         sel = build_selection_graph(log)
         root = log.vertices[0]
-        ok_flow, cut = edmonds_condition(sel, root, 2)
+        ok_flow, cut = edmonds_condition(sel, root)
         others = [v for v in sel.nodes if v != root]
         ok_sets = all(
             cut_delta(sel, combo) >= 2

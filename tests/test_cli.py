@@ -166,6 +166,17 @@ def test_generate_rejects_fewer_than_three_vertices(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_generate_rejects_a_negative_count(tmp_path, capsys):
+    out = tmp_path / "corpus"
+    with pytest.raises(SystemExit) as exc:
+        main(["generate", "8", "-3", "1", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument count: count must be at least 0, got -3" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_generate_finds_bad_sub_lots_at_scale(tmp_path):
     # at 8 vertices a modest corpus contains hypothesis-violating instances
     d = tmp_path / "corpus"

@@ -10,6 +10,7 @@ from conftest import (
     flipped,
     induced_subgraph,
     logs,
+    multigraph,
     seeded_rng,
 )
 from lotcert import (
@@ -24,7 +25,6 @@ from lotcert import (
 from lotcert.certify import angles_from_bipartition
 from lotcert.link_complex import (
     CORNER_KINDS,
-    Multigraph,
     bridges,
     corner_key_str,
     link_to_dot,
@@ -132,22 +132,22 @@ def test_forest_of_plus_side():
 
 
 def test_loop_is_a_cycle():
-    g = Multigraph(("u",), (("l", "u", "u"),))
+    g = multigraph(("u",), (("l", "u", "u"),))
     ok, cycle = is_forest(g)
     assert not ok and cycle.edges == ("l",)
 
 
 def test_parallel_pair_is_a_cycle():
-    g = Multigraph(("u", "v"), (("a", "u", "v"), ("b", "u", "v")))
+    g = multigraph(("u", "v"), (("a", "u", "v"), ("b", "u", "v")))
     ok, cycle = is_forest(g)
     assert not ok and set(cycle.edges) == {"a", "b"}
 
 
-TRIANGLE = Multigraph(("u", "v", "w"), (("a", "u", "v"), ("b", "v", "w"), ("c", "w", "u")))
+TRIANGLE = multigraph(("u", "v", "w"), (("a", "u", "v"), ("b", "v", "w"), ("c", "w", "u")))
 
 
 def test_relative_forest_examples():
-    forest = Multigraph(("u", "v"), (("a", "u", "v"),))
+    forest = multigraph(("u", "v"), (("a", "u", "v"),))
     assert is_relative_forest(forest, []) == (True, None)
     assert is_relative_forest(TRIANGLE, [0, 1, 2])[0]
     ok, cycle = is_relative_forest(TRIANGLE, [0])
@@ -156,7 +156,7 @@ def test_relative_forest_examples():
 
 def test_bridges_in_multigraph():
     #  u -a- v =b,c= w -d- t   plus loop at t
-    g = Multigraph(
+    g = multigraph(
         ("u", "v", "w", "t"),
         (("a", "u", "v"), ("b", "v", "w"), ("c", "v", "w"), ("d", "w", "t"), ("l", "t", "t")),
     )

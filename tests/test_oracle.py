@@ -2,9 +2,9 @@ import itertools
 
 import pytest
 
-from conftest import BADSUB, PATH3, TRIV
+from conftest import BADSUB, PATH3, TRIV, multigraph
 from lotcert import build_link, build_selection_graph, classify, non_label_vertices
-from lotcert.link_complex import Multigraph, is_forest
+from lotcert.link_complex import is_forest
 from lotcert.log_model import enumerate_sub_lots, reducedness_report
 from lotcert import oracle
 from lotcert.oracle import (
@@ -21,9 +21,9 @@ from lotcert.oracle import (
     random_reduced_injective_lot,
 )
 
-TRIANGLE = Multigraph(("u", "v", "w"), (("a", "u", "v"), ("b", "v", "w"), ("c", "w", "u")))
-PARALLEL = Multigraph(("u", "v"), (("a", "u", "v"), ("b", "u", "v")))
-LOOP = Multigraph(("u",), (("l", "u", "u"),))
+TRIANGLE = multigraph(("u", "v", "w"), (("a", "u", "v"), ("b", "v", "w"), ("c", "w", "u")))
+PARALLEL = multigraph(("u", "v"), (("a", "u", "v"), ("b", "u", "v")))
+LOOP = multigraph(("u",), (("l", "u", "u"),))
 
 
 def subset_filter_cycles(g):
@@ -99,7 +99,7 @@ def test_cycle_total_angle():
 
 
 def test_homology_search_examples():
-    forest = Multigraph(("u", "v"), (("a", "u", "v"),))
+    forest = multigraph(("u", "v"), (("a", "u", "v"),))
     assert homology_reduced_cycle_search(forest, []) is None
     assert homology_reduced_cycle_search(TRIANGLE, ["a", "b", "c"]) is None
     hit = homology_reduced_cycle_search(TRIANGLE, ["a"], max_len=3)
@@ -152,7 +152,7 @@ def test_cut_condition_search_agrees_with_max_flow():
     for log, root in cases:
         sel = build_selection_graph(log)
         root = root or non_label_vertices(log)[0]
-        assert exhaustive_cut_condition(sel, root) == edmonds_condition(sel, root, 2)[0]
+        assert exhaustive_cut_condition(sel, root) == edmonds_condition(sel, root)[0]
     assert exhaustive_cut_condition(build_selection_graph(BADSUB), "q") is False
 
 

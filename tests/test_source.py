@@ -38,3 +38,14 @@ def test_only_the_cli_imports_the_oracles():
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         found += [f"{path.name}: {n}" for n in _imported_modules(tree) if n.split(".")[-1] == "oracle"]
     assert found == []
+
+
+def test_only_the_oracles_define_a_max_flow():
+    # the production cut is read off the dominator tree; max-flow is the reference
+    found = {}
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and "max_flow" in node.name:
+                found.setdefault(path.name, []).append(node.name)
+    assert found == {"oracle.py": ["_max_flow"]}

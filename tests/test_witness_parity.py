@@ -49,7 +49,7 @@ def _witnesses():
         parallels += len(pairs) - len(set(pairs))
         rng = seeded_rng("witness", number)
 
-        ok, walk = is_forest(Multigraph(link.nodes, link.edges))
+        ok, walk = is_forest(Multigraph(link.nodes, link.edges, link.tail, link.head))
         if walk is not None:
             _closed_walk(walk, ends, ends)
             yield "is_forest", walk, None
