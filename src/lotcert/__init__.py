@@ -44,10 +44,6 @@ from .log_model import (
     reducedness_report,
     serialize_log,
 )
-from .selection import (
-    SelectionGraph,
-    build_selection_graph,
-    is_admissible,
-)
+from .selection import SelectionGraph, build_selection_graph
 
 __version__ = "0.1.0"

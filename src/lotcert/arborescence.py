@@ -13,14 +13,17 @@ without it and without the arcs already committed, which keeps every vertex
 reachable for the second branching.  A spanning tree of the uncommitted
 arcs answers that test: an arc outside the tree passes at once, and a tree
 arc passes iff the subtree below it can be hung from other uncommitted
-arcs, which then becomes the tree.  Usually one arc into the subtree's top
-vertex from elsewhere in the tree carries the whole subtree; only when none
-does is the subtree searched.  An arc that fails fails for good, since the
-committed set only grows.  The second branching takes the smallest-index
-frontier arc among the remaining arcs at each step, like Prim's algorithm.
-Both run over the selection graph's node and arc numbers, and so does
-`verify_branching`, which maps a branching's arc keys to numbers once.  When
-the cut condition fails, some set S is entered by at most one arc, which the
+arcs, which then becomes the tree.  The subtree hangs from its top vertex,
+so one backward search from the top through the subtree, for an arc that
+enters it from the rest of the tree, decides that; usually the first arc
+into the top vertex does.  The test is exact for any spanning tree, so the
+branchings do not depend on the tree kept.  An arc that fails fails for
+good, since the committed set only grows.  The second branching takes the
+smallest-index frontier arc among the remaining arcs at each step, like
+Prim's algorithm.  Both run over the selection graph's node and arc numbers
+and are checked there before their arc keys are built; `verify_branching`
+maps the keys of a given branching to numbers for the same check.  When the
+cut condition fails, some set S is entered by at most one arc, which the
 first branching can never commit, so the construction stalls.
 
 Only then does `edmonds_condition` run, and it yields the cut.  By Menger's
@@ -184,78 +187,55 @@ def edmonds_condition(sel: SelectionGraph, root: str) -> tuple[bool, Optional[Cu
     return False, witness
 
 
-def _tree(g: _Index, root: int) -> tuple[list[int], list[list[int]]]:
-    """A breadth-first tree from the root: the arc into each vertex (-1 at
-    the root and at unreachable vertices) and the tree arcs out of each."""
+def _tree(g: _Index, root: int) -> list[int]:
+    """A breadth-first tree from the root: the arc into each vertex, or -1 at
+    the root and at unreachable vertices."""
     _, dst, out, _ = g
     parent = [-1] * len(out)
-    children: list[list[int]] = [[] for _ in out]
     queue = [root]
     for u in queue:
         for i in out[u]:
             v = dst[i]
             if v != root and parent[v] == -1:
                 parent[v] = i
-                children[u].append(i)
                 queue.append(v)
-    return parent, children
+    return parent
 
 
-def _rehang(
-    g: _Index, root: int, used: bytearray, parent: list[int], children: list[list[int]], cut: int
-) -> bool:
+def _rehang(g: _Index, root: int, used: bytearray, parent: list[int], cut: int) -> bool:
     """Hang the subtree below tree arc cut from unused arcs other than cut.
 
     The tree spans the unused arcs.  Vertices outside the subtree keep their
-    tree paths, which avoid cut.  First the subtree's top vertex alone is
-    re-hung, when an unused arc enters it from a vertex whose tree path up
-    to the root does not pass through it; the whole subtree then hangs from
-    that arc.  Otherwise the subtree stays reachable without cut iff a
-    search from the rest of the tree into it reaches all of it.  On success
-    the tree is changed to avoid cut; otherwise it is left alone and the
-    result is False.
+    tree paths, which avoid cut, and the subtree hangs from its top vertex,
+    so it stays reachable without cut iff the top vertex does.  One backward
+    search from the top over unused arcs other than cut, through vertices of
+    the subtree, looks for an arc whose tail lies outside it; a vertex is in
+    the subtree iff its tree path up to the root meets the top.  Its first
+    level re-hangs the top vertex alone.  On success each vertex on the path
+    found takes its path arc as its tree arc; otherwise the tree is left
+    alone and the result is False.
     """
-    src, dst, out, into = g
+    src, dst, _, into = g
     top = dst[cut]
-    for i in into[top]:
-        if used[i] or i == cut:
-            continue
-        x = src[i]
-        while x != top and x != root and parent[x] >= 0:
-            x = src[parent[x]]
-        if x == root:
-            children[src[cut]].remove(cut)
-            parent[top] = i
-            children[src[i]].append(i)
-            return True
-    below = [top]
-    inside = bytearray(len(out))
-    inside[top] = 1
-    for x in below:
-        for t in children[x]:
-            inside[dst[t]] = 1
-            below.append(dst[t])
-    new: dict[int, int] = {}
-    hung = []
-    for x in below:  # entered straight from the rest of the tree
-        for i in into[x]:
-            if not used[i] and i != cut and not inside[src[i]]:
-                new[x] = i
-                hung.append(x)
-                break
-    for y in hung:  # then from vertices already hung
-        for i in out[y]:
-            v = dst[i]
-            if inside[v] and v not in new and not used[i]:
-                new[v] = i
-                hung.append(v)
-    if len(hung) < len(below):
-        return False
-    for x in below:
-        children[src[parent[x]]].remove(parent[x])
-        parent[x] = new[x]
-        children[src[new[x]]].append(new[x])
-    return True
+    toward = {top: cut}  # subtree vertices found, each with its arc toward the top
+    queue = [top]
+    for y in queue:
+        for i in into[y]:
+            if used[i] or i == cut or src[i] in toward:
+                continue
+            x = src[i]
+            while x != top and x != root and parent[x] >= 0:
+                x = src[parent[x]]
+            if x == top:
+                toward[src[i]] = i
+                queue.append(src[i])
+            elif x == root:
+                while y != top:
+                    parent[y], i = i, toward[y]
+                    y = dst[i]
+                parent[top] = i
+                return True
+    return False
 
 
 def _prim(
@@ -294,7 +274,8 @@ def two_disjoint_branchings(
     not yet committed, which preserves the cut condition for the second
     branching; a spanning tree of those arcs, re-hung when one of its own
     arcs is taken, decides that.  The second branching is then grown on the
-    leftover arcs.  Both are verified.  Only when the construction stalls
+    leftover arcs.  Both are verified on arc numbers, and only then are
+    their (owner, kind) keys built.  Only when the construction stalls
     does `edmonds_condition` run: it returns the minimum cut, and when the
     condition holds after all the stall is a RuntimeError.
     """
@@ -304,7 +285,7 @@ def two_disjoint_branchings(
     _, dst, out, _ = g
     r = sel.nodes.index(root)
     used = bytearray(len(dst))
-    parent, children = _tree(g, r)  # spans the unused arcs
+    parent = _tree(g, r)  # spans the unused arcs
     reached = bytearray(len(out))
     reached[r] = 1
     left = len(out) - 1
@@ -319,7 +300,7 @@ def two_disjoint_branchings(
         if reached[w]:
             continue  # never a candidate again: reached only grows
         # an arc off the tree can go at once, a tree arc if its subtree re-hangs
-        if parent[w] == i and not _rehang(g, r, used, parent, children, i):
+        if parent[w] == i and not _rehang(g, r, used, parent, i):
             continue  # fails for good: used only grows
         used[i] = 1
         reached[w] = 1
@@ -331,12 +312,12 @@ def two_disjoint_branchings(
     second = _prim(out, dst, r, used)
     if second is None:
         return _cut(sel, root, "second branching not found despite cut condition")
-    b1 = Branching(root, tuple(sel.arcs[i].key for i in first))
-    b2 = Branching(root, tuple(sel.arcs[i].key for i in second))
-    for b in (b1, b2):
-        good, why = verify_branching(sel, b)
-        if not good:
-            raise RuntimeError(f"constructed branching fails verification at {why!r}")
+    for chosen in (first, second):
+        bad = _first_fault(sel, r, chosen)
+        if bad >= 0:
+            raise RuntimeError(f"constructed branching fails verification at {sel.nodes[bad]!r}")
+    arcs = sel.arcs
+    b1, b2 = (Branching(root, tuple(arcs[i].key for i in chosen)) for chosen in (first, second))
     return b1, b2
 
 
@@ -352,9 +333,8 @@ def _cut(sel: SelectionGraph, root: str, stall: str) -> CutWitness:
 def verify_branching(sel: SelectionGraph, b: Branching) -> tuple[bool, Optional[str]]:
     """Check the branching invariant; the witness names the violated vertex.
 
-    The arcs are checked in order (each known, none repeated), then the root,
-    then one incoming arc per vertex other than the root and none into it,
-    then reachability from the root; the first failure in node order is named.
+    The arcs are mapped to numbers in order (each known, none repeated), then
+    the root is looked up; `_first_fault` checks the rest.
     """
     number = sel.arc_number
     taken: list[int] = []
@@ -369,17 +349,25 @@ def verify_branching(sel: SelectionGraph, b: Branching) -> tuple[bool, Optional[
         taken.append(i)
     if b.root not in sel.nodes:
         return False, f"root {b.root!r} not a vertex"
-    nodes, src, dst = sel.nodes, sel.src, sel.dst
-    r = nodes.index(b.root)
-    indeg = [0] * len(nodes)
-    out: list[list[int]] = [[] for _ in nodes]
-    for i in taken:
+    bad = _first_fault(sel, sel.nodes.index(b.root), taken)
+    return (True, None) if bad < 0 else (False, sel.nodes[bad])
+
+
+def _first_fault(sel: SelectionGraph, r: int, arcs: list[int]) -> int:
+    """-1 when the distinct arcs form a branching rooted at node r, else the
+    first failing node: first one whose in-arc count is not one (zero at the
+    root), then the first the root does not reach, in node order."""
+    src, dst = sel.src, sel.dst
+    n = len(sel.nodes)
+    indeg = [0] * n
+    out: list[list[int]] = [[] for _ in range(n)]
+    for i in arcs:
         indeg[dst[i]] += 1
         out[src[i]].append(dst[i])
     for v, d in enumerate(indeg):
         if d != (v != r):
-            return False, nodes[v]
-    reached = bytearray(len(nodes))
+            return v
+    reached = bytearray(n)
     reached[r] = 1
     queue = [r]
     for u in queue:
@@ -387,6 +375,4 @@ def verify_branching(sel: SelectionGraph, b: Branching) -> tuple[bool, Optional[
             if not reached[v]:
                 reached[v] = 1
                 queue.append(v)
-    if len(queue) < len(nodes):
-        return False, nodes[reached.index(0)]
-    return True, None
+    return reached.index(0) if len(queue) < n else -1

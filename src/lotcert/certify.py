@@ -445,15 +445,13 @@ def _certify_lot_core(lot: Log) -> dict:
     if isinstance(res, CutWitness):
         return {"ok": False, "cut": res, "root": root}
     b1, b2 = res
-    partition = {}
-    for k in b1.arcs:
-        partition[k] = selection.BLACK
-    for k in b2.arcs:
-        partition[k] = selection.WHITE
-    ok_adm, bad_edge = selection.is_admissible(sel, partition)
-    if not ok_adm:
-        raise RuntimeError(f"branching pair not admissible at {bad_edge!r}")
-    flipped = selection.flips_from_partition(lot, partition)
+    # each edge's arc kind in each branching; admissible: one arc in each
+    black, white = dict(b1.arcs), dict(b2.arcs)
+    for e in lot.edges:
+        if (black.get(e.eid), white.get(e.eid)) not in (("a", "b"), ("b", "a")):
+            raise RuntimeError(f"branching pair not admissible at {e.eid!r}")
+    # flipping the edges whose a-arc is white makes every a-arc black
+    flipped = [j for j, e in enumerate(lot.edges) if white[e.eid] == "a"]
     strong = _reoriented_strong_lbf(lot, set(flipped))
     flipped_labels = {lot.edges[j].lab for j in flipped}
     eps = {v: (MINUS if v in flipped_labels else PLUS) for v in lot.vertices}
@@ -461,7 +459,7 @@ def _certify_lot_core(lot: Log) -> dict:
         "ok": strong,
         "root": root,
         "branchings": (b1, b2),
-        "partition": partition,
+        "arc_kinds": {selection.BLACK: black, selection.WHITE: white},
         "flips": [lot.edges[j].eid for j in flipped],
         "reoriented_strong_lbf": strong,
         "eps": eps,
@@ -558,9 +556,8 @@ def certify_lof(log: Log) -> Certificate:
         branchings_out.append(
             {"root": b2.root, "arcs": [list(k) for k in b2.arcs]}
         )
-        partition_out.update(
-            {corner_key_str(k): color for k, color in core["partition"].items()}
-        )
+        for color, kinds in core["arc_kinds"].items():
+            partition_out.update({corner_key_str(k): color for k in kinds.items()})
 
     strong_input = strong_lbf_check(log)
     verdicts, provenance, citations = _verdict_scaffold(False)

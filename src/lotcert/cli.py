@@ -37,7 +37,7 @@ EXIT_HYPOTHESIS = 3
 
 
 def _load(path: str) -> Log:
-    return parse_log(Path(path).read_text(encoding="utf-8"))
+    return parse_log(Path(path).read_text(encoding="utf-8-sig"))  # drops a leading BOM
 
 
 def _write(path: Path, text: str) -> None:

@@ -209,7 +209,8 @@ def parse_log(text: str) -> Log:
                 vertices.append(tok)
                 vertex_set.add(tok)
             continue
-        if not stripped.startswith("edge"):
+        after = stripped[4:5]  # the keyword ends at ':', whitespace or the line's end
+        if not stripped.startswith("edge") or after not in ("", ":") and not after.isspace():
             raise _parse_error("expected an 'edge' line", lineno, line)
         head, sep, tail = stripped.partition(":")
         if not sep:

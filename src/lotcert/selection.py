@@ -1,4 +1,4 @@
-"""The selection graph of a LOG and admissible two-colorings of its arcs.
+"""The selection graph of a LOG, and the colors of a two-coloring of its arcs.
 
 Every edge e of the LOG contributes two arcs on the LOG's own vertex set:
 
@@ -9,14 +9,17 @@ multiset unchanged, so the selection graph is a reorientation invariant.
 A two-coloring of the arcs is *admissible* when a(e) and b(e) receive
 different colors for every edge; an admissible coloring selects the
 reorientation for which the black arcs are exactly the images of the
-positive corners.
+positive corners.  The plain pipeline colors the arcs of two disjoint
+branchings black and white; `certify` reads admissibility and the edges to
+flip (those whose a-arc is white) off the branchings' arc keys.
 
 build_selection_graph numbers the graph once: node i is the LOG's i-th
 vertex, and edge j's a-arc is arc 2j and its b-arc arc 2j+1.  The branching
 stage reads the integer lists src and dst (the node numbers of each arc's
 tail and head); the string view -- arcs (owner, kind, src, dst) with their
 (owner, kind) keys -- is kept beside them for witnesses, DOT output and the
-oracles.
+oracles.  arc_number maps keys back to numbers, for `verify_branching` on
+branchings read from outside.
 """
 
 from __future__ import annotations
@@ -74,33 +77,6 @@ def build_selection_graph(log: Log) -> SelectionGraph:
         src += (s, t)
         dst += (lab, lab)
     return SelectionGraph(log.vertices, tuple(map(SelArc._make, rows)), src, dst)
-
-
-def is_admissible(sel: SelectionGraph, partition: Partition2) -> tuple[bool, Optional[str]]:
-    """True iff a(e) and b(e) are colored differently for every edge e.
-
-    The witness is the first offending edge id.
-    """
-    owners = []
-    seen = set()
-    for a in sel.arcs:
-        if a.owner not in seen:
-            seen.add(a.owner)
-            owners.append(a.owner)
-    for owner in owners:
-        ca = partition.get((owner, "a"))
-        cb = partition.get((owner, "b"))
-        if ca not in (BLACK, WHITE) or cb not in (BLACK, WHITE):
-            raise ValueError(f"partition is not total at edge {owner!r}")
-        if ca == cb:
-            return False, owner
-    return True, None
-
-
-def flips_from_partition(log: Log, partition: Partition2) -> list[int]:
-    """The numbers of the edges whose a-arc is white, ascending; flipping
-    them makes every a-arc black."""
-    return [j for j, e in enumerate(log.edges) if partition[(e.eid, "a")] == WHITE]
 
 
 def selection_to_dot(sel: SelectionGraph, partition: Optional[Partition2] = None) -> str:

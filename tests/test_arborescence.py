@@ -233,8 +233,8 @@ def test_verifier_matches_dict_reference():
 
 
 def test_failed_verification_raises(monkeypatch):
-    monkeypatch.setattr(arborescence, "verify_branching", lambda sel, b: (False, "x"))
-    with pytest.raises(RuntimeError):
+    monkeypatch.setattr(arborescence, "_first_fault", lambda sel, r, arcs: 0)
+    with pytest.raises(RuntimeError, match="fails verification at 'x'"):
         two_disjoint_branchings(build_selection_graph(PATH3), "y")
 
 
@@ -248,14 +248,30 @@ def _assert_matches_oracles(sel, root):
     return None if ok else cut.delta
 
 
+def random_log_corpus():
+    return [
+        random_log(n, m, seed) for n in range(1, 11) for m in range(2 * n + 3) for seed in range(4)
+    ]
+
+
+def reduced_injective_corpus():
+    return [random_reduced_injective_lot(n, seed) for n in range(3, 41) for seed in range(12)]
+
+
+def path_corpus(n):
+    """Path LOTs on n vertices: three seeds up to n=128, then one, as the
+    rescanning oracle takes 0.7 s at n=512."""
+    return [path_lot(n, seed) for seed in range(3 if n <= 128 else 1)]
+
+
+PATH_SIZES = [16, 64, 128, 256, 512]
+
+
 def test_dominator_pass_matches_max_flow_on_random_logs():
     deltas = Counter()
-    for n in range(1, 11):
-        for m in range(2 * n + 3):
-            for seed in range(4):
-                log = random_log(n, m, seed)
-                sel = build_selection_graph(log)
-                deltas[_assert_matches_oracles(sel, log.vertices[0])] += 1
+    for log in random_log_corpus():
+        sel = build_selection_graph(log)
+        deltas[_assert_matches_oracles(sel, log.vertices[0])] += 1
     # both ways of reading the cut off the dominator tree are exercised
     assert sum(deltas.values()) == 560
     assert deltas[0] >= 400 and deltas[1] >= 50
@@ -263,22 +279,54 @@ def test_dominator_pass_matches_max_flow_on_random_logs():
 
 def test_dominator_pass_matches_max_flow_on_reduced_injective_lots():
     deltas = Counter()
-    for n in range(3, 41):
-        for seed in range(12):
-            lot = random_reduced_injective_lot(n, seed)
-            sel = build_selection_graph(lot)
-            deltas[_assert_matches_oracles(sel, non_label_vertices(lot)[0])] += 1
+    for lot in reduced_injective_corpus():
+        sel = build_selection_graph(lot)
+        deltas[_assert_matches_oracles(sel, non_label_vertices(lot)[0])] += 1
     # rooted at its non-label vertex a LOT fails only through a bad sub-LOT
     assert sum(deltas.values()) == 456
     assert deltas[0] == 0 and deltas[1] >= 15
 
 
-@pytest.mark.parametrize("n", [16, 64, 128])
+@pytest.mark.parametrize("n", PATH_SIZES)
 def test_dominator_pass_matches_max_flow_on_path_lots(n):
-    # long tree paths: most re-hangs move the subtree's top vertex alone
-    for seed in range(3):
-        lot = path_lot(n, seed)
+    # long tree paths, where the re-hang search walks the deepest trees
+    for lot in path_corpus(n):
         _assert_matches_oracles(build_selection_graph(lot), non_label_vertices(lot)[0])
+
+
+def _depth_first_tree(g, root):
+    """A depth-first spanning tree from the root, in `arborescence._tree`'s form."""
+    _, dst, out, _ = g
+    parent = [-1] * len(out)
+    seen = bytearray(len(out))
+    seen[root] = 1
+    stack = [iter(out[root])]
+    while stack:
+        for i in stack[-1]:
+            if not seen[dst[i]]:
+                seen[dst[i]] = 1
+                parent[dst[i]] = i
+                stack.append(iter(out[dst[i]]))
+                break
+        else:
+            stack.pop()
+    return parent
+
+
+def test_branchings_do_not_depend_on_the_initial_spanning_tree(monkeypatch):
+    # the commit test is exact for any spanning tree of the unused arcs, so a
+    # deep depth-first start gives the same results; a re-hang that gives up
+    # while some path still reaches the subtree fails here
+    cases = [(build_selection_graph(log), v) for log in random_log_corpus() for v in log.vertices]
+    lots = reduced_injective_corpus()
+    lots += [lot for n in PATH_SIZES for lot in path_corpus(n)]
+    cases += [(build_selection_graph(lot), non_label_vertices(lot)[0]) for lot in lots]
+    breadth_first = [two_disjoint_branchings(sel, root) for sel, root in cases]
+    trees = [(sel.nodes.index(root), _index(sel)) for sel, root in cases]
+    differ = sum(arborescence._tree(g, r) != _depth_first_tree(g, r) for r, g in trees)
+    assert differ >= 2000
+    monkeypatch.setattr(arborescence, "_tree", _depth_first_tree)
+    assert [two_disjoint_branchings(sel, root) for sel, root in cases] == breadth_first
 
 
 @given(logs(max_vertices=7, max_edges=10))

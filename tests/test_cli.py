@@ -229,3 +229,23 @@ def test_oracle_check_skips_subset_enumeration_above_the_cap(files, capsys, monk
 
 def test_missing_file_is_a_parse_error(tmp_path):
     assert main(["validate", str(tmp_path / "nope.lot")]) == 2
+
+
+@pytest.mark.parametrize("name", ["path3", "badsub"])
+def test_certify_reads_a_file_with_a_byte_order_mark(files, tmp_path, capsys, name):
+    bom = tmp_path / "bom.lot"
+    bom.write_bytes(b"\xef\xbb\xbf" + Path(files[name]).read_bytes())
+    runs = []
+    for path in (files[name], str(bom)):
+        out = tmp_path / "cert.json"
+        code = main(["certify", path, "--json", str(out)])
+        runs.append((code, out.read_bytes(), capsys.readouterr().out))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == (0 if name == "path3" else 3)
+
+
+def test_an_undelimited_edge_keyword_is_a_parse_error(tmp_path, capsys):
+    bad = tmp_path / "bad.lot"
+    bad.write_text("vertices: x y\nedges: x -> y : x\n", encoding="utf-8")
+    assert main(["validate", str(bad)]) == 2
+    assert "line 2, column 1: expected an 'edge' line" in capsys.readouterr().err

@@ -2,7 +2,7 @@ import itertools
 import time
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from conftest import BADSUB, NONCOMP, PATH3, PATH3_RHO, TRIV, logs, lofs, path_lot
 from lotcert import (
@@ -87,7 +87,7 @@ def _parse_log_by_regex(text: str) -> Log:
                 vertices.append(tok)
                 vertex_set.add(tok)
             continue
-        if not stripped.startswith("edge"):
+        if not re.match(r"edge(?:[\s:]|\Z)", stripped):
             raise ParseError("expected an 'edge' line", lineno, col)
         head, sep, _ = stripped.partition(":")
         if not sep:
@@ -153,6 +153,7 @@ def mutated_documents(draw):
     | mutated_documents()
     | st.text()
 )
+@example("vertices: x y z\nedgee2: z -> y : x\n")  # the derandomized draws miss it
 def test_parse_matches_regex_reference(text):
     assert _parse_outcome(parse_log, text) == _parse_outcome(_parse_log_by_regex, text)
 
@@ -203,6 +204,17 @@ def test_parse_reports_the_column_of_the_offending_token():
     with pytest.raises(ParseError) as exc:
         parse_log("vertices: x y x\n")
     assert (exc.value.line, exc.value.column) == (1, 15)
+
+
+@pytest.mark.parametrize("line", ["edges: x -> y : x", "edgehead: x -> y : x", "edge_1: x -> y : x"])
+def test_parse_requires_the_edge_keyword_to_end(line):
+    # these once read as edges with ids 's', 'head' and '_1'
+    with pytest.raises(ParseError) as exc:
+        parse_log(f"vertices: x y\n  {line}\n")
+    assert str(exc.value) == "line 2, column 3: expected an 'edge' line"
+    assert (exc.value.line, exc.value.column) == (2, 3)
+    for ok in ("edge: x -> y : x", "edge\tf: x -> y : x", "edge\xa0f : x -> y : x"):
+        assert len(parse_log(f"vertices: x y\n{ok}\n").edges) == 1
 
 
 def test_parse_duplicate_edge_id():

@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given
 
 from conftest import PATH3, PATH3_RHO, TRIV, induced_subgraph, logs
-from lotcert import build_link, build_selection_graph, is_admissible
+from lotcert import build_link, build_selection_graph
 from lotcert.oracle import random_reduced_injective_lot, reorient
-from lotcert.selection import BLACK, WHITE, flips_from_partition, selection_to_dot
+from lotcert.selection import BLACK, WHITE, selection_to_dot
 
 
 def arc_set(sel):
@@ -15,6 +15,27 @@ def arc_set(sel):
 
 def arcs_by_key(sel):
     return {a.key: a for a in sel.arcs}
+
+
+def is_admissible(sel, partition):
+    """True iff a(e) and b(e) are colored differently for every edge e.
+
+    The witness is the first offending edge id.
+    """
+    for owner in dict.fromkeys(a.owner for a in sel.arcs):
+        ca = partition.get((owner, "a"))
+        cb = partition.get((owner, "b"))
+        if ca not in (BLACK, WHITE) or cb not in (BLACK, WHITE):
+            raise ValueError(f"partition is not total at edge {owner!r}")
+        if ca == cb:
+            return False, owner
+    return True, None
+
+
+def flips_from_partition(log, partition):
+    """The numbers of the edges whose a-arc is white, ascending; flipping
+    them makes every a-arc black."""
+    return [j for j, e in enumerate(log.edges) if partition[(e.eid, "a")] == WHITE]
 
 
 def reorientation_from_partition(log, partition):
