@@ -434,16 +434,18 @@ def _hypothesis_section(log: Log) -> dict:
     }
 
 
-def _certify_lot_core(lot: Log) -> dict:
-    """Branchings, partition, reorientation and sign pullback for one LOT."""
-    sel = selection.build_selection_graph(lot)
-    roots = non_label_vertices(lot)
-    if len(roots) != 1:
-        raise RuntimeError(f"injective LOT must have a unique non-label vertex, not {roots!r}")
-    root = roots[0]
-    res = arborescence.two_disjoint_branchings(sel, root)
+def _certify_lot_core(lot: Log) -> tuple[Branching, Branching, dict, dict, list[int]]:
+    """The branchings of one LOT that satisfies the hypothesis, and what they select.
+
+    Returns the two branchings, each edge's arc kind in each, and the numbers
+    of the edges the partition flips.  The paper's theorem says the pair
+    exists and its reorientation has a strong bi-forest link, so a cut or a
+    failed reorientation raises RuntimeError.
+    """
+    (root,) = non_label_vertices(lot)  # n - 1 distinct labels leave one vertex
+    res = arborescence.two_disjoint_branchings(selection.build_selection_graph(lot), root)
     if isinstance(res, CutWitness):
-        return {"ok": False, "cut": res, "root": root}
+        raise RuntimeError(f"no disjoint branching pair: cut {list(res.vertices)!r}, delta {res.delta}")
     b1, b2 = res
     # each edge's arc kind in each branching; admissible: one arc in each
     black, white = dict(b1.arcs), dict(b2.arcs)
@@ -452,18 +454,9 @@ def _certify_lot_core(lot: Log) -> dict:
             raise RuntimeError(f"branching pair not admissible at {e.eid!r}")
     # flipping the edges whose a-arc is white makes every a-arc black
     flipped = [j for j, e in enumerate(lot.edges) if white[e.eid] == "a"]
-    strong = _reoriented_strong_lbf(lot, set(flipped))
-    flipped_labels = {lot.edges[j].lab for j in flipped}
-    eps = {v: (MINUS if v in flipped_labels else PLUS) for v in lot.vertices}
-    return {
-        "ok": strong,
-        "root": root,
-        "branchings": (b1, b2),
-        "arc_kinds": {selection.BLACK: black, selection.WHITE: white},
-        "flips": [lot.edges[j].eid for j in flipped],
-        "reoriented_strong_lbf": strong,
-        "eps": eps,
-    }
+    if not _reoriented_strong_lbf(lot, set(flipped)):
+        raise RuntimeError("the selected reorientation fails the strong bi-forest check")
+    return b1, b2, black, white, flipped
 
 
 def _reoriented_strong_lbf(lot: Log, flipped: Container[int]) -> bool:
@@ -482,10 +475,13 @@ def _reoriented_strong_lbf(lot: Log, flipped: Container[int]) -> bool:
 def certify_lof(log: Log) -> Certificate:
     """Certificate for the plain pipeline.
 
-    On hypothesis failure all verdicts are "hypothesis-failed"; for a LOT
-    whose hypotheses fail only through a bad sub-LOT, the obstructing
-    delta=1 cut of the selection graph is included and the relative pipeline
-    is suggested.
+    On hypothesis failure all verdicts are "hypothesis-failed" and the
+    relative pipeline is suggested.  For a reduced injective LOT the only
+    failure is a bad sub-LOT: its closure minus the leaf is entered only by
+    the leaf's arc, so the obstructing delta=1 cut of the selection graph
+    exists and is included; a cut condition that holds there raises
+    RuntimeError.  A LOF whose embedding into a LOT fails the hypothesis
+    gets a note; the LOT core raises on the outcomes the theorem rules out.
     """
     hypothesis = _hypothesis_section(log)
     flags = _flags_section(log)
@@ -493,12 +489,11 @@ def certify_lof(log: Log) -> Certificate:
 
     if not hypothesis["satisfied"]:
         if flags["log_class"] == "LOT" and flags["reduced"] and flags["injective"]:
-            sel = selection.build_selection_graph(log)
-            roots = non_label_vertices(log)
-            if len(roots) == 1:
-                ok, cut = arborescence.edmonds_condition(sel, roots[0])
-                if not ok:
-                    witnesses["cut"] = {"vertices": list(cut.vertices), "delta": cut.delta}
+            (root,) = non_label_vertices(log)
+            ok, cut = arborescence.edmonds_condition(selection.build_selection_graph(log), root)
+            if ok:
+                raise RuntimeError("a LOT with a bad sub-LOT satisfies the cut condition")
+            witnesses["cut"] = {"vertices": list(cut.vertices), "delta": cut.delta}
         hypothesis["suggestion"] = "certify-relative"
         verdicts, provenance, citations = _verdict_scaffold(HYPOTHESIS_FAILED)
         return Certificate(
@@ -511,15 +506,17 @@ def certify_lof(log: Log) -> Certificate:
     partition_out: dict[str, str] = {}
     embeddings = []
     roots_out = []
-    failure = None
+    verdicts, provenance, citations = _verdict_scaffold(False)
+    verdicts["strong_lbf"] = strong_lbf_check(log).ok
+    verdicts["relative_coloring_test"] = NOT_EVALUATED
+    provenance["relative_coloring_test"] = NOT_EVALUATED
 
     # a LOT is its own single label-closed group and needs no embedding
     is_lot = log.log_class.kind == "LOT"
     for group in [log.vertices] if is_lot else label_closed_groups(log):
         glog = restrict_log(log, group)
         if not glog.edges:
-            for v in group:
-                eps[v] = PLUS
+            eps.update(dict.fromkeys(group, PLUS))
             continue
         hat, added = (glog, []) if is_lot else embed_into_lot(glog)
         if added:
@@ -534,42 +531,19 @@ def certify_lof(log: Log) -> Certificate:
                 }
             )
             if not hat_hyp["satisfied"]:
-                failure = {"note": "embedding produced a non-certifiable LOT", "group": list(group)}
-                break
-        core = _certify_lot_core(hat)
-        roots_out.append(core["root"])
-        if not core["ok"]:
-            if "cut" in core:
-                cut = core["cut"]
-                witnesses["cut"] = {"vertices": list(cut.vertices), "delta": cut.delta}
-                note = "no disjoint branching pair for group"
-            else:
-                note = "selected reorientation failed the strong bi-forest check"
-            failure = {"note": note, "group": list(group)}
-            break
-        eps.update({v: core["eps"][v] for v in group})
-        flips.extend(e for e in core["flips"] if e in glog.edge_index)
-        b1, b2 = core["branchings"]
-        branchings_out.append(
-            {"root": b1.root, "arcs": [list(k) for k in b1.arcs]}
-        )
-        branchings_out.append(
-            {"root": b2.root, "arcs": [list(k) for k in b2.arcs]}
-        )
-        for color, kinds in core["arc_kinds"].items():
+                hypothesis["note"] = "embedding produced a non-certifiable LOT"
+                return Certificate(
+                    _input_section(log), flags, hypothesis, {}, verdicts, provenance, citations
+                )
+        b1, b2, black, white, flipped = _certify_lot_core(hat)
+        roots_out.append(b1.root)
+        flipped_edges = [hat.edges[j] for j in flipped]
+        flipped_labels = {e.lab for e in flipped_edges}
+        eps.update({v: (MINUS if v in flipped_labels else PLUS) for v in group})
+        flips.extend(e.eid for e in flipped_edges if e.eid in glog.edge_index)
+        branchings_out += [{"root": b.root, "arcs": [list(k) for k in b.arcs]} for b in (b1, b2)]
+        for color, kinds in ((selection.BLACK, black), (selection.WHITE, white)):
             partition_out.update({corner_key_str(k): color for k in kinds.items()})
-
-    strong_input = strong_lbf_check(log)
-    verdicts, provenance, citations = _verdict_scaffold(False)
-    verdicts["strong_lbf"] = strong_input.ok
-    verdicts["relative_coloring_test"] = NOT_EVALUATED
-    provenance["relative_coloring_test"] = NOT_EVALUATED
-
-    if failure is not None:
-        hypothesis["note"] = failure["note"]
-        return Certificate(
-            _input_section(log), flags, hypothesis, witnesses, verdicts, provenance, citations
-        )
 
     lbf = lbf_check(log, eps)
     angles = angles_from_bipartition(log, eps)
@@ -721,10 +695,8 @@ def certify_relative(log: Log, parts: Optional[Sequence[SubLog]] = None) -> Cert
     eps = {v: epsbar[vmap[v]] for v in work.vertices}
     angles = angles_from_bipartition(work, eps)
     report = curvature(work, angles)
-    all_cells_ok = all(k <= 0 for k in report.kappa_cells.values())
     part_edge_ids = {eid for p in part_list for eid in p.edge_ids}
-    part_cells_zero = all(report.kappa_cells[eid] == 0 for eid in part_edge_ids)
-    if not part_cells_zero:
+    if any(report.kappa_cells[eid] for eid in part_edge_ids):
         raise RuntimeError("cells of collapsed parts must be flat")
 
     link = work.link
@@ -767,7 +739,10 @@ def certify_relative(log: Log, parts: Optional[Sequence[SubLog]] = None) -> Cert
 
     verdicts["lbf"] = NOT_EVALUATED
     verdicts["coloring_test"] = coloring.ok
-    verdicts["relative_coloring_test"] = rct.ok and all_cells_ok and rel1 and rel2
+    # the two sides are the angle-0 corners on disjoint node sets, so rct's
+    # relative forest step is rel1 and rel2; with the parts' cells flat, its
+    # cell condition is nonpositive curvature on every cell
+    verdicts["relative_coloring_test"] = rct.ok
     # only a failed check at this level refutes the claim; an undecided part
     # leaves it undecided
     if not verdicts["relative_coloring_test"]:

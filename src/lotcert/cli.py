@@ -1,18 +1,20 @@
 """Command line front end.
 
-Exit codes: 0 success, 1 property failure, 2 parse error, 3 hypothesis
-failure (including the non-generic relative case).  All outputs are UTF-8
-with LF line endings and are deterministic functions of inputs, flags and
-seeds.
+Exit codes: 0 success, 1 property failure, 2 parse error or an unreadable
+FILE, 3 hypothesis failure (including the non-generic relative case).  All
+outputs are UTF-8 with LF line endings and are deterministic functions of
+inputs, flags and seeds.
 """
 
 from __future__ import annotations
 
 import argparse
+import codecs
 import functools
 import hashlib
 import json
 import os
+import re
 import stat
 import sys
 from pathlib import Path
@@ -36,8 +38,27 @@ EXIT_PARSE = 2
 EXIT_HYPOTHESIS = 3
 
 
+_UNDECODED = re.compile("[\udc80-\udcff]")  # a non-UTF-8 byte under surrogateescape
+
+
+class _Unreadable(Exception):
+    """An OSError while reading FILE."""
+
+
 def _load(path: str) -> Log:
-    return parse_log(Path(path).read_text(encoding="utf-8-sig"))  # drops a leading BOM
+    """Parse FILE as UTF-8 with a leading BOM dropped and newlines read as
+    text mode reads them; a non-UTF-8 byte is a ParseError at its place."""
+    try:
+        data = Path(path).read_bytes().removeprefix(codecs.BOM_UTF8)
+    except OSError as exc:
+        raise _Unreadable(exc) from exc
+    text = data.decode("utf-8", "surrogateescape").replace("\r\n", "\n").replace("\r", "\n")
+    bad = _UNDECODED.search(text)
+    if bad:
+        lines = (text[: bad.start()] + "x").splitlines()  # the last one holds the byte
+        message = f"invalid UTF-8 byte 0x{ord(bad.group()) - 0xDC00:02x}"
+        raise ParseError(message, len(lines), len(lines[-1]))
+    return parse_log(text)
 
 
 def _write(path: Path, text: str) -> None:
@@ -300,7 +321,7 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, _Unreadable) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 

@@ -348,6 +348,9 @@ def curvature(log: Log, angles: AngleAssignment) -> CurvatureReport:
 
 @dataclass(frozen=True)
 class ColoringResult:
+    """positive_cells are the cells of positive curvature the test counts:
+    every cell, or in the relative test the cells outside the parts."""
+
     ok: bool
     positive_cells: tuple = ()
     bad_cycle: Optional[Walk] = None
@@ -383,17 +386,9 @@ def verify_coloring_test(
     return ColoringResult(not positive, positive, None, None)
 
 
-@dataclass(frozen=True)
-class RelativeColoringResult:
-    ok: bool
-    positive_outside_cells: tuple = ()
-    bad_cycle: Optional[Walk] = None
-    bad_cycle_angle: Optional[int] = None
-
-
 def verify_relative_coloring_test(
     log: Log, parts, angles: AngleAssignment, *, report: Optional[CurvatureReport] = None
-) -> RelativeColoringResult:
+) -> ColoringResult:
     """Relative zero/one coloring test against a wedge of sub-LOT complexes.
 
     (1) cells outside the parts have curvature <= 0, and (2) every simple
@@ -423,7 +418,7 @@ def verify_relative_coloring_test(
     inside = part_corners(log, part_edges)
     relative, walk = is_relative_forest(link, inside, zero)
     if not relative:
-        return RelativeColoringResult(False, positive, walk, 0)
+        return ColoringResult(False, positive, walk, 0)
 
     find = components(link, zero).find
     find_inside = components(link, [c for c in zero if c in inside]).find
@@ -436,9 +431,9 @@ def verify_relative_coloring_test(
             continue
         if c in inside and find_inside(u) == find_inside(v):
             continue
-        return RelativeColoringResult(False, positive, _closing_walk(link, zero, c), 1)
+        return ColoringResult(False, positive, _closing_walk(link, zero, c), 1)
 
-    return RelativeColoringResult(not positive, positive, None, None)
+    return ColoringResult(not positive, positive, None, None)
 
 
 # ---------------------------------------------------------------------------

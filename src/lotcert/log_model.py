@@ -24,7 +24,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 
 class ParseError(ValueError):
@@ -330,6 +330,37 @@ class ReducednessReport:
         return self.boundary_reduced.ok and self.interior_reduced.ok and self.compressed.ok
 
 
+def _boundary_leaves(log: Log) -> Iterator[str]:
+    """The valency-1 vertices that label no edge, in declaration order."""
+    labels = log.label_set()
+    deg = log.valency()
+    return (v for v in log.vertices if deg[v] == 1 and v not in labels)
+
+
+def _uncompressed(log: Log) -> Iterator[Edge]:
+    """The edges whose label is one of their ends, in edge order."""
+    return (e for e in log.edges if e.lab in (e.src, e.tgt))
+
+
+def _label_pairs(log: Log) -> Iterator[tuple[Edge, Edge]]:
+    """The pairs of edges with a common label, by later edge, then earlier."""
+    earlier_by_label: dict[str, list[Edge]] = {}
+    for ej in log.edges:
+        earlier = earlier_by_label.setdefault(ej.lab, [])
+        for ei in earlier:
+            yield ei, ej
+        earlier.append(ej)
+
+
+def _folds(pairs: Iterable[tuple[Edge, Edge]]) -> Iterator[tuple[str, Edge, Edge, str, str]]:
+    """(common end, edges, far ends) per pair: a common source before a common target."""
+    for ei, ej in pairs:
+        if ei.src == ej.src:
+            yield ei.src, ei, ej, ei.tgt, ej.tgt
+        if ei.tgt == ej.tgt:
+            yield ei.tgt, ei, ej, ei.src, ej.src
+
+
 def reducedness_report(log: Log) -> ReducednessReport:
     """Check boundary/interior reducedness, compression and label injectivity.
 
@@ -337,31 +368,16 @@ def reducedness_report(log: Log) -> ReducednessReport:
     condition, (vertex, edge, edge) triples for interior folds, edge ids for
     compression, and (edge, edge) pairs for label collisions.
     """
-    labels = log.label_set()
-    deg = log.valency()
-    boundary_bad = tuple(v for v in log.vertices if deg[v] == 1 and v not in labels)
-
-    compressed_bad = tuple(e.eid for e in log.edges if e.lab in (e.src, e.tgt))
-
-    # each pair of edges with a common label, ordered by later edge, then earlier
-    interior_bad = []
-    injective_bad = []
-    earlier_by_label: dict[str, list[Edge]] = {}
-    for ej in log.edges:
-        earlier = earlier_by_label.setdefault(ej.lab, [])
-        for ei in earlier:
-            if ei.src == ej.src:
-                interior_bad.append((ei.src, ei.eid, ej.eid))
-            if ei.tgt == ej.tgt:
-                interior_bad.append((ei.tgt, ei.eid, ej.eid))
-            injective_bad.append((ei.eid, ej.eid))
-        earlier.append(ej)
-
+    boundary_bad = tuple(_boundary_leaves(log))
+    compressed_bad = tuple(e.eid for e in _uncompressed(log))
+    pairs = list(_label_pairs(log))
+    interior_bad = tuple((v, ei.eid, ej.eid) for v, ei, ej, _, _ in _folds(pairs))
+    injective_bad = tuple((ei.eid, ej.eid) for ei, ej in pairs)
     return ReducednessReport(
         boundary_reduced=Flag(not boundary_bad, boundary_bad),
-        interior_reduced=Flag(not interior_bad, tuple(interior_bad)),
+        interior_reduced=Flag(not interior_bad, interior_bad),
         compressed=Flag(not compressed_bad, compressed_bad),
-        injective=Flag(not injective_bad, tuple(injective_bad)),
+        injective=Flag(not injective_bad, injective_bad),
     )
 
 
@@ -398,24 +414,15 @@ def _merge_vertices(log: Log, keep: str, drop: str, removed_eids: set[str]) -> L
 
 
 def find_reduction_move(log: Log):
-    """First applicable move under the priority compress > fold > boundary."""
-    for e in log.edges:
-        if e.lab in (e.src, e.tgt):
-            return ("compress", e.eid, e.src, e.tgt)
-    for j, ej in enumerate(log.edges):
-        for ei in log.edges[:j]:
-            if ei.lab != ej.lab:
-                continue
-            if ei.src == ej.src:
-                return ("fold", ei.eid, ej.eid, ei.tgt, ej.tgt)
-            if ei.tgt == ej.tgt:
-                return ("fold", ei.eid, ej.eid, ei.src, ej.src)
-    labels = log.label_set()
-    deg = log.valency()
-    for v in log.vertices:
-        if deg[v] == 1 and v not in labels:
-            eid = next(e.eid for e in log.edges if v in (e.src, e.tgt))
-            return ("boundary", v, eid)
+    """First applicable move under the priority compress > fold > boundary:
+    the first witness of the first failing flag, found by reducedness_report's
+    own scans, which stop there (oracle.rescan_reduction_move rescans)."""
+    for e in _uncompressed(log):
+        return ("compress", e.eid, e.src, e.tgt)
+    for _, ei, ej, u, w in _folds(_label_pairs(log)):
+        return ("fold", ei.eid, ej.eid, u, w)
+    for v in _boundary_leaves(log):
+        return ("boundary", v, next(e.eid for e in log.edges if v in (e.src, e.tgt)))
     return None
 
 
@@ -677,20 +684,20 @@ def maximal_proper_sub_lots(log: Log) -> tuple[SubLog, ...]:
     dropping every edge whose label lies outside its component, until none
     is dropped, keeps each sub-LOT, and each surviving component with an
     edge is a sub-LOT.  An edge e survives that fixpoint exactly when
-    closure(e) exists and avoids f, so one union-find over those edges per
-    f gives the components (oracle.fixpoint_maximal_sub_lots runs the
-    fixpoint itself).  Ordered like enumerate_sub_lots.  Raises ValueError
-    unless log is a LOF.
+    closure(e) exists and avoids f, so one union-find over those edges
+    gives the components (oracle.fixpoint_maximal_sub_lots runs the
+    fixpoint itself).  f lies in closure(e) iff closure(f) lies inside it,
+    and in none without one: one f per closure, None included, suffices.
+    Ordered like enumerate_sub_lots.  Raises ValueError unless log is a LOF.
     """
     ends = log.edge_ends
     # the edges of each closure class, keyed by the closure they share
-    members: dict[frozenset[int], list[int]] = {}
+    members: dict[Optional[frozenset[int]], list[int]] = {}
     for i, c in enumerate(log.closures):
-        if c is not None:
-            members.setdefault(c, []).append(i)
+        members.setdefault(c, []).append(i)
     found = []
-    for f in range(len(ends)):
-        kept = sorted(i for c, ids in members.items() if f not in c for i in ids)
+    for f in (ids[0] for ids in members.values()):
+        kept = sorted(i for c, ids in members.items() if c is not None and f not in c for i in ids)
         uf = _UnionFind(len(log.vertices))
         for i in kept:
             uf.union(ends[i][0], ends[i][1])

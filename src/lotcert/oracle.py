@@ -5,10 +5,11 @@ implementations in the other modules (forest tests against explicit cycle
 enumeration, the dominator cut test and the cut it reads off the dominator
 tree against one max-flow per vertex and against subset enumeration, the
 heap-driven branchings against the rescanning greedy they replaced, the
-maximal sub-LOTs read from the closure table against one label-closed
-fixpoint per edge, the pipeline sign choice against the full 2^n search,
-the reoriented bi-forest check against the reoriented LOG) and generate
-reproducible random fixtures.  Caps guard the exponential searches;
+reduction moves against a scan of every edge pair, the maximal sub-LOTs
+read from the closure table against one label-closed fixpoint per edge,
+the pipeline sign choice against the full 2^n search, the reoriented
+bi-forest check against the reoriented LOG) and generate reproducible
+random fixtures.  Caps guard the exponential searches;
 LOT_ORACLE_CAP overrides them globally.
 """
 
@@ -380,6 +381,36 @@ def block_reorient(log: Log, labels: Iterable[str]) -> Log:
     """Reverse every edge whose label lies in the given set."""
     labset = set(labels)
     return reorient(log, {e.eid for e in log.edges if e.lab in labset})
+
+
+# ---------------------------------------------------------------------------
+# reductions
+
+
+def rescan_reduction_move(log: Log):
+    """`log_model.find_reduction_move` by scanning every earlier edge for a fold.
+
+    O(m^2) per move: the fold loop compares each edge with every edge
+    before it rather than with the edges of its label.
+    """
+    for e in log.edges:
+        if e.lab in (e.src, e.tgt):
+            return ("compress", e.eid, e.src, e.tgt)
+    for j, ej in enumerate(log.edges):
+        for ei in log.edges[:j]:
+            if ei.lab != ej.lab:
+                continue
+            if ei.src == ej.src:
+                return ("fold", ei.eid, ej.eid, ei.tgt, ej.tgt)
+            if ei.tgt == ej.tgt:
+                return ("fold", ei.eid, ej.eid, ei.src, ej.src)
+    labels = log.label_set()
+    deg = log.valency()
+    for v in log.vertices:
+        if deg[v] == 1 and v not in labels:
+            eid = next(e.eid for e in log.edges if v in (e.src, e.tgt))
+            return ("boundary", v, eid)
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -545,6 +545,33 @@ def test_collapsed_part_with_curved_cells_raises(monkeypatch):
         certify_relative(BADSUB)
 
 
+# The theorem rules these outcomes out, so the certify paths raise rather
+# than write a certificate for them.
+
+
+def test_missing_branching_pair_raises(monkeypatch):
+    from lotcert import arborescence
+    from lotcert.arborescence import CutWitness
+
+    monkeypatch.setattr(arborescence, "two_disjoint_branchings", lambda sel, root: CutWitness(("y",), 1))
+    with pytest.raises(RuntimeError, match="no disjoint branching pair"):
+        certify_lof(PATH3)
+
+
+def test_failed_reorientation_raises(monkeypatch):
+    monkeypatch.setattr(certify_module, "_reoriented_strong_lbf", lambda lot, flipped: False)
+    with pytest.raises(RuntimeError, match="strong bi-forest"):
+        certify_lof(PATH3)
+
+
+def test_cut_condition_holding_on_a_bad_sub_lot_raises(monkeypatch):
+    from lotcert import arborescence
+
+    monkeypatch.setattr(arborescence, "edmonds_condition", lambda sel, root: (True, None))
+    with pytest.raises(RuntimeError, match="satisfies the cut condition"):
+        certify_lof(BADSUB)
+
+
 # ---------------------------------------------------------------------------
 # JSON writer
 

@@ -249,3 +249,20 @@ def test_an_undelimited_edge_keyword_is_a_parse_error(tmp_path, capsys):
     bad.write_text("vertices: x y\nedges: x -> y : x\n", encoding="utf-8")
     assert main(["validate", str(bad)]) == 2
     assert "line 2, column 1: expected an 'edge' line" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["validate", "certify"])
+def test_an_undecodable_byte_is_a_parse_error_at_its_line(tmp_path, capsys, command):
+    bad = tmp_path / "latin1.lot"
+    bad.write_bytes(b"vertices: x y z\nedge e1: x -> y : z\n# caf\xc3\xa9 \xe9\n")
+    assert main([command, str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "parse error: line 3, column 8: invalid UTF-8 byte 0xe9\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["validate", "certify"])
+def test_a_directory_as_file_is_an_error(tmp_path, capsys, command):
+    assert main([command, str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Is a directory" in err

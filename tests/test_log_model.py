@@ -4,7 +4,7 @@ import time
 import pytest
 from hypothesis import example, given, strategies as st
 
-from conftest import BADSUB, NONCOMP, PATH3, PATH3_RHO, TRIV, logs, lofs, path_lot
+from conftest import BADSUB, NONCOMP, PATH3, PATH3_RHO, TRIV, logs, lofs, path_lot, seeded_rng
 from lotcert import (
     ParseError,
     bad_sub_lot_witnesses,
@@ -29,7 +29,15 @@ from lotcert.log_model import (
     restrict_log,
     sub_log_as_log,
 )
-from lotcert.oracle import block_reorient, reorient
+from lotcert.oracle import (
+    block_reorient,
+    fixpoint_maximal_sub_lots,
+    random_lof,
+    random_log,
+    random_reduced_injective_lot,
+    rescan_reduction_move,
+    reorient,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -376,6 +384,64 @@ def test_reduce_preserves_forest_class(log):
     assert classify(out).kind in ("LOF", "LOT")
 
 
+def uniform_label_tree(n: int, seed: int) -> Log:
+    """A random tree, each vertex joined to a random earlier one in a random
+    direction, with uniformly drawn labels."""
+    rng = seeded_rng("uniform-tree", n, seed)
+    names = [f"v{i}" for i in range(n)]
+    edges = []
+    for i in range(1, n):
+        j = rng.randrange(i)
+        u, w = (i, j) if rng.random() < 0.5 else (j, i)
+        edges.append((f"e{i}", names[u], names[w], names[rng.randrange(n)]))
+    return make_log(names, edges)
+
+
+def one_label_star(m: int) -> Log:
+    """m edges between a center and its leaves, in random directions, all
+    labeled by one vertex outside the star."""
+    rng = seeded_rng("star", m)
+    names = ["c", "x"] + [f"v{i}" for i in range(m)]
+    ends = [("c", f"v{i}") if rng.random() < 0.5 else (f"v{i}", "c") for i in range(m)]
+    return make_log(names, [(f"e{i}", u, w, "x") for i, (u, w) in enumerate(ends)])
+
+
+def rescanned_reduction(log: Log) -> tuple[Log, tuple]:
+    """reduce_log by the rescanning reference move finder."""
+    moves = []
+    while (move := rescan_reduction_move(log)) is not None:
+        moves.append(move)
+        log = apply_reduction_move(log, move)
+    return log, tuple(moves)
+
+
+def test_reduction_moves_match_the_rescan():
+    # random LOGs have loops and repeated labels; LOFs have arbitrary labels
+    corpus = [random_log(n, m, s) for n in range(1, 11) for m in range(2 * n + 3) for s in range(2)]
+    corpus += [random_lof(n, s) for n in range(2, 30) for s in range(6)]
+    corpus.append(uniform_label_tree(256, 0))
+    moved = 0
+    for log in corpus:
+        reduced = reduce_log(log)
+        assert reduced == rescanned_reduction(log)
+        moved += bool(reduced[1])
+    assert moved > len(corpus) // 2
+
+
+@pytest.mark.parametrize(
+    "log, bound",
+    [(uniform_label_tree(1024, 0), 2.5), (one_label_star(600), 2.0)],
+    ids=["uniform-label-tree-1024", "one-label-star-600"],
+)
+def test_reduce_log_time_bound(log, bound):
+    # a scan of every edge pair per move takes 4.7 s on the tree
+    t0 = time.perf_counter()
+    _, moves = reduce_log(log)
+    elapsed = time.perf_counter() - t0
+    assert moves
+    assert elapsed < bound, f"reduce_log took {elapsed:.3f} s ({len(moves)} moves)"
+
+
 # ---------------------------------------------------------------------------
 # reorientation
 
@@ -483,8 +549,6 @@ def reference_maximal_proper(subs, log):
 
 def random_forests():
     """Reduced injective LOTs, LOTs with arbitrary labels and LOFs, n <= 11."""
-    from lotcert.oracle import random_lof, random_reduced_injective_lot
-
     for n in range(3, 12):
         for seed in range(50):
             yield random_reduced_injective_lot(n, seed)
@@ -559,21 +623,21 @@ def rerooted_closures(log):
 
 
 def closure_corpus():
-    """Random LOTs and LOFs with n = 3..40, and 128-vertex paths."""
-    from lotcert.oracle import random_lof, random_reduced_injective_lot
-
+    """Random LOTs and LOFs with n = 3..40, reduced injective LOTs up to
+    n = 64, and 128-vertex paths."""
     for n in range(3, 41):
         for seed in range(4):
             yield random_reduced_injective_lot(n, seed)
             yield random_lof(n, seed, split_chance=0.0)
             yield random_lof(n, seed)
+    for n in range(41, 65):
+        for seed in range(2):
+            yield random_reduced_injective_lot(n, seed)
     for seed in range(6):
         yield path_lot(128, seed)
 
 
 def _assert_closure_table_matches(log):
-    from lotcert.oracle import fixpoint_maximal_sub_lots
-
     table = _closure_table(log)
     assert table == rerooted_closures(log)
     # one shared set per closure class
@@ -587,11 +651,14 @@ def _assert_closure_table_matches(log):
 
 
 def test_closure_table_matches_references():
-    cases = 0
+    cases = many_classes = 0
     for log in closure_corpus():
         _assert_closure_table_matches(log)
         cases += 1
-    assert cases == 38 * 12 + 6
+        many_classes += len(set(log.closures)) >= 5
+    assert cases == 38 * 12 + 24 * 2 + 6
+    # maximal_proper_sub_lots runs one pass per closure class
+    assert many_classes >= 150
 
 
 @given(lofs(max_vertices=12))
@@ -602,8 +669,6 @@ def test_closure_table_matches_references_on_drawn_lofs(log):
 @pytest.mark.parametrize("fn", [bad_sub_lot_witnesses, maximal_proper_sub_lots])
 @pytest.mark.parametrize("shape", ["random", "path"])
 def test_sub_lot_layer_at_512_vertices(fn, shape):
-    from lotcert.oracle import random_reduced_injective_lot
-
     lot = random_reduced_injective_lot(512, 0) if shape == "random" else path_lot(512, 0)
     t0 = time.perf_counter()
     fn(lot)
@@ -619,6 +684,15 @@ def test_closure_table_near_linear_on_a_4096_vertex_path():
         fn(lot)
         elapsed = time.perf_counter() - t0
         assert elapsed < 0.5, f"{fn.__name__} took {elapsed:.3f} s on a path at n=4096"
+
+
+def test_maximal_sub_lots_on_a_4096_vertex_path():
+    # a pass per edge rather than per closure class takes 0.41 s
+    lot = path_lot(4096, 0)
+    t0 = time.perf_counter()
+    maximal_proper_sub_lots(lot)  # closure table included
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 0.2, f"maximal_proper_sub_lots took {elapsed:.3f} s on a path at n=4096"
 
 
 def test_sub_lot_witnesses_badsub():
