@@ -13,10 +13,10 @@ quotient, lifts the sign choice, and verifies the relative coloring test;
 parts are then certified recursively after boundary reduction.
 
 Certificates are JSON documents (schema 2) with canonical serialization:
-sorted keys, arrays in deterministic construction order.  The hypothesis
-lists its bad sub-LOTs as closure witnesses: the distinct smallest sub-LOTs
-around single edges that are not boundary reduced, rather than every bad
-sub-LOT.  Verdicts computed here are labeled "witnessed"; asphericity-style
+sorted keys, no whitespace, arrays in deterministic construction order.
+The hypothesis lists its bad sub-LOTs as closure witnesses: the distinct
+smallest sub-LOTs around single edges that are not boundary reduced, rather
+than every bad sub-LOT.  Verdicts computed here are labeled "witnessed"; asphericity-style
 conclusions are labeled "by-citation" and name the published result they
 rely on.
 """
@@ -56,7 +56,6 @@ from .log_model import (
     restrict_log,
     serialize_log,
     sub_log_as_log,
-    validate_sub_lot,
     _UnionFind,
 )
 
@@ -271,79 +270,13 @@ class Certificate:
         }
 
     def to_json(self) -> str:
-        return _json_text(self.to_dict()) + "\n"
+        return canonical_json(self.to_dict())
 
 
-_encode_str = json.encoder.encode_basestring
-
-
-def _json_text(value) -> str:
-    """json.dumps(value, sort_keys=True, indent=2, ensure_ascii=False), byte for byte.
-
-    Takes the types a certificate holds: dicts with str keys, lists, str,
-    int, bool and None; anything else, or a non-str key, raises TypeError.
-    json.dumps falls back to its pure-Python encoder whenever indent is set,
-    which costs about twice this one recursive pass.
-    """
-    out: list[str] = []
-    _write_json(value, "\n", out.append)
-    return "".join(out)
-
-
-def _write_json(v, indent: str, put) -> None:
-    """Append the pieces of v to put; indent is a newline and the current level's spaces.
-
-    A module-level function rather than a closure: a closure that calls
-    itself is a reference cycle, which would keep every piece of the output
-    alive until the cyclic garbage collector runs.
-    """
-    if isinstance(v, str):
-        put(_encode_str(v))
-    elif v is None:
-        put("null")
-    elif v is True:
-        put("true")
-    elif v is False:
-        put("false")
-    elif isinstance(v, int):
-        put(int.__repr__(v))
-    elif isinstance(v, dict):
-        if not v:
-            put("{}")
-            return
-        inner = indent + "  "
-        sep = "{" + inner
-        for key in sorted(v):
-            put(sep)
-            put(_encode_str(key))
-            put(": ")
-            item = v[key]
-            if type(item) is str:  # the common leaves, written without a call
-                put(_encode_str(item))
-            elif type(item) is int:
-                put(repr(item))
-            else:
-                _write_json(item, inner, put)
-            sep = "," + inner
-        put(indent + "}")
-    elif isinstance(v, list):
-        if not v:
-            put("[]")
-            return
-        inner = indent + "  "
-        sep = "[" + inner
-        for item in v:
-            put(sep)
-            if type(item) is str:
-                put(_encode_str(item))
-            elif type(item) is int:
-                put(repr(item))
-            else:
-                _write_json(item, inner, put)
-            sep = "," + inner
-        put(indent + "]")
-    else:
-        raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
+def canonical_json(value) -> str:
+    """The canonical JSON text of value: sorted keys, no whitespace, raw
+    UTF-8, one trailing newline."""
+    return json.dumps(value, sort_keys=True, separators=(",", ":"), ensure_ascii=False) + "\n"
 
 
 def _input_section(log: Log) -> dict:
@@ -594,10 +527,10 @@ def _pairwise_disjoint(parts: Sequence[SubLog]) -> bool:
     return True
 
 
-def certify_relative(log: Log, parts: Optional[Sequence[SubLog]] = None) -> Certificate:
+def certify_relative(log: Log) -> Certificate:
     """Certificate for the relative pipeline.
 
-    Parts default to the inclusion-maximal proper sub-LOTs.  When they are
+    The parts are the inclusion-maximal proper sub-LOTs.  When they are
     pairwise disjoint and the quotient LOF certifies, the quotient's sign
     choice is lifted, the relative coloring test is verified together with
     nonpositive curvature on all cells, and each part is certified
@@ -631,17 +564,7 @@ def certify_relative(log: Log, parts: Optional[Sequence[SubLog]] = None) -> Cert
             _input_section(log), flags, hypothesis, base_witnesses, verdicts, provenance, citations
         )
 
-    explicit = parts is not None
-    if explicit:
-        for p in parts:
-            validate_sub_lot(work, p)
-            if frozenset(p.edge_ids) == work.edge_index.keys():
-                raise ValueError("a part may not be the whole graph")
-        if not _pairwise_disjoint(parts):
-            raise ValueError("parts are not vertex-disjoint")
-        part_list = list(parts)
-    else:
-        part_list = list(maximal_proper_sub_lots(work))
+    part_list = list(maximal_proper_sub_lots(work))
 
     if not part_list:
         cert = certify_lof(work)
@@ -673,7 +596,7 @@ def certify_relative(log: Log, parts: Optional[Sequence[SubLog]] = None) -> Cert
     certified = False
     if hypothesis["parts_disjoint"]:
         reps = [p.vertices[0] for p in part_list]
-        quotient, vmap, _ = quotient_lof(work, part_list, reps)
+        quotient, vmap = quotient_lof(work, part_list, reps)
         qcert = certify_lof(quotient)
         base_witnesses["quotient"] = {
             "log": serialize_log(quotient),
@@ -737,7 +660,6 @@ def certify_relative(log: Log, parts: Optional[Sequence[SubLog]] = None) -> Cert
         }
     )
 
-    verdicts["lbf"] = NOT_EVALUATED
     verdicts["coloring_test"] = coloring.ok
     # the two sides are the angle-0 corners on disjoint node sets, so rct's
     # relative forest step is rel1 and rel2; with the parts' cells flat, its
@@ -753,8 +675,6 @@ def certify_relative(log: Log, parts: Optional[Sequence[SubLog]] = None) -> Cert
         claim = NON_GENERIC
     verdicts["aspherical_claim"] = claim
     verdicts["VA_claim"] = claim
-    verdicts["DR_claim"] = NOT_EVALUATED
-    verdicts["locally_indicable_claim"] = NOT_EVALUATED
     provenance["lbf"] = NOT_EVALUATED
     provenance["DR_claim"] = NOT_EVALUATED
     provenance["locally_indicable_claim"] = NOT_EVALUATED

@@ -1,9 +1,9 @@
 """Command line front end.
 
-Exit codes: 0 success, 1 property failure, 2 parse error or an unreadable
-FILE, 3 hypothesis failure (including the non-generic relative case).  All
-outputs are UTF-8 with LF line endings and are deterministic functions of
-inputs, flags and seeds.
+Exit codes: 0 success, 1 property failure, 2 parse error or a file that
+cannot be read or written, 3 hypothesis failure (including the non-generic
+relative case).  All outputs are UTF-8 with LF line endings and are
+deterministic functions of inputs, flags and seeds.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ import argparse
 import codecs
 import functools
 import hashlib
-import json
 import os
 import re
 import stat
@@ -41,17 +40,10 @@ EXIT_HYPOTHESIS = 3
 _UNDECODED = re.compile("[\udc80-\udcff]")  # a non-UTF-8 byte under surrogateescape
 
 
-class _Unreadable(Exception):
-    """An OSError while reading FILE."""
-
-
 def _load(path: str) -> Log:
     """Parse FILE as UTF-8 with a leading BOM dropped and newlines read as
     text mode reads them; a non-UTF-8 byte is a ParseError at its place."""
-    try:
-        data = Path(path).read_bytes().removeprefix(codecs.BOM_UTF8)
-    except OSError as exc:
-        raise _Unreadable(exc) from exc
+    data = Path(path).read_bytes().removeprefix(codecs.BOM_UTF8)
     text = data.decode("utf-8", "surrogateescape").replace("\r\n", "\n").replace("\r", "\n")
     bad = _UNDECODED.search(text)
     if bad:
@@ -89,7 +81,7 @@ def cmd_validate(args) -> int:
     }
     ok = rep.reduced and rep.injective.ok and cls.kind in ("LOT", "LOF")
     if args.json:
-        print(json.dumps(payload, sort_keys=True, indent=2))
+        sys.stdout.write(certify.canonical_json(payload))
     else:
         for name in ("boundary_reduced", "interior_reduced", "compressed", "injective"):
             entry = payload[name]
@@ -197,7 +189,7 @@ def cmd_generate(args) -> int:
         "seed": args.seed,
         "instances": instances,
     }
-    _write(outdir / "manifest.json", json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+    _write(outdir / "manifest.json", certify.canonical_json(manifest))
     print(f"wrote {args.count} instance(s) to {outdir}")
     return EXIT_OK
 
@@ -321,7 +313,7 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (FileNotFoundError, _Unreadable) as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 

@@ -752,12 +752,12 @@ def validate_sub_lot(log: Log, sub: SubLog) -> None:
 
 def quotient_lof(
     log: Log, parts: Sequence[SubLog], reps: Sequence[str]
-) -> tuple[Log, dict[str, str], dict[str, str]]:
+) -> tuple[Log, dict[str, str]]:
     """Collapse disjoint sub-LOTs to chosen representative vertices.
 
     Every surviving edge whose label lay in a collapsed part is relabeled with
     that part's representative.  Returns the quotient together with the vertex
-    map and the restriction of that map to labels.
+    map.
     """
     if len(parts) != len(reps):
         raise ValueError("one representative per part required")
@@ -782,8 +782,7 @@ def quotient_lof(
         for e in log.edges
         if e.eid not in removed_edges
     )
-    lmap = {e.lab: vmap[e.lab] for e in log.edges if e.eid not in removed_edges}
-    return Log(vertices, edges), vmap, lmap
+    return Log(vertices, edges), vmap
 
 
 def restrict_log(log: Log, vertices: Iterable[str]) -> Log:

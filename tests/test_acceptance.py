@@ -283,11 +283,11 @@ def test_criterion_8_oracle_agreement():
     report(8, "oracle agreement across the shared corpora", t0, 120.0)
 
 
-# sha256 of the concatenated certificate JSON per corpus.  Certificates are
-# written compactly (sorted keys, no whitespace); these digests were taken from
-# the indented certificates of the previous writer, each parsed and re-encoded
-# in the compact form, so the content is unchanged.  A change here is a change
-# of certificate bytes and must come with a schema or CHANGES.md note.
+# sha256 of the concatenated certificate JSON per corpus.  The digests were
+# taken from the certificates of the indenting writer, each parsed and
+# re-encoded compactly, so the compact writer keeps their content.  A change
+# here is a change of certificate bytes and must come with a schema or
+# CHANGES.md note.
 GOLDEN_DIGESTS = {
     "fixtures": "af9df60c38590681f346927eac5119b6319e2d3d85932ac0b809ad309e9d4d45",
     "random_logs": "3b0ab9d93108d27f10b50a5768cbc7c0b18d7d8dcefbaf27b59623a5f3ef65b8",
@@ -298,9 +298,9 @@ GOLDEN_DIGESTS = {
 }
 
 
-def test_golden_certificates():
-    import hashlib
-
+@cache
+def golden_certificates() -> dict:
+    """Each golden corpus's certificates, in the order its digest hashes them."""
     from conftest import BADSUB, NONCOMP, PATH3, PATH3_RHO, TRIV
 
     both = (certify_lof, certify_relative)
@@ -318,16 +318,49 @@ def test_golden_certificates():
             (certify_relative,),
         ),
     }
+    return {
+        name: [pipeline(log) for log in logs for pipeline in pipelines]
+        for name, (logs, pipelines) in corpora.items()
+    }
+
+
+def test_golden_certificates():
+    import hashlib
+
     digests = {}
-    for name, (logs, pipelines) in corpora.items():
+    for name, certs in golden_certificates().items():
         h = hashlib.sha256()
-        for log in logs:
-            for pipeline in pipelines:
-                text = pipeline(log).to_json()
-                compact = json.dumps(json.loads(text), sort_keys=True, separators=(",", ":"), ensure_ascii=False)
-                h.update((compact + "\n").encode("utf-8"))
+        for cert in certs:
+            h.update(cert.to_json().encode("utf-8"))
         digests[name] = h.hexdigest()
     assert digests == GOLDEN_DIGESTS
+
+
+_JSON_LEAVES = (str, int, bool, type(None))
+
+
+def test_certificates_hold_only_json_types_in_canonical_form():
+    """json.dumps would write a tuple as a list, stringify an int key and
+    accept a float; a certificate holds none of them, and its text is the
+    canonical encoding of its own parse."""
+    for name, certs in golden_certificates().items():
+        for cert in certs:
+            data = cert.to_dict()
+            stack = [data]
+            while stack:
+                value = stack.pop()
+                if type(value) is dict:
+                    assert all(type(k) is str for k in value), (name, list(value))
+                    stack.extend(value.values())
+                elif type(value) is list:
+                    stack.extend(value)
+                else:
+                    assert type(value) in _JSON_LEAVES, (name, value)
+            text = cert.to_json()
+            parsed = json.loads(text)
+            assert parsed == data
+            canonical = json.dumps(parsed, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+            assert text == canonical + "\n"
 
 
 def test_criterion_9_determinism(tmp_path):

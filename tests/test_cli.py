@@ -266,3 +266,23 @@ def test_a_directory_as_file_is_an_error(tmp_path, capsys, command):
     assert main([command, str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Is a directory" in err
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["certify", "{path3}", "--json", "{dir}"], "Is a directory"),
+        (["reduce", "{path3}", "-o", "{dir}"], "Is a directory"),
+        (["certify", "{path3}", "--json", "{file}/x.json"], "File exists"),
+        (["generate", "5", "2", "1", "{file}"], "File exists"),
+    ],
+    ids=["certify-json-to-a-directory", "reduce-to-a-directory", "certify-json-under-a-file", "generate-into-a-file"],
+)
+def test_an_output_that_cannot_be_written_is_an_error(files, tmp_path, capsys, argv, error):
+    afile = tmp_path / "afile"
+    afile.write_text("taken\n", encoding="utf-8")
+    slots = {"path3": files["path3"], "dir": str(tmp_path), "file": str(afile)}
+    assert main([arg.format(**slots) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and error in err
+    assert afile.read_text(encoding="utf-8") == "taken\n"

@@ -713,7 +713,7 @@ def test_sub_lot_layer_rejects_cycles():
 
 
 def test_quotient_identity():
-    out, vmap, lmap = quotient_lof(PATH3, [], [])
+    out, vmap = quotient_lof(PATH3, [], [])
     assert out == PATH3
     assert vmap == {v: v for v in PATH3.vertices}
 
@@ -721,7 +721,7 @@ def test_quotient_identity():
 def test_quotient_collapses_bad_sub_lot():
     subs = enumerate_sub_lots(BADSUB)
     part = next(s for s in subs if not s.is_boundary_reduced)
-    out, vmap, lmap = quotient_lof(BADSUB, [part], [part.vertices[0]])
+    out, vmap = quotient_lof(BADSUB, [part], [part.vertices[0]])
     assert len(out.vertices) == len(BADSUB.vertices) - (len(part.vertices) - 1)
     assert classify(out).kind == "LOT"
     # edges outside the part survive bijectively
@@ -734,7 +734,7 @@ def test_quotient_collapses_bad_sub_lot():
 def test_quotient_whole_graph_to_point():
     subs = enumerate_sub_lots(PATH3)
     whole = subs[0]
-    out, _, _ = quotient_lof(PATH3, [whole], ["y"])
+    out, _ = quotient_lof(PATH3, [whole], ["y"])
     assert out.vertices == ("y",) and not out.edges
 
 
