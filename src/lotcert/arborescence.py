@@ -42,20 +42,17 @@ unit-capacity max-flow to that vertex leaves (see `edmonds_condition`);
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .selection import ArcKey, SelectionGraph
 
 
-@dataclass(frozen=True)
-class Branching:
+class Branching(NamedTuple):
     root: str
     arcs: tuple[ArcKey, ...]
 
 
-@dataclass(frozen=True)
-class CutWitness:
+class CutWitness(NamedTuple):
     """A vertex set avoiding the root, entered by delta arcs from outside."""
 
     vertices: tuple[str, ...]
@@ -63,8 +60,10 @@ class CutWitness:
 
 
 def cut_delta(sel: SelectionGraph, vertices) -> int:
+    """The number of arcs that enter the vertex set from outside it."""
     vset = set(vertices)
-    return sum(1 for a in sel.arcs if a.src not in vset and a.dst in vset)
+    inside = [v in vset for v in sel.nodes]
+    return sum(1 for s, d in zip(sel.src, sel.dst) if inside[d] and not inside[s])
 
 
 _Index = tuple[list[int], list[int], list[list[int]], list[list[int]]]
@@ -316,8 +315,8 @@ def two_disjoint_branchings(
         bad = _first_fault(sel, r, chosen)
         if bad >= 0:
             raise RuntimeError(f"constructed branching fails verification at {sel.nodes[bad]!r}")
-    arcs = sel.arcs
-    b1, b2 = (Branching(root, tuple(arcs[i].key for i in chosen)) for chosen in (first, second))
+    keys = sel.keys
+    b1, b2 = (Branching(root, tuple([keys[i] for i in chosen])) for chosen in (first, second))
     return b1, b2
 
 
@@ -338,7 +337,7 @@ def verify_branching(sel: SelectionGraph, b: Branching) -> tuple[bool, Optional[
     """
     number = sel.arc_number
     taken: list[int] = []
-    seen = bytearray(len(sel.arcs))
+    seen = bytearray(len(sel.keys))
     for k in b.arcs:
         i = number.get(k)
         if i is None:

@@ -25,8 +25,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
-from typing import Container, Iterable, Optional, Sequence
+from typing import Container, Iterable, NamedTuple, Optional, Sequence
 
 from . import arborescence, link_complex, selection
 from .arborescence import Branching, CutWitness
@@ -35,13 +34,12 @@ from .link_complex import (
     PLUS,
     Multigraph,
     Walk,
-    corner_ends,
     corner_key_str,
     curvature,
+    grow_forest,
     is_forest,
     is_relative_forest,
     part_corners,
-    verify_coloring_test,
     verify_relative_coloring_test,
 )
 from .log_model import (
@@ -55,7 +53,7 @@ from .log_model import (
     reduce_log,
     restrict_log,
     serialize_log,
-    sub_log_as_log,
+    _sub_edges,
     _UnionFind,
 )
 
@@ -79,8 +77,7 @@ CITATIONS = {
 # local bi-forest checks
 
 
-@dataclass(frozen=True)
-class BiForestResult:
+class BiForestResult(NamedTuple):
     """first and second are the two sides, as lists of corner numbers of the link."""
 
     ok: bool
@@ -101,18 +98,24 @@ def _side_mask(log: Log, eps: link_complex.SignAssignment) -> bytearray:
     return on
 
 
-def _sides(link: Multigraph, on: bytearray) -> tuple[list[int], list[int]]:
-    """The corners with both ends on the side `on`, and those with both ends off it."""
+def _split(link: Multigraph, on: bytearray) -> tuple[list[int], list[int], list[int]]:
+    """One pass over the corners: the angles, 1 on the corners with exactly one
+    end on the side `on` and 0 elsewhere, then the corners with both ends on it,
+    and those with both ends off it."""
+    angles: list[int] = []
     side: list[int] = []
     coside: list[int] = []
     for c, (u, v) in enumerate(zip(link.tail, link.head)):
-        if on[u] == on[v]:
+        if on[u] != on[v]:
+            angles.append(1)
+        else:
+            angles.append(0)
             (side if on[u] else coside).append(c)
-    return side, coside
+    return angles, side, coside
 
 
 def _bi_forest(link: Multigraph, on: bytearray, names: tuple[str, str]) -> BiForestResult:
-    first, second = _sides(link, on)
+    _, first, second = _split(link, on)
     for corners, name in zip((first, second), names):
         ok, cycle = is_forest(link, corners)
         if not ok:
@@ -135,9 +138,34 @@ def angles_from_bipartition(log: Log, eps: link_complex.SignAssignment) -> list[
 
     The angles are a list indexed by the corner numbers of the link.
     """
-    on = _side_mask(log, eps)
+    return _split(log.link, _side_mask(log, eps))[0]
+
+
+def _sign_choice(
+    log: Log, eps: link_complex.SignAssignment
+) -> tuple[list[int], list[int], list[int], bool]:
+    """angles_from_bipartition(log, eps), the epsilon and minus-epsilon sides
+    of lbf_check(log, eps) and its verdict, from one side mask and one pass.
+
+    The two sides lie on disjoint node sets, so one union-find grown over
+    both of them is the angle-0 forest, and it decides both sides at once.
+    No witness is built.
+    """
     link = log.link
-    return [on[u] ^ on[v] for u, v in zip(link.tail, link.head)]
+    angles, side, coside = _split(link, _side_mask(log, eps))
+    return angles, side, coside, grow_forest(link, side + coside)[1] < 0
+
+
+def _coloring_ok(lbf: bool, report: link_complex.CurvatureReport) -> bool:
+    """verify_coloring_test(log, angles).ok for the angles of a sign choice
+    whose lbf verdict is lbf, given their curvature report.
+
+    The angle-0 corners are the two sides, so they form a forest iff lbf
+    holds.  Each angle-0 component then lies on one side, and an angle-1
+    corner joins a node on the side to one off it, so it always joins two
+    components: what is left of the test is the curvature condition.
+    """
+    return lbf and all(k <= 0 for k in report.kappa_cells.values())
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +256,7 @@ def embed_into_lot(log: Log) -> tuple[Log, list]:
         chosen = None
         for (x1, x2) in pairs:
             for y in free_names:
-                candidate = Log(work.vertices, work.edges + (Edge(eid, x1, x2, y),))
+                candidate = Log._of(work.vertices, work.edges + (Edge(eid, x1, x2, y),))
                 if not bad_sub_lot_witnesses(candidate):
                     chosen = (x1, x2, y)
                     break
@@ -239,23 +267,30 @@ def embed_into_lot(log: Log) -> tuple[Log, list]:
         x1, x2, y = chosen
         new_edge = (eid, x1, x2, y)
         added.append(new_edge)
-        work = Log(work.vertices, work.edges + (Edge(*new_edge),))
+        work = Log._of(work.vertices, work.edges + (Edge(*new_edge),))
 
 
 # ---------------------------------------------------------------------------
 # certificate
 
 
-@dataclass
 class Certificate:
-    input: dict
-    flags: dict
-    hypothesis: dict
-    witnesses: dict
-    verdicts: dict
-    provenance: dict
-    citations: dict
-    schema: int = SCHEMA_VERSION
+    """The sections of a certificate; to_json writes its canonical text."""
+
+    def __init__(
+        self,
+        input: dict,
+        flags: dict,
+        hypothesis: dict,
+        witnesses: dict,
+        verdicts: dict,
+        provenance: dict,
+        citations: dict,
+        schema: int = SCHEMA_VERSION,
+    ):
+        self.input, self.flags, self.hypothesis = input, flags, hypothesis
+        self.witnesses, self.verdicts = witnesses, verdicts
+        self.provenance, self.citations, self.schema = provenance, citations, schema
 
     def to_dict(self) -> dict:
         return {
@@ -393,16 +428,21 @@ def _certify_lot_core(lot: Log) -> tuple[Branching, Branching, dict, dict, list[
 
 
 def _reoriented_strong_lbf(lot: Log, flipped: Container[int]) -> bool:
-    """strong_lbf_check(oracle.reorient(lot, flips)).ok, from the corner ends alone.
+    """strong_lbf_check(oracle.reorient(lot, flips)).ok, from the edge ends alone.
 
-    flipped holds the numbers of the flipped edges.  The all-plus side of the
-    reoriented link is its positive corners (s+, l+), the all-minus side its
-    negative corners (l-, t-): corners 4j and 4j+1.  The two sides share no
+    flipped holds the numbers of the flipped edges; with none it is
+    strong_lbf_check(lot).ok.  The all-plus side of the reoriented link is
+    its positive corners (s+, l+), the all-minus side its negative corners
+    (l-, t-): corners 4j and 4j+1, two per edge.  The two sides share no
     node, so one union-find over all link nodes tests both for cycles.
     """
-    tail, head = corner_ends(lot, flipped)
     union = _UnionFind(2 * len(lot.vertices)).union
-    return all(union(tail[c], head[c]) for c in range(len(tail)) if c % 4 < 2)
+    for j, (s, t, l) in enumerate(lot.edge_ends):
+        if j in flipped:
+            s, t = t, s
+        if not (union(2 * s, 2 * l) and union(2 * l + 1, 2 * t + 1)):
+            return False
+    return True
 
 
 def certify_lof(log: Log) -> Certificate:
@@ -440,7 +480,7 @@ def certify_lof(log: Log) -> Certificate:
     embeddings = []
     roots_out = []
     verdicts, provenance, citations = _verdict_scaffold(False)
-    verdicts["strong_lbf"] = strong_lbf_check(log).ok
+    verdicts["strong_lbf"] = _reoriented_strong_lbf(log, ())
     verdicts["relative_coloring_test"] = NOT_EVALUATED
     provenance["relative_coloring_test"] = NOT_EVALUATED
 
@@ -478,10 +518,9 @@ def certify_lof(log: Log) -> Certificate:
         for color, kinds in ((selection.BLACK, black), (selection.WHITE, white)):
             partition_out.update({corner_key_str(k): color for k in kinds.items()})
 
-    lbf = lbf_check(log, eps)
-    angles = angles_from_bipartition(log, eps)
+    angles, first, second, lbf = _sign_choice(log, eps)
     report = curvature(log, angles)
-    coloring = verify_coloring_test(log, angles, report=report)
+    coloring = _coloring_ok(lbf, report)
     link = log.link
 
     witnesses.update(
@@ -494,8 +533,8 @@ def certify_lof(log: Log) -> Certificate:
             "angles": dict(zip(link.names, angles)),
             "curvature": _curvature_dict(report),
             "forests": {
-                "epsilon_side": _corner_names(link, lbf.first),
-                "minus_epsilon_side": _corner_names(link, lbf.second),
+                "epsilon_side": _corner_names(link, first),
+                "minus_epsilon_side": _corner_names(link, second),
             },
             "reoriented_strong_lbf": True,
         }
@@ -503,9 +542,9 @@ def certify_lof(log: Log) -> Certificate:
     if embeddings:
         witnesses["embedding"] = embeddings
 
-    verdicts["lbf"] = lbf.ok
-    verdicts["coloring_test"] = coloring.ok
-    claim = lbf.ok and coloring.ok
+    verdicts["lbf"] = lbf
+    verdicts["coloring_test"] = coloring
+    claim = lbf and coloring
     for k in _BY_CITATION:
         verdicts[k] = claim
     return Certificate(
@@ -576,7 +615,7 @@ def certify_relative(log: Log) -> Certificate:
         return cert
 
     verdicts, provenance, citations = _verdict_scaffold(NOT_EVALUATED)
-    verdicts["strong_lbf"] = strong_lbf_check(work).ok
+    verdicts["strong_lbf"] = _reoriented_strong_lbf(work, ())
     provenance["aspherical_claim"] = "by-citation"
     citations["aspherical_claim"] = CITATIONS["relative_aspherical_claim"]
     citations["VA_claim"] = CITATIONS["relative_aspherical_claim"]
@@ -616,25 +655,23 @@ def certify_relative(log: Log) -> Certificate:
 
     epsbar = qcert.witnesses["epsilon"]
     eps = {v: epsbar[vmap[v]] for v in work.vertices}
-    angles = angles_from_bipartition(work, eps)
+    angles, side, coside, lbf = _sign_choice(work, eps)
     report = curvature(work, angles)
     part_edge_ids = {eid for p in part_list for eid in p.edge_ids}
     if any(report.kappa_cells[eid] for eid in part_edge_ids):
         raise RuntimeError("cells of collapsed parts must be flat")
 
     link = work.link
-    side, coside = _sides(link, _side_mask(work, eps))
     inside = part_corners(work, part_edge_ids)
     rel1, _w1 = is_relative_forest(link, inside, side)
     rel2, _w2 = is_relative_forest(link, inside, coside)
 
     rct = verify_relative_coloring_test(work, part_list, angles, report=report)
-    coloring = verify_coloring_test(work, angles, report=report)
 
     part_certs = []
     parts_ok = True
     for p in part_list:
-        plog = sub_log_as_log(work, p)
+        plog = Log._of(p.vertices, _sub_edges(work, p))
         preduced, pmoves = reduce_log(plog)
         child = certify_relative(preduced)
         parts_ok = parts_ok and child.verdicts["aspherical_claim"] is True
@@ -660,7 +697,7 @@ def certify_relative(log: Log) -> Certificate:
         }
     )
 
-    verdicts["coloring_test"] = coloring.ok
+    verdicts["coloring_test"] = _coloring_ok(lbf, report)
     # the two sides are the angle-0 corners on disjoint node sets, so rct's
     # relative forest step is rel1 and rel2; with the parts' cells flat, its
     # cell condition is nonpositive curvature on every cell

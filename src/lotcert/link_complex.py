@@ -17,46 +17,76 @@ is vertex i's ``x+`` and node 2i+1 its ``x-``; corner 4j+k is edge j's k-th
 kind in CORNER_KINDS order.  Every check here reads the integer arrays
 tail and head (the node numbers of each corner's ends) and takes a subgraph
 as a list of corner numbers: a side of a sign choice, the angle-0 corners,
-the corners inside the parts.  Angles are a list indexed by corner.  The
-string view -- nodes ``x+``, and corners ``((owner edge, kind), u, v)`` --
-is kept beside the arrays for witnesses, DOT output and the oracles.
-Corners are never deduplicated, so parallel corners or loops are honest
-cycles.  All curvature arithmetic is exact integer arithmetic.
+the corners inside the parts.  Angles are a list indexed by corner.  A
+forest test decides with one union-find pass, and only a caller that
+returns a cycle builds it.  The string view -- nodes ``x+``, and corners
+``((owner edge, kind), u, v)`` -- is what witnesses, DOT output and the
+oracles read; the link builds it on first read.  Corners are never
+deduplicated, so parallel corners or loops are honest cycles.  All
+curvature arithmetic is exact integer arithmetic.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Container, Iterable, Mapping, Optional, Sequence, Union
+from functools import cached_property
+from typing import Container, Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
-from .log_model import Log, _UnionFind
+from .log_model import Edge, Log, _UnionFind
 
 PLUS = "+"
 MINUS = "-"
 CORNER_KINDS = ("positive", "negative", "mixed_source", "mixed_target")
+_NAME_SUFFIXES = tuple(":" + kind for kind in CORNER_KINDS)
 
 CornerKey = tuple[str, str]  # (owner edge id, kind)
 
 
-@dataclass(frozen=True)
 class Multigraph:
-    """A plain undirected multigraph: edges are (key, u, v) with keys unique.
+    """A plain undirected multigraph on the nodes 0..node_count-1.
 
-    The checks read the integer view: edge i joins nodes[tail[i]] and
-    nodes[head[i]].  build_link also sets names[i], edge i's key as
-    "owner:kind" text.
+    The checks read the integer view: edge i joins nodes tail[i] and
+    head[i].  The string view is nodes, each node's name, and edges, each
+    edge as (key, u, v) with keys unique and u, v node names.  build_link
+    also sets names[i], edge i's key as "owner:kind" text.
     """
 
-    nodes: tuple
-    edges: tuple
-    tail: Sequence[int] = field(compare=False, repr=False)
-    head: Sequence[int] = field(compare=False, repr=False)
-    names: Optional[tuple] = field(default=None, compare=False, repr=False)
+    def __init__(self, nodes, edges, tail: Sequence[int], head: Sequence[int], names=None):
+        self.nodes = tuple(nodes)
+        self.edges = tuple(edges)
+        self.tail, self.head, self.names = tail, head, names
+        self.node_count = len(self.nodes)
+
+    def __eq__(self, other):
+        """Equal string views: the same nodes and the same edges in order."""
+        if not isinstance(other, Multigraph):
+            return NotImplemented
+        return self.nodes == other.nodes and self.edges == other.edges
 
 
-@dataclass(frozen=True)
-class Walk:
+class _Link(Multigraph):
+    """build_link's Multigraph: the integer view and the names are built at
+    once, the string view on first read.  It keeps the LOG's vertex and edge
+    tuples for that, never the Log itself, so a Log and its link form no
+    reference cycle."""
+
+    def __init__(self, vertices: tuple[str, ...], edges: tuple[Edge, ...], tail, head, names):
+        self._vertices, self._edges = vertices, edges
+        self.tail, self.head, self.names = tail, head, names
+        self.node_count = 2 * len(vertices)
+
+    @cached_property
+    def nodes(self) -> tuple[str, ...]:
+        return tuple(v + sign for v in self._vertices for sign in (PLUS, MINUS))
+
+    @cached_property
+    def edges(self) -> tuple:
+        nodes = self.nodes
+        keys = [(e.eid, kind) for e in self._edges for kind in CORNER_KINDS]
+        return tuple(zip(keys, map(nodes.__getitem__, self.tail), map(nodes.__getitem__, self.head)))
+
+
+class Walk(NamedTuple):
     """A closed edge walk; nodes has one more entry than edges."""
 
     nodes: tuple
@@ -68,31 +98,20 @@ def build_link(log: Log) -> Multigraph:
 
     Nodes are x+ and x- for each vertex x in declaration order (numbers 2i
     and 2i+1); edges are the corners ((owner, kind), u, v), four per edge in
-    CORNER_KINDS order (numbers 4j to 4j+3).
+    CORNER_KINDS order (numbers 4j to 4j+3).  The corner ends and the names
+    are built here; the node and corner strings when first read.
     """
-    vertices = log.vertices
-    nodes = [""] * (2 * len(vertices))
-    nodes[0::2] = [v + PLUS for v in vertices]
-    nodes[1::2] = [v + MINUS for v in vertices]
     tail, head = corner_ends(log)
-    keys = [(e.eid, kind) for e in log.edges for kind in CORNER_KINDS]
-    edges = tuple(zip(keys, map(nodes.__getitem__, tail), map(nodes.__getitem__, head)))
-    names = tuple(map(corner_key_str, keys))
-    return Multigraph(tuple(nodes), edges, tail, head, names)
+    names = tuple([e.eid + suffix for e in log.edges for suffix in _NAME_SUFFIXES])
+    return _Link(log.vertices, log.edges, tail, head, names)
 
 
-def corner_ends(log: Log, flipped: Container[int] = ()) -> tuple[list[int], list[int]]:
-    """The node numbers of each corner's two ends, tail and head, in corner order.
-
-    With the numbers of edges in flipped, these are the ends in the link of
-    the LOG with those edges reversed (source and target swapped).
-    """
+def corner_ends(log: Log) -> tuple[list[int], list[int]]:
+    """The node numbers of each corner's two ends, tail and head, in corner order."""
     tail: list[int] = []
     head: list[int] = []
-    for j, (s, t, l) in enumerate(log.edge_ends):
+    for s, t, l in log.edge_ends:
         s, t, l = 2 * s, 2 * t, 2 * l
-        if j in flipped:
-            s, t = t, s
         # positive, negative, mixed_source, mixed_target
         tail += (s, l + 1, s + 1, l + 1)
         head += (l, t + 1, l, t)
@@ -125,11 +144,11 @@ def part_corners(log: Log, part_edges: Iterable[str]) -> frozenset[int]:
 
 
 def _all(g: Multigraph, corners: Optional[Sequence[int]]) -> Sequence[int]:
-    return range(len(g.edges)) if corners is None else corners
+    return range(len(g.tail)) if corners is None else corners
 
 
 def _adjacency(g: Multigraph, corners: Sequence[int]) -> list[list[tuple[int, int]]]:
-    adj: list[list[tuple[int, int]]] = [[] for _ in g.nodes]
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(g.node_count)]
     tail, head = g.tail, g.head
     for c in corners:
         u, v = tail[c], head[c]
@@ -142,8 +161,8 @@ def _adjacency(g: Multigraph, corners: Sequence[int]) -> list[list[tuple[int, in
 def _find_path(g: Multigraph, corners: Sequence[int], start: int, goal: int):
     """BFS path from start to goal over the corners: (nodes, corners) or None."""
     adj = _adjacency(g, corners)
-    prev_node = [-1] * len(g.nodes)
-    prev_corner = [-1] * len(g.nodes)
+    prev_node = [-1] * g.node_count
+    prev_corner = [-1] * g.node_count
     prev_node[start] = start
     queue = deque([start])
     while queue and prev_node[goal] < 0:
@@ -179,22 +198,26 @@ def _closing_walk(g: Multigraph, corners: Sequence[int], c: int) -> Walk:
     )
 
 
-def _grow_forest(g: Multigraph, corners: Sequence[int]) -> tuple[_UnionFind, Optional[Walk]]:
-    """Union the corners' ends in order; the cycle of the first that closes one.
+def grow_forest(g: Multigraph, corners: Sequence[int]) -> tuple[_UnionFind, int]:
+    """Union the corners' ends in order: the union-find, and the position in
+    corners of the first corner that closes a cycle, or -1 when none does.
 
-    On success the union-find's classes are the components of the subgraph.
+    With -1 the corners form a forest, and the union-find's classes are the
+    components of the subgraph.  This is the whole forest decision; only a
+    caller that returns the cycle builds it, with _closing_walk over the
+    corners before it.
     """
-    uf = _UnionFind(len(g.nodes))
+    uf = _UnionFind(g.node_count)
     union, tail, head = uf.union, g.tail, g.head
     for pos, c in enumerate(corners):
         if not union(tail[c], head[c]):
-            return uf, _closing_walk(g, corners[:pos], c)
-    return uf, None
+            return uf, pos
+    return uf, -1
 
 
 def components(g: Multigraph, corners: Optional[Sequence[int]] = None) -> _UnionFind:
     """A union-find over node numbers whose classes are the components."""
-    uf = _UnionFind(len(g.nodes))
+    uf = _UnionFind(g.node_count)
     union, tail, head = uf.union, g.tail, g.head
     for c in _all(g, corners):
         union(tail[c], head[c])
@@ -206,10 +229,12 @@ def is_forest(
 ) -> tuple[bool, Optional[Walk]]:
     """Multigraph forest test: a loop or a pair of parallel edges is a cycle.
 
-    On failure the witness is a simple cycle, as a closed walk.
+    Decided by grow_forest; on failure the witness is a simple cycle, as a
+    closed walk, built from the string view.
     """
-    _, cycle = _grow_forest(g, _all(g, corners))
-    return cycle is None, cycle
+    corners = _all(g, corners)
+    _, pos = grow_forest(g, corners)
+    return (True, None) if pos < 0 else (False, _closing_walk(g, corners[:pos], corners[pos]))
 
 
 def bridges(g: Multigraph, corners: Optional[Sequence[int]] = None) -> frozenset[int]:
@@ -218,11 +243,11 @@ def bridges(g: Multigraph, corners: Optional[Sequence[int]] = None) -> frozenset
     Loops and members of parallel bundles are never bridges.
     """
     adj = _adjacency(g, _all(g, corners))
-    disc = [-1] * len(g.nodes)
-    low = [0] * len(g.nodes)
+    disc = [-1] * g.node_count
+    low = [0] * g.node_count
     out = set()
     counter = 0
-    for root in range(len(g.nodes)):
+    for root in range(g.node_count):
         if disc[root] >= 0 or not adj[root]:
             continue
         stack = [(root, -1, iter(adj[root]))]
@@ -279,8 +304,7 @@ AngleAssignment = Union[list[int], Mapping[CornerKey, int]]
 SignAssignment = Mapping[str, str]
 
 
-@dataclass(frozen=True)
-class CurvatureReport:
+class CurvatureReport(NamedTuple):
     kappa_vertex: int
     kappa_cells: dict
     chi_complex: int
@@ -346,8 +370,7 @@ def curvature(log: Log, angles: AngleAssignment) -> CurvatureReport:
     return report
 
 
-@dataclass(frozen=True)
-class ColoringResult:
+class ColoringResult(NamedTuple):
     """positive_cells are the cells of positive curvature the test counts:
     every cell, or in the relative test the cells outside the parts."""
 
@@ -369,14 +392,14 @@ def verify_coloring_test(
     given, must be curvature(log, angles).
     """
     link = log.link
-    a = _angle_list(angles, _log_keys(log), len(link.edges))
+    a = _angle_list(angles, _log_keys(log), len(link.tail))
     report = curvature(log, a) if report is None else report
     positive = tuple(eid for eid, k in report.kappa_cells.items() if k > 0)
 
     zero = [c for c, x in enumerate(a) if not x]
-    uf, cycle = _grow_forest(link, zero)
-    if cycle is not None:
-        return ColoringResult(False, positive, cycle, 0)
+    uf, pos = grow_forest(link, zero)
+    if pos >= 0:
+        return ColoringResult(False, positive, _closing_walk(link, zero[:pos], zero[pos]), 0)
 
     find, tail, head = uf.find, link.tail, link.head
     for c, x in enumerate(a):
@@ -408,7 +431,7 @@ def verify_relative_coloring_test(
         part_edges |= eids
 
     link = log.link
-    a = _angle_list(angles, _log_keys(log), len(link.edges))
+    a = _angle_list(angles, _log_keys(log), len(link.tail))
     report = curvature(log, a) if report is None else report
     positive = tuple(
         eid for eid, k in report.kappa_cells.items() if k > 0 and eid not in part_edges

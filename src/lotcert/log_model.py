@@ -22,9 +22,8 @@ assigned in order, skipping ids that appear explicitly elsewhere.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 
 class ParseError(ValueError):
@@ -36,8 +35,7 @@ class ParseError(ValueError):
         self.column = column
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     eid: str
     src: str
     tgt: str
@@ -52,30 +50,30 @@ def _valid_name(tok: str) -> bool:
     return bool(tok) and tok != "->" and _NAME_FORBIDDEN.isdisjoint(tok) and tok == tok.strip()
 
 
-@dataclass(frozen=True)
 class Log:
     """An immutable LOG; vertices and edges keep their declaration order.
+
+    Log(vertices, edges) checks every vertex name and edge id, since those
+    parts come from outside.  parse_log, which checks each token as it reads
+    it, and the derivations here, whose parts come from a Log already, build
+    through Log._of without a second check.
 
     The facts derived from the LOG alone -- its numbering, reducedness
     report, class, closure table and link -- are computed on first use and
     kept on the LOG, so each is built once however many stages read it.
     """
 
-    vertices: tuple[str, ...]
-    edges: tuple[Edge, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "vertices", tuple(self.vertices))
-        object.__setattr__(self, "edges", tuple(self.edges))
+    def __init__(self, vertices: Iterable[str], edges: Iterable[Edge]):
+        vertices, edges = tuple(vertices), tuple(edges)
         seen = set()
-        for v in self.vertices:
+        for v in vertices:
             if not _valid_name(v):
                 raise ValueError(f"invalid vertex name {v!r}")
             if v in seen:
                 raise ValueError(f"duplicate vertex {v!r}")
             seen.add(v)
         eids = set()
-        for e in self.edges:
+        for e in edges:
             if not _valid_name(e.eid):
                 raise ValueError(f"invalid edge id {e.eid!r}")
             if e.eid in eids:
@@ -84,6 +82,28 @@ class Log:
             for field, name in ((e.src, "source"), (e.tgt, "target"), (e.lab, "label")):
                 if field not in seen:
                     raise ValueError(f"edge {e.eid!r}: unknown {name} vertex {field!r}")
+        self.__dict__.update(vertices=vertices, edges=edges)
+
+    @classmethod
+    def _of(cls, vertices: tuple[str, ...], edges: tuple[Edge, ...]) -> Log:
+        """The Log of parts known to be valid, unchecked; both must be tuples."""
+        log = cls.__new__(cls)
+        log.__dict__.update(vertices=vertices, edges=edges)
+        return log
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable Log")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.vertices == other.vertices and self.edges == other.edges
+
+    def __hash__(self):
+        return hash((self.vertices, self.edges))
+
+    def __repr__(self):
+        return f"Log(vertices={self.vertices!r}, edges={self.edges!r})"
 
     def edge_ids(self) -> tuple[str, ...]:
         return tuple(e.eid for e in self.edges)
@@ -246,7 +266,7 @@ def parse_log(text: str) -> Log:
             eid = f"e{counter}"
             explicit_ids.add(eid)
         edges.append(Edge(eid, src, tgt, lab))
-    return Log(tuple(vertices), tuple(edges))
+    return Log._of(tuple(vertices), tuple(edges))
 
 
 def serialize_log(log: Log) -> str:
@@ -261,8 +281,7 @@ def serialize_log(log: Log) -> str:
 # classification and reducedness
 
 
-@dataclass(frozen=True)
-class LogClass:
+class LogClass(NamedTuple):
     kind: str  # "LOT" | "LOF" | "GeneralLOG"
     components: int
 
@@ -312,14 +331,12 @@ def classify(log: Log) -> LogClass:
     return LogClass(kind, components)
 
 
-@dataclass(frozen=True)
-class Flag:
+class Flag(NamedTuple):
     ok: bool
     witnesses: tuple = ()
 
 
-@dataclass(frozen=True)
-class ReducednessReport:
+class ReducednessReport(NamedTuple):
     boundary_reduced: Flag
     interior_reduced: Flag
     compressed: Flag
@@ -406,11 +423,11 @@ def _merge_vertices(log: Log, keep: str, drop: str, removed_eids: set[str]) -> L
         return keep if v == drop else v
 
     edges = tuple(
-        Edge(e.eid, ren(e.src), ren(e.tgt), ren(e.lab))
+        Edge(e.eid, ren(e.src), ren(e.tgt), ren(e.lab)) if drop in e else e
         for e in log.edges
         if e.eid not in removed_eids
     )
-    return Log(vertices, edges)
+    return Log._of(vertices, edges)
 
 
 def find_reduction_move(log: Log):
@@ -427,6 +444,8 @@ def find_reduction_move(log: Log):
 
 
 def apply_reduction_move(log: Log, move) -> Log:
+    """The LOG after a move of find_reduction_move's form; the move's
+    vertices and edge ids must be the LOG's own."""
     kind = move[0]
     if kind == "compress":
         _, eid, u, w = move
@@ -438,7 +457,7 @@ def apply_reduction_move(log: Log, move) -> Log:
         _, v, eid = move
         vertices = tuple(x for x in log.vertices if x != v)
         edges = tuple(e for e in log.edges if e.eid != eid)
-        return Log(vertices, edges)
+        return Log._of(vertices, edges)
     raise ValueError(f"unknown move {move!r}")
 
 
@@ -472,8 +491,7 @@ def non_label_vertices(log: Log) -> tuple[str, ...]:
 # sub-LOTs and quotients
 
 
-@dataclass(frozen=True)
-class SubLog:
+class SubLog(NamedTuple):
     """A connected subtree closed under labels: lambda(E0) inside V0."""
 
     vertices: tuple[str, ...]
@@ -554,8 +572,7 @@ def enumerate_sub_lots(log: Log, max_size: Optional[int] = None) -> tuple[SubLog
     return tuple(_sub_lot(log, t) for t in _by_size(found))
 
 
-@dataclass(frozen=True)
-class _RootedForest:
+class _RootedForest(NamedTuple):
     """Each tree of a LOF rooted at its first declared vertex; by vertex index."""
 
     parent: list[int]  # -1 at a root
@@ -719,12 +736,19 @@ def _inclusion_maximal(log: Log, found) -> tuple[SubLog, ...]:
 
 
 def sub_log_as_log(log: Log, sub: SubLog) -> Log:
-    """The sub-LOT as a standalone Log (vertex order inherited)."""
+    """The sub-LOT as a standalone Log (vertex order inherited), checked
+    like any Log built from outside parts."""
     index = log.edge_index
     for eid in sub.edge_ids:
         if eid not in index:
             raise ValueError(f"unknown edge id {eid!r}")
-    return Log(sub.vertices, tuple(log.edges[index[eid]] for eid in sub.edge_ids))
+    return Log(sub.vertices, _sub_edges(log, sub))
+
+
+def _sub_edges(log: Log, sub: SubLog) -> tuple[Edge, ...]:
+    """The edges of a sub-LOT of log, in its edge_ids order."""
+    index = log.edge_index
+    return tuple(log.edges[index[eid]] for eid in sub.edge_ids)
 
 
 def validate_sub_lot(log: Log, sub: SubLog) -> None:
@@ -782,7 +806,7 @@ def quotient_lof(
         for e in log.edges
         if e.eid not in removed_edges
     )
-    return Log(vertices, edges), vmap
+    return Log._of(vertices, edges), vmap
 
 
 def restrict_log(log: Log, vertices: Iterable[str]) -> Log:
@@ -795,4 +819,4 @@ def restrict_log(log: Log, vertices: Iterable[str]) -> Log:
     edges = tuple(
         e for e in log.edges if e.src in vset and e.tgt in vset and e.lab in vset
     )
-    return Log(kept, edges)
+    return Log._of(kept, edges)

@@ -20,8 +20,7 @@ import itertools
 import os
 import random
 from collections import deque
-from dataclasses import dataclass
-from typing import Iterable, Optional, Union
+from typing import Iterable, NamedTuple, Optional, Union
 
 from . import certify
 from .arborescence import Branching, CutWitness, cut_delta, verify_branching
@@ -53,8 +52,7 @@ def _cap(value: Optional[int], default: int) -> int:
     return int(env) if env else default
 
 
-@dataclass(frozen=True)
-class CycleWitness:
+class CycleWitness(NamedTuple):
     """A closed walk; nodes has one more entry than edges (first == last)."""
 
     nodes: tuple
@@ -365,7 +363,7 @@ def exhaustive_branching_search(
 def reorient(log: Log, flips: Iterable[str]) -> Log:
     """Reverse the direction of the given edges; labels are untouched.
 
-    Production checks a reorientation on corner_ends instead of building it.
+    Production checks a reorientation on the edge ends instead of building it.
     """
     flipset = set(flips)
     for eid in flipset:

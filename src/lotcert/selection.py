@@ -16,15 +16,15 @@ flip (those whose a-arc is white) off the branchings' arc keys.
 build_selection_graph numbers the graph once: node i is the LOG's i-th
 vertex, and edge j's a-arc is arc 2j and its b-arc arc 2j+1.  The branching
 stage reads the integer lists src and dst (the node numbers of each arc's
-tail and head); the string view -- arcs (owner, kind, src, dst) with their
-(owner, kind) keys -- is kept beside them for witnesses, DOT output and the
-oracles.  arc_number maps keys back to numbers, for `verify_branching` on
-branchings read from outside.
+tail and head) and keys, each arc's (owner, kind) key, which is what a
+certificate writes.  The arc rows (owner, kind, src, dst), for witnesses,
+DOT output and the oracles, are built on first read, and so is arc_number,
+which maps keys back to numbers for `verify_branching` on branchings read
+from outside.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Mapping, NamedTuple, Optional, Sequence
 
@@ -45,19 +45,31 @@ class SelArc(NamedTuple):
         return (self.owner, self.kind)
 
 
-@dataclass(frozen=True)
 class SelectionGraph:
-    """Arc i runs from nodes[src[i]] to nodes[dst[i]]."""
+    """Arc i runs from nodes[src[i]] to nodes[dst[i]] and has key keys[i].
 
-    nodes: tuple[str, ...]
-    arcs: tuple[SelArc, ...]
-    src: Sequence[int] = field(compare=False, repr=False)
-    dst: Sequence[int] = field(compare=False, repr=False)
+    Only the node names and the lists are kept, so the arc rows can be
+    built on demand without a reference to the Log.
+    """
+
+    def __init__(
+        self, nodes: tuple[str, ...], src: Sequence[int], dst: Sequence[int], keys: Sequence[ArcKey]
+    ):
+        self.nodes, self.src, self.dst, self.keys = nodes, src, dst, keys
+
+    @cached_property
+    def arcs(self) -> tuple[SelArc, ...]:
+        """The arc rows (owner, kind, src, dst), in arc order."""
+        nodes = self.nodes
+        return tuple(
+            SelArc(owner, kind, nodes[s], nodes[d])
+            for (owner, kind), s, d in zip(self.keys, self.src, self.dst)
+        )
 
     @cached_property
     def arc_number(self) -> dict[ArcKey, int]:
         """The number of the arc with each key."""
-        return {a.key: i for i, a in enumerate(self.arcs)}
+        return {k: i for i, k in enumerate(self.keys)}
 
 
 # Arc colors of a two-coloring; black arcs become the positive side.
@@ -69,14 +81,13 @@ WHITE = "white"
 
 def build_selection_graph(log: Log) -> SelectionGraph:
     """The selection graph; edge j gives arc 2j (its a-arc) and 2j+1 (its b-arc)."""
-    rows: list[tuple[str, str, str, str]] = []
     src: list[int] = []
     dst: list[int] = []
-    for e, (s, t, lab) in zip(log.edges, log.edge_ends):
-        rows += ((e.eid, "a", e.src, e.lab), (e.eid, "b", e.tgt, e.lab))
+    for s, t, lab in log.edge_ends:
         src += (s, t)
         dst += (lab, lab)
-    return SelectionGraph(log.vertices, tuple(map(SelArc._make, rows)), src, dst)
+    keys = [(e.eid, kind) for e in log.edges for kind in ("a", "b")]
+    return SelectionGraph(log.vertices, src, dst, keys)
 
 
 def selection_to_dot(sel: SelectionGraph, partition: Optional[Partition2] = None) -> str:

@@ -1,8 +1,9 @@
-import dataclasses
+import gc
 import itertools
 import json
 import sys
 import time
+import weakref
 
 import pytest
 
@@ -22,14 +23,16 @@ from lotcert.certify import (
     HYPOTHESIS_FAILED,
     NON_GENERIC,
     NOT_EVALUATED,
+    _coloring_ok,
     _reoriented_strong_lbf,
+    _sign_choice,
     angles_from_bipartition,
     embed_into_lot,
     label_closed_groups,
     lbf_check,
     strong_lbf_check,
 )
-from lotcert.link_complex import CORNER_KINDS
+from lotcert.link_complex import CORNER_KINDS, curvature, verify_coloring_test
 from lotcert.log_model import Log, reducedness_report
 from lotcert.oracle import (
     exhaustive_lbf_search,
@@ -298,6 +301,47 @@ def test_reoriented_check_matches_strong_lbf_of_the_reorientation():
     assert outcomes.count(True) > 100 and outcomes.count(False) > 100
 
 
+def test_verdict_only_checks_match_their_references():
+    # the certify path decides these checks without building a cycle; each
+    # verdict equals the result of the check that builds one
+    corpus = [random_log(n, m, s) for n in range(1, 7) for m in range(0, 2 * n + 2) for s in range(2)]
+    corpus += [random_lof(n, s) for n in range(2, 24) for s in range(3)]
+    corpus += [random_reduced_injective_lot(3 + s % 14, s) for s in range(40)]
+    corpus += [path_lot(n, s) for n in (16, 64, 128) for s in range(3)]
+    loops = sum(e.src == e.tgt for log in corpus for e in log.edges)
+    parallel = sum(
+        len(link.tail) - len(set(zip(link.tail, link.head))) for link in (log.link for log in corpus)
+    )
+    assert loops > 20 and parallel > 20
+    rng = seeded_rng("verdict-only")
+    outcomes: dict = {"strong": [], "reoriented": [], "lbf": [], "coloring": []}
+    for log in corpus:
+        outcomes["strong"].append(_reoriented_strong_lbf(log, ()))
+        assert outcomes["strong"][-1] == strong_lbf_check(log).ok
+        ids = log.edge_ids()
+        flip_sets = [rng.sample(range(len(ids)), rng.randint(0, len(ids))) for _ in range(2)]
+        sign_choices = [{v: rng.choice("+-") for v in log.vertices} for _ in range(3)]
+        cert = certify_lof(log)
+        if cert.verdicts["lbf"] is True:
+            flip_sets.append([ids.index(eid) for eid in cert.witnesses["flips"]])
+            sign_choices.append(cert.witnesses["epsilon"])
+        for flipped in flip_sets:
+            want = strong_lbf_check(reorient(log, [ids[j] for j in flipped])).ok
+            outcomes["reoriented"].append(want)
+            assert _reoriented_strong_lbf(log, set(flipped)) == want
+        for eps in sign_choices:
+            angles, side, coside, lbf = _sign_choice(log, eps)
+            ref = lbf_check(log, eps)
+            assert (side, coside, lbf) == (ref.first, ref.second, ref.ok)
+            assert angles == angles_from_bipartition(log, eps)
+            coloring = _coloring_ok(lbf, curvature(log, angles))
+            assert coloring == verify_coloring_test(log, angles).ok
+            outcomes["lbf"].append(lbf)
+            outcomes["coloring"].append(coloring)
+    for check, seen in outcomes.items():
+        assert seen.count(True) >= 25 and seen.count(False) >= 100, (check, seen)
+
+
 def _count_calls(monkeypatch, fn, results=None) -> list:
     """Count calls to fn through every name a lotcert module binds it to;
     the return values go to results when it is a list."""
@@ -337,7 +381,8 @@ def test_plain_certify_of_a_lot_builds_each_graph_once(monkeypatch):
         for calls in counts.values():
             calls.clear()
         # a fresh LOG: the fixtures may carry a link from earlier calls
-        assert certify_lof(Log(lot.vertices, lot.edges)).verdicts["DR_claim"] is True
+        fresh = Log(lot.vertices, lot.edges)
+        assert certify_lof(fresh).verdicts["DR_claim"] is True
         assert {name: len(calls) for name, calls in counts.items()} == {
             "build_link": 1,
             "build_selection_graph": 1,
@@ -345,9 +390,12 @@ def test_plain_certify_of_a_lot_builds_each_graph_once(monkeypatch):
             "label_closed_groups": 0,
             "embed_into_lot": 0,
         }
-    # the branchings' keys are built from arc numbers, never mapped back
+        # the certificate reads the corner names alone, never the string view
+        assert not {"nodes", "edges"} & set(vars(fresh.link))
+    # the branchings' keys are built from arc numbers, never mapped back,
+    # and no arc row is built
     assert len(graphs) == len(lots)
-    assert not any("arc_number" in vars(sel) for sel in graphs)
+    assert not any({"arc_number", "arcs"} & set(vars(sel)) for sel in graphs)
     # a LOF with several components is still split into groups
     lof = random_lof(8, 24)
     assert classify(lof).components == 4
@@ -372,6 +420,23 @@ def test_relative_certify_derives_each_fact_once_per_log(monkeypatch):
         certify_relative(Log(lot.vertices, lot.edges))  # nothing computed yet
         for calls in counts:
             assert calls and len({id(args[0]) for args in calls}) == len(calls)
+
+
+def test_a_certified_log_is_freed_without_the_cycle_collector():
+    # no view kept on a Log refers back to it, so the last reference frees it
+    inputs = [(certify_lof, path_lot(64, 1)), (certify_relative, BADSUB)]
+    inputs += [(certify_relative, random_reduced_injective_lot(16, s)) for s in range(5)]
+    gc.disable()
+    try:
+        for certify, log in inputs:
+            fresh = Log(log.vertices, log.edges)
+            certify(fresh).to_json()
+            assert "link" in vars(fresh)
+            ref = weakref.ref(fresh)
+            del fresh
+            assert ref() is None, certify.__name__
+    finally:
+        gc.enable()
 
 
 # ---------------------------------------------------------------------------
@@ -525,7 +590,7 @@ def test_collapsed_part_with_curved_cells_raises(monkeypatch):
 
     def curved(log, angles):
         report = real(log, angles)
-        return dataclasses.replace(report, kappa_cells={eid: -1 for eid in report.kappa_cells})
+        return report._replace(kappa_cells={eid: -1 for eid in report.kappa_cells})
 
     monkeypatch.setattr(certify_module, "curvature", curved)
     with pytest.raises(RuntimeError, match="must be flat"):

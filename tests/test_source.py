@@ -1,6 +1,9 @@
 """Properties of the source tree itself."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import lotcert
@@ -38,6 +41,15 @@ def test_only_the_cli_imports_the_oracles():
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         found += [f"{path.name}: {n}" for n in _imported_modules(tree) if n.split(".")[-1] == "oracle"]
     assert found == []
+
+
+def test_importing_the_cli_leaves_the_oracles_unloaded():
+    # the CLI imports them inside the two commands that use them
+    code = "import sys, lotcert.cli; print(sorted(m for m in sys.modules if m.startswith('lotcert')))"
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    loaded = eval(out.stdout)
+    assert "lotcert.cli" in loaded and "lotcert.oracle" not in loaded
 
 
 def test_only_the_oracles_define_a_max_flow():
