@@ -9,8 +9,9 @@ structure passes the coloring test, which is what the downstream asphericity
 claims cite.
 
 The relative pipeline collapses the maximal proper sub-LOTs, certifies the
-quotient, lifts the sign choice, and verifies the relative coloring test;
-parts are then certified recursively after boundary reduction.
+quotient, lifts the sign choice, and decides the relative coloring test
+from the two sides' relative forests and the curvature; parts are then
+certified recursively after boundary reduction.
 
 Certificates are JSON documents (schema 2) with canonical serialization:
 sorted keys, no whitespace, arrays in deterministic construction order.
@@ -38,9 +39,7 @@ from .link_complex import (
     curvature,
     grow_forest,
     is_forest,
-    is_relative_forest,
     part_corners,
-    verify_relative_coloring_test,
 )
 from .log_model import (
     Edge,
@@ -154,6 +153,13 @@ def _sign_choice(
     link = log.link
     angles, side, coside = _split(link, _side_mask(log, eps))
     return angles, side, coside, grow_forest(link, side + coside)[1] < 0
+
+
+def _relative_lbf(link: Multigraph, inside: Container[int], side: list[int]) -> bool:
+    """is_relative_forest(link, inside, side)[0], decided without a walk:
+    the side's corners inside the parts are joined, the others grown."""
+    outside = [c for c in side if c not in inside]
+    return grow_forest(link, outside, [c for c in side if c in inside])[1] < 0
 
 
 def _coloring_ok(lbf: bool, report: link_complex.CurvatureReport) -> bool:
@@ -663,10 +669,7 @@ def certify_relative(log: Log) -> Certificate:
 
     link = work.link
     inside = part_corners(work, part_edge_ids)
-    rel1, _w1 = is_relative_forest(link, inside, side)
-    rel2, _w2 = is_relative_forest(link, inside, coside)
-
-    rct = verify_relative_coloring_test(work, part_list, angles, report=report)
+    rel1, rel2 = _relative_lbf(link, inside, side), _relative_lbf(link, inside, coside)
 
     part_certs = []
     parts_ok = True
@@ -698,10 +701,12 @@ def certify_relative(log: Log) -> Certificate:
     )
 
     verdicts["coloring_test"] = _coloring_ok(lbf, report)
-    # the two sides are the angle-0 corners on disjoint node sets, so rct's
-    # relative forest step is rel1 and rel2; with the parts' cells flat, its
-    # cell condition is nonpositive curvature on every cell
-    verdicts["relative_coloring_test"] = rct.ok
+    # verify_relative_coloring_test(work, part_list, angles).ok: the two
+    # sides are the angle-0 corners on disjoint node sets, so its relative
+    # forest step is rel1 and rel2, and an angle-1 corner always joins two
+    # angle-0 components; with the parts' cells flat, its cell condition is
+    # nonpositive curvature on every cell
+    verdicts["relative_coloring_test"] = _coloring_ok(rel1 and rel2, report)
     # only a failed check at this level refutes the claim; an undecided part
     # leaves it undecided
     if not verdicts["relative_coloring_test"]:

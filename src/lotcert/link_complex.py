@@ -17,9 +17,10 @@ is vertex i's ``x+`` and node 2i+1 its ``x-``; corner 4j+k is edge j's k-th
 kind in CORNER_KINDS order.  Every check here reads the integer arrays
 tail and head (the node numbers of each corner's ends) and takes a subgraph
 as a list of corner numbers: a side of a sign choice, the angle-0 corners,
-the corners inside the parts.  Angles are a list indexed by corner.  A
-forest test decides with one union-find pass, and only a caller that
-returns a cycle builds it.  The string view -- nodes ``x+``, and corners
+the corners inside the parts.  Angles are a list indexed by corner.  One
+union-find pass, grow_forest, decides every forest test, the relative one
+included, and gives the components; only a caller that returns a cycle
+builds it.  The string view -- nodes ``x+``, and corners
 ``((owner edge, kind), u, v)`` -- is what witnesses, DOT output and the
 oracles read; the link builds it on first read.  Corners are never
 deduplicated, so parallel corners or loops are honest cycles.  All
@@ -198,30 +199,29 @@ def _closing_walk(g: Multigraph, corners: Sequence[int], c: int) -> Walk:
     )
 
 
-def grow_forest(g: Multigraph, corners: Sequence[int]) -> tuple[_UnionFind, int]:
-    """Union the corners' ends in order: the union-find, and the position in
-    corners of the first corner that closes a cycle, or -1 when none does.
+def grow_forest(
+    g: Multigraph, corners: Sequence[int], joined: Iterable[int] = ()
+) -> tuple[_UnionFind, int]:
+    """Union the ends of the joined corners without a cycle test, then the
+    corners' ends in order: the union-find, and the position in corners of
+    the first corner that closes a cycle, or -1 when none does.
 
-    With -1 the corners form a forest, and the union-find's classes are the
-    components of the subgraph.  This is the whole forest decision; only a
-    caller that returns the cycle builds it, with _closing_walk over the
-    corners before it.
+    A corner closes a cycle exactly when it is not a bridge of itself, the
+    corners before it and the joined ones.  So -1 says every corner is a
+    bridge of both lists together: with joined the corners inside the
+    parts, that is the relative-forest verdict.  With -1 the union-find's
+    classes are the components of both lists; with no corners, those of
+    the joined ones.  This is the whole forest decision; only a caller that
+    returns the cycle builds it.
     """
     uf = _UnionFind(g.node_count)
     union, tail, head = uf.union, g.tail, g.head
+    for c in joined:
+        union(tail[c], head[c])
     for pos, c in enumerate(corners):
         if not union(tail[c], head[c]):
             return uf, pos
     return uf, -1
-
-
-def components(g: Multigraph, corners: Optional[Sequence[int]] = None) -> _UnionFind:
-    """A union-find over node numbers whose classes are the components."""
-    uf = _UnionFind(g.node_count)
-    union, tail, head = uf.union, g.tail, g.head
-    for c in _all(g, corners):
-        union(tail[c], head[c])
-    return uf
 
 
 def is_forest(
@@ -281,19 +281,20 @@ def is_relative_forest(
 ) -> tuple[bool, Optional[Walk]]:
     """True iff every homology reduced cycle stays inside the edges `inside`.
 
-    `inside` holds edge numbers.  Decided by the bridge criterion: every
-    edge outside must be a bridge (a closed walk crosses a bridge only by
-    using it in both directions, and any non-bridge edge lies on a simple
-    cycle).
+    `inside` holds edge numbers.  The criterion: every edge outside must be
+    a bridge (a closed walk crosses a bridge only by using it in both
+    directions, and any non-bridge edge lies on a simple cycle).  Decided by
+    grow_forest with the inside edges joined; on failure the witness is the
+    cycle through the first outside non-bridge.
     """
     corners = _all(g, corners)
+    outside = [c for c in corners if c not in inside]
+    if grow_forest(g, outside, [c for c in corners if c in inside])[1] < 0:
+        return True, None
     bridge_set = bridges(g, corners)
-    for c in corners:
-        if c in inside or c in bridge_set:
-            continue
-        # a non-bridge: its ends stay connected without it
-        return False, _closing_walk(g, [x for x in corners if x != c], c)
-    return True, None
+    c = next(c for c in outside if c not in bridge_set)
+    # a non-bridge: its ends stay connected without it
+    return False, _closing_walk(g, [x for x in corners if x != c], c)
 
 
 # ---------------------------------------------------------------------------
@@ -380,20 +381,17 @@ class ColoringResult(NamedTuple):
     bad_cycle_angle: Optional[int] = None
 
 
-def verify_coloring_test(
-    log: Log, angles: AngleAssignment, *, report: Optional[CurvatureReport] = None
-) -> ColoringResult:
+def verify_coloring_test(log: Log, angles: AngleAssignment) -> ColoringResult:
     """Zero/one coloring test.
 
     (a) every 2-cell has curvature <= 0 and (b) every simple reduced cycle of
     the link has total angle >= 2.  Condition (b) is checked through the
     equivalent criterion: the angle-0 corners form a forest Z and every
-    angle-1 corner joins two distinct components of Z.  `report`, when
-    given, must be curvature(log, angles).
+    angle-1 corner joins two distinct components of Z.
     """
     link = log.link
     a = _angle_list(angles, _log_keys(log), len(link.tail))
-    report = curvature(log, a) if report is None else report
+    report = curvature(log, a)
     positive = tuple(eid for eid, k in report.kappa_cells.items() if k > 0)
 
     zero = [c for c, x in enumerate(a) if not x]
@@ -409,9 +407,7 @@ def verify_coloring_test(
     return ColoringResult(not positive, positive, None, None)
 
 
-def verify_relative_coloring_test(
-    log: Log, parts, angles: AngleAssignment, *, report: Optional[CurvatureReport] = None
-) -> ColoringResult:
+def verify_relative_coloring_test(log: Log, parts, angles: AngleAssignment) -> ColoringResult:
     """Relative zero/one coloring test against a wedge of sub-LOT complexes.
 
     (1) cells outside the parts have curvature <= 0, and (2) every simple
@@ -420,8 +416,7 @@ def verify_relative_coloring_test(
     parts is a bridge of Z and every angle-1 corner either joins distinct
     Z-components or lies in a part with a Z-path between its endpoints inside
     the parts.  Simple cycles suffice: homology reduced closed walks
-    decompose into them.  `report`, when given, must be curvature(log,
-    angles).
+    decompose into them.
     """
     part_edges: set[str] = set()
     for sub in parts:
@@ -432,7 +427,7 @@ def verify_relative_coloring_test(
 
     link = log.link
     a = _angle_list(angles, _log_keys(log), len(link.tail))
-    report = curvature(log, a) if report is None else report
+    report = curvature(log, a)
     positive = tuple(
         eid for eid, k in report.kappa_cells.items() if k > 0 and eid not in part_edges
     )
@@ -443,8 +438,8 @@ def verify_relative_coloring_test(
     if not relative:
         return ColoringResult(False, positive, walk, 0)
 
-    find = components(link, zero).find
-    find_inside = components(link, [c for c in zero if c in inside]).find
+    find = grow_forest(link, (), zero)[0].find
+    find_inside = grow_forest(link, (), [c for c in zero if c in inside])[0].find
     tail, head = link.tail, link.head
     for c, x in enumerate(a):
         if not x:

@@ -735,16 +735,6 @@ def _inclusion_maximal(log: Log, found) -> tuple[SubLog, ...]:
     return tuple(_sub_lot(log, t) for t in ordered if set(t) in maximal)
 
 
-def sub_log_as_log(log: Log, sub: SubLog) -> Log:
-    """The sub-LOT as a standalone Log (vertex order inherited), checked
-    like any Log built from outside parts."""
-    index = log.edge_index
-    for eid in sub.edge_ids:
-        if eid not in index:
-            raise ValueError(f"unknown edge id {eid!r}")
-    return Log(sub.vertices, _sub_edges(log, sub))
-
-
 def _sub_edges(log: Log, sub: SubLog) -> tuple[Edge, ...]:
     """The edges of a sub-LOT of log, in its edge_ids order."""
     index = log.edge_index

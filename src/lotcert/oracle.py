@@ -61,10 +61,6 @@ class CycleWitness(NamedTuple):
     total_angle: Optional[int] = None
 
 
-def cycle_total_angle(cycle: CycleWitness, angles) -> int:
-    return sum(angles[k] for k in cycle.edges)
-
-
 # ---------------------------------------------------------------------------
 # cycle enumeration
 

@@ -24,6 +24,7 @@ from lotcert.certify import (
     NON_GENERIC,
     NOT_EVALUATED,
     _coloring_ok,
+    _relative_lbf,
     _reoriented_strong_lbf,
     _sign_choice,
     angles_from_bipartition,
@@ -32,8 +33,16 @@ from lotcert.certify import (
     lbf_check,
     strong_lbf_check,
 )
-from lotcert.link_complex import CORNER_KINDS, curvature, verify_coloring_test
-from lotcert.log_model import Log, reducedness_report
+from lotcert.link_complex import (
+    CORNER_KINDS,
+    bridges,
+    curvature,
+    is_relative_forest,
+    part_corners,
+    verify_coloring_test,
+    verify_relative_coloring_test,
+)
+from lotcert.log_model import Log, maximal_proper_sub_lots, reducedness_report
 from lotcert.oracle import (
     exhaustive_lbf_search,
     random_lof,
@@ -314,8 +323,24 @@ def test_verdict_only_checks_match_their_references():
     )
     assert loops > 20 and parallel > 20
     rng = seeded_rng("verdict-only")
-    outcomes: dict = {"strong": [], "reoriented": [], "lbf": [], "coloring": []}
+    outcomes: dict = {
+        "strong": [],
+        "reoriented": [],
+        "lbf": [],
+        "coloring": [],
+        "relative": [],
+        "relative_coloring": [],
+    }
     for log in corpus:
+        # the parts: the longest vertex-disjoint prefix of the maximal sub-LOTs
+        parts: list = []
+        if log.log_class.kind in ("LOT", "LOF"):
+            for p in maximal_proper_sub_lots(log):
+                if any(set(p.vertices) & set(q.vertices) for q in parts):
+                    break
+                parts.append(p)
+        part_edges = {eid for p in parts for eid in p.edge_ids}
+        inside = part_corners(log, part_edges)
         outcomes["strong"].append(_reoriented_strong_lbf(log, ()))
         assert outcomes["strong"][-1] == strong_lbf_check(log).ok
         ids = log.edge_ids()
@@ -338,6 +363,19 @@ def test_verdict_only_checks_match_their_references():
             assert coloring == verify_coloring_test(log, angles).ok
             outcomes["lbf"].append(lbf)
             outcomes["coloring"].append(coloring)
+            if log.log_class.kind not in ("LOT", "LOF"):
+                continue
+            # certify_relative's derived verdicts, under any signs and parts
+            rel = [_relative_lbf(log.link, inside, s) for s in (side, coside)]
+            assert rel == [is_relative_forest(log.link, inside, s)[0] for s in (side, coside)]
+            # the bridge criterion: every corner outside the parts is a bridge
+            assert rel == [not set(s) - inside - bridges(log.link, s) for s in (side, coside)]
+            kappa = curvature(log, angles).kappa_cells
+            flat = all(k <= 0 for eid, k in kappa.items() if eid not in part_edges)
+            relative_coloring = all(rel) and flat
+            assert relative_coloring == verify_relative_coloring_test(log, parts, angles).ok
+            outcomes["relative"] += rel
+            outcomes["relative_coloring"].append(relative_coloring)
     for check, seen in outcomes.items():
         assert seen.count(True) >= 25 and seen.count(False) >= 100, (check, seen)
 
@@ -402,6 +440,31 @@ def test_plain_certify_of_a_lot_builds_each_graph_once(monkeypatch):
     assert certify_lof(lof).verdicts["DR_claim"] is True
     assert len(counts["label_closed_groups"]) == 1
     assert len(counts["embed_into_lot"]) >= 1
+
+
+def test_relative_certify_builds_no_witness(monkeypatch):
+    # each level's relative verdicts are derived from its sign choice; the
+    # checks that build a cycle are references only
+    from lotcert import link_complex
+
+    counts = {
+        fn.__name__: _count_calls(monkeypatch, fn)
+        for fn in (
+            link_complex.bridges,
+            link_complex.is_relative_forest,
+            link_complex.verify_relative_coloring_test,
+            link_complex._closing_walk,
+        )
+    }
+    corpus = [random_reduced_injective_lot(n, s) for n in (8, 12, 16, 20) for s in range(50)]
+    corpus += [random_lof(n, s) for n in range(4, 20) for s in range(4)]
+    levels = []
+    for log in corpus:
+        cert = certify_relative(log)
+        if "relative_lbf" in cert.witnesses:
+            levels.append(cert.verdicts["relative_coloring_test"])
+    assert levels.count(True) >= 50
+    assert {name: len(calls) for name, calls in counts.items()} == dict.fromkeys(counts, 0)
 
 
 def test_relative_certify_derives_each_fact_once_per_log(monkeypatch):

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import BADSUB, NONCOMP, PATH3, TRIV
+from conftest import BADSUB, NONCOMP, PATH3, TRIV, path_lot
 from lotcert import certify_lof
 from lotcert.cli import _parser, main
 from lotcert.log_model import bad_sub_lot_witnesses, parse_log, serialize_log
@@ -225,6 +225,25 @@ def test_oracle_check_skips_subset_enumeration_above_the_cap(files, capsys, monk
     monkeypatch.setenv("LOT_ORACLE_CAP", "7")
     assert main(["oracle-check", files["badsub"]]) == 0
     assert "cut-condition-vs-subset-enumeration: PASS" in capsys.readouterr().out
+
+
+def test_oracle_check_skips_cycle_enumeration_above_the_cap(tmp_path, capsys, monkeypatch):
+    # the link of an 8-vertex path LOT has cycle rank 13, a 16-vertex one's
+    # is above the sign-search cap of 16: its cycles are not enumerated
+    monkeypatch.delenv("LOT_ORACLE_CAP", raising=False)
+    paths = {}
+    for n in (8, 16):
+        paths[n] = tmp_path / f"path{n}.lot"
+        paths[n].write_text(serialize_log(path_lot(n, 0)), encoding="utf-8")
+    for n, enumerated in ((8, True), (16, False)):
+        assert main(["oracle-check", str(paths[n])]) == 0
+        out = capsys.readouterr().out
+        assert ("forest-vs-cycle-enumeration: PASS" in out) == enumerated
+        assert "pipeline-vs-sign-search: PASS" in out and "FAIL" not in out
+    # the cap follows LOT_ORACLE_CAP like the other caps
+    monkeypatch.setenv("LOT_ORACLE_CAP", "12")
+    assert main(["oracle-check", str(paths[8])]) == 0
+    assert "forest-vs-cycle-enumeration" not in capsys.readouterr().out
 
 
 def test_missing_file_is_a_parse_error(tmp_path):

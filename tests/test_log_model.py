@@ -27,7 +27,6 @@ from lotcert.log_model import (
     apply_reduction_move,
     find_reduction_move,
     restrict_log,
-    sub_log_as_log,
 )
 from lotcert.oracle import (
     block_reorient,
@@ -768,14 +767,6 @@ def test_quotient_rejects_outside_representative():
     subs = enumerate_sub_lots(PATH3)
     with pytest.raises(ValueError):
         quotient_lof(PATH3, [subs[0]], ["nope"])
-
-
-def test_sub_log_as_log_roundtrip():
-    subs = enumerate_sub_lots(BADSUB)
-    part = next(s for s in subs if not s.is_boundary_reduced)
-    plog = sub_log_as_log(BADSUB, part)
-    assert plog.vertices == ("a", "b", "c", "d")
-    assert plog.edge_ids() == ("e1", "e2", "e3")
 
 
 def test_restrict_log_keeps_label_closed_edges():

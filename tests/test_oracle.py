@@ -10,7 +10,6 @@ from lotcert import oracle
 from lotcert.oracle import (
     CapExceeded,
     CycleWitness,
-    cycle_total_angle,
     enumerate_simple_cycles,
     exhaustive_branching_search,
     exhaustive_cut_condition,
@@ -91,11 +90,6 @@ def test_random_links_match_subset_filter():
 
 def test_max_len_truncates():
     assert enumerate_simple_cycles(TRIANGLE, max_len=2) == []
-
-
-def test_cycle_total_angle():
-    cycles = enumerate_simple_cycles(TRIANGLE, max_len=3)
-    assert cycle_total_angle(cycles[0], {"a": 1, "b": 0, "c": 1}) == 2
 
 
 def test_homology_search_examples():
