@@ -9,7 +9,6 @@ from .arborescence import (
 )
 from .certify import (
     Certificate,
-    angles_from_bipartition,
     certify_lof,
     certify_relative,
     lbf_check,

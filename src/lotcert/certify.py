@@ -13,6 +13,11 @@ quotient, lifts the sign choice, and decides the relative coloring test
 from the two sides' relative forests and the curvature; parts are then
 certified recursively after boundary reduction.
 
+Every level of either pipeline records its sign choice through one routine,
+_sign_witnesses, which writes the epsilon, angles, curvature and forests
+witnesses, and a Certificate computes its input section from the LOG it
+certifies.
+
 Certificates are JSON documents (schema 2) with canonical serialization:
 sorted keys, no whitespace, arrays in deterministic construction order.
 The hypothesis lists its bad sub-LOTs as closure witnesses: the distinct
@@ -26,7 +31,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Container, Iterable, NamedTuple, Optional, Sequence
+from typing import Container, Iterable, NamedTuple, Optional
 
 from . import arborescence, link_complex, selection
 from .arborescence import Branching, CutWitness
@@ -132,19 +137,13 @@ def lbf_check(log: Log, eps: link_complex.SignAssignment) -> BiForestResult:
     return _bi_forest(log.link, _side_mask(log, eps), ("epsilon", "minus_epsilon"))
 
 
-def angles_from_bipartition(log: Log, eps: link_complex.SignAssignment) -> list[int]:
-    """Angle 0 on corners joining equal sign classes, angle 1 across them.
-
-    The angles are a list indexed by the corner numbers of the link.
-    """
-    return _split(log.link, _side_mask(log, eps))[0]
-
-
 def _sign_choice(
     log: Log, eps: link_complex.SignAssignment
 ) -> tuple[list[int], list[int], list[int], bool]:
-    """angles_from_bipartition(log, eps), the epsilon and minus-epsilon sides
-    of lbf_check(log, eps) and its verdict, from one side mask and one pass.
+    """The angles of the sign choice eps, indexed by corner number: 0 on the
+    corners joining equal sign classes, 1 across them; then the epsilon and
+    minus-epsilon sides of lbf_check(log, eps) and its verdict, from one side
+    mask and one pass.
 
     The two sides lie on disjoint node sets, so one union-find grown over
     both of them is the angle-0 forest, and it decides both sides at once.
@@ -281,26 +280,29 @@ def embed_into_lot(log: Log) -> tuple[Log, list]:
 
 
 class Certificate:
-    """The sections of a certificate; to_json writes its canonical text."""
+    """The sections of a certificate of log; to_json writes its canonical text.
+
+    The input section is computed from log here.  Each level's epsilon,
+    angles, curvature and forests witnesses come from _sign_witnesses.
+    """
 
     def __init__(
         self,
-        input: dict,
+        log: Log,
         flags: dict,
         hypothesis: dict,
         witnesses: dict,
         verdicts: dict,
         provenance: dict,
         citations: dict,
-        schema: int = SCHEMA_VERSION,
     ):
-        self.input, self.flags, self.hypothesis = input, flags, hypothesis
+        self.input, self.flags, self.hypothesis = _input_section(log), flags, hypothesis
         self.witnesses, self.verdicts = witnesses, verdicts
-        self.provenance, self.citations, self.schema = provenance, citations, schema
+        self.provenance, self.citations = provenance, citations
 
     def to_dict(self) -> dict:
         return {
-            "schema": self.schema,
+            "schema": SCHEMA_VERSION,
             "input": self.input,
             "flags": self.flags,
             "hypothesis": self.hypothesis,
@@ -321,12 +323,8 @@ def canonical_json(value) -> str:
 
 
 def _input_section(log: Log) -> dict:
-    text = serialize_log(log)
-    return {
-        "digest": hashlib.sha256(text.encode("utf-8")).hexdigest(),
-        "vertices": len(log.vertices),
-        "edges": len(log.edges),
-    }
+    digest = hashlib.sha256(serialize_log(log).encode("utf-8")).hexdigest()
+    return {"digest": digest, "vertices": len(log.vertices), "edges": len(log.edges)}
 
 
 def _flags_section(log: Log) -> dict:
@@ -361,28 +359,37 @@ def _curvature_dict(report: link_complex.CurvatureReport) -> dict:
     }
 
 
-def _corner_names(link: Multigraph, corners: list[int]) -> list[str]:
-    names = link.names
-    return [names[c] for c in corners]
+def _sign_witnesses(
+    log: Log, eps: link_complex.SignAssignment
+) -> tuple[dict, bool, link_complex.CurvatureReport, list[int], list[int]]:
+    """The witnesses of the sign choice eps at one certificate level.
+
+    Returns the epsilon, angles, curvature and forests witnesses, the lbf
+    verdict, the curvature report, and the epsilon and minus-epsilon sides
+    as corner numbers.
+    """
+    angles, side, coside, lbf = _sign_choice(log, eps)
+    report = curvature(log, angles)
+    names = log.link.names
+    witnesses = {
+        "epsilon": dict(eps),
+        "angles": dict(zip(names, angles)),
+        "curvature": _curvature_dict(report),
+        "forests": {
+            "epsilon_side": [names[c] for c in side],
+            "minus_epsilon_side": [names[c] for c in coside],
+        },
+    }
+    return witnesses, lbf, report, side, coside
 
 
 _BY_CITATION = ("DR_claim", "aspherical_claim", "locally_indicable_claim", "VA_claim")
 
 
 def _verdict_scaffold(value) -> tuple[dict, dict, dict]:
-    verdicts = {
-        "strong_lbf": value,
-        "lbf": value,
-        "coloring_test": value,
-        "relative_coloring_test": value,
-        "DR_claim": value,
-        "aspherical_claim": value,
-        "locally_indicable_claim": value,
-        "VA_claim": value,
-    }
-    provenance = {
-        k: ("by-citation" if k in _BY_CITATION else "witnessed") for k in verdicts
-    }
+    witnessed = ("strong_lbf", "lbf", "coloring_test", "relative_coloring_test")
+    verdicts = dict.fromkeys(witnessed + _BY_CITATION, value)
+    provenance = {k: ("witnessed" if k in witnessed else "by-citation") for k in verdicts}
     citations = {k: CITATIONS[k] for k in _BY_CITATION}
     return verdicts, provenance, citations
 
@@ -391,17 +398,25 @@ def _verdict_scaffold(value) -> tuple[dict, dict, dict]:
 # plain pipeline
 
 
+def _hypothesis_flags(log: Log) -> dict:
+    """The three hypotheses both pipelines report: reduced, injective, forest."""
+    rep = log.reducedness
+    return {
+        "reduced": rep.reduced,
+        "injective": rep.injective.ok,
+        "forest": log.log_class.kind in ("LOT", "LOF"),
+    }
+
+
 def _hypothesis_section(log: Log) -> dict:
     """The hypothesis report; the sub-LOT scan runs only on a LOF, since a
     cycle already fails the hypothesis and closures need a forest."""
-    rep = log.reducedness
-    forest = log.log_class.kind in ("LOT", "LOF")
+    base = _hypothesis_flags(log)
+    forest = base["forest"]
     bad = bad_sub_lot_witnesses(log) if forest else ()
     return {
-        "satisfied": rep.reduced and rep.injective.ok and forest and not bad,
-        "reduced": rep.reduced,
-        "injective": rep.injective.ok,
-        "forest": forest,
+        "satisfied": all(base.values()) and not bad,
+        **base,
         "all_sub_lots_boundary_reduced": (not bad) if forest else NOT_EVALUATED,
         "bad_sub_lots": [_sublog_dict(s) for s in bad],
         "note": "sub-LOT conditions range over connected subtrees with at least one edge",
@@ -475,9 +490,7 @@ def certify_lof(log: Log) -> Certificate:
             witnesses["cut"] = {"vertices": list(cut.vertices), "delta": cut.delta}
         hypothesis["suggestion"] = "certify-relative"
         verdicts, provenance, citations = _verdict_scaffold(HYPOTHESIS_FAILED)
-        return Certificate(
-            _input_section(log), flags, hypothesis, witnesses, verdicts, provenance, citations
-        )
+        return Certificate(log, flags, hypothesis, witnesses, verdicts, provenance, citations)
 
     eps: dict[str, str] = {}
     flips: list[str] = []
@@ -511,9 +524,7 @@ def certify_lof(log: Log) -> Certificate:
             )
             if not hat_hyp["satisfied"]:
                 hypothesis["note"] = "embedding produced a non-certifiable LOT"
-                return Certificate(
-                    _input_section(log), flags, hypothesis, {}, verdicts, provenance, citations
-                )
+                return Certificate(log, flags, hypothesis, {}, verdicts, provenance, citations)
         b1, b2, black, white, flipped = _certify_lot_core(hat)
         roots_out.append(b1.root)
         flipped_edges = [hat.edges[j] for j in flipped]
@@ -524,52 +535,28 @@ def certify_lof(log: Log) -> Certificate:
         for color, kinds in ((selection.BLACK, black), (selection.WHITE, white)):
             partition_out.update({corner_key_str(k): color for k in kinds.items()})
 
-    angles, first, second, lbf = _sign_choice(log, eps)
-    report = curvature(log, angles)
+    level, lbf, report, _, _ = _sign_witnesses(log, eps)
     coloring = _coloring_ok(lbf, report)
-    link = log.link
-
     witnesses.update(
-        {
-            "epsilon": dict(eps),
-            "flips": flips,
-            "branchings": branchings_out,
-            "partition": partition_out,
-            "roots": roots_out,
-            "angles": dict(zip(link.names, angles)),
-            "curvature": _curvature_dict(report),
-            "forests": {
-                "epsilon_side": _corner_names(link, first),
-                "minus_epsilon_side": _corner_names(link, second),
-            },
-            "reoriented_strong_lbf": True,
-        }
+        level,
+        flips=flips,
+        branchings=branchings_out,
+        partition=partition_out,
+        roots=roots_out,
+        reoriented_strong_lbf=True,
     )
     if embeddings:
         witnesses["embedding"] = embeddings
 
     verdicts["lbf"] = lbf
     verdicts["coloring_test"] = coloring
-    claim = lbf and coloring
     for k in _BY_CITATION:
-        verdicts[k] = claim
-    return Certificate(
-        _input_section(log), flags, hypothesis, witnesses, verdicts, provenance, citations
-    )
+        verdicts[k] = coloring
+    return Certificate(log, flags, hypothesis, witnesses, verdicts, provenance, citations)
 
 
 # ---------------------------------------------------------------------------
 # relative pipeline
-
-
-def _pairwise_disjoint(parts: Sequence[SubLog]) -> bool:
-    seen: set[str] = set()
-    for p in parts:
-        vs = set(p.vertices)
-        if seen & vs:
-            return False
-        seen |= vs
-    return True
 
 
 def certify_relative(log: Log) -> Certificate:
@@ -589,25 +576,17 @@ def certify_relative(log: Log) -> Certificate:
     moves: tuple = ()
     if not work.reducedness.reduced:
         work, moves = reduce_log(work)
-    rep, cls = work.reducedness, work.log_class
     flags = _flags_section(work)
+    hypothesis = _hypothesis_flags(work)
     base_witnesses: dict = {}
     if moves:
         base_witnesses["reduction_moves"] = [list(map(str, m)) for m in moves]
         base_witnesses["reduced_input"] = serialize_log(work)
 
-    if not (rep.reduced and rep.injective.ok and cls.kind in ("LOT", "LOF")):
+    if not all(hypothesis.values()):
         verdicts, provenance, citations = _verdict_scaffold(HYPOTHESIS_FAILED)
-        hypothesis = {
-            "satisfied": False,
-            "reduced": rep.reduced,
-            "injective": rep.injective.ok,
-            "forest": cls.kind in ("LOT", "LOF"),
-            "note": "relative pipeline needs a reduced injective LOF",
-        }
-        return Certificate(
-            _input_section(log), flags, hypothesis, base_witnesses, verdicts, provenance, citations
-        )
+        hypothesis.update(satisfied=False, note="relative pipeline needs a reduced injective LOF")
+        return Certificate(log, flags, hypothesis, base_witnesses, verdicts, provenance, citations)
 
     part_list = list(maximal_proper_sub_lots(work))
 
@@ -626,14 +605,12 @@ def certify_relative(log: Log) -> Certificate:
     citations["aspherical_claim"] = CITATIONS["relative_aspherical_claim"]
     citations["VA_claim"] = CITATIONS["relative_aspherical_claim"]
 
-    hypothesis = {
-        "satisfied": True,
-        "reduced": True,
-        "injective": True,
-        "forest": True,
-        "parts_disjoint": _pairwise_disjoint(part_list),
-        "note": "sub-LOT conditions range over connected subtrees with at least one edge",
-    }
+    part_vertices = [v for p in part_list for v in p.vertices]
+    hypothesis.update(
+        satisfied=True,
+        parts_disjoint=len(part_vertices) == len(set(part_vertices)),
+        note="sub-LOT conditions range over connected subtrees with at least one edge",
+    )
     base_witnesses["parts"] = [
         dict(_sublog_dict(p), rep=p.vertices[0]) for p in part_list
     ]
@@ -655,21 +632,17 @@ def certify_relative(log: Log) -> Certificate:
         for k in ("relative_coloring_test", "aspherical_claim", "VA_claim", "locally_indicable_claim", "DR_claim"):
             verdicts[k] = NON_GENERIC
         hypothesis["satisfied"] = False
-        return Certificate(
-            _input_section(log), flags, hypothesis, base_witnesses, verdicts, provenance, citations
-        )
+        return Certificate(log, flags, hypothesis, base_witnesses, verdicts, provenance, citations)
 
     epsbar = qcert.witnesses["epsilon"]
     eps = {v: epsbar[vmap[v]] for v in work.vertices}
-    angles, side, coside, lbf = _sign_choice(work, eps)
-    report = curvature(work, angles)
+    level, lbf, report, side, coside = _sign_witnesses(work, eps)
     part_edge_ids = {eid for p in part_list for eid in p.edge_ids}
     if any(report.kappa_cells[eid] for eid in part_edge_ids):
         raise RuntimeError("cells of collapsed parts must be flat")
 
-    link = work.link
     inside = part_corners(work, part_edge_ids)
-    rel1, rel2 = _relative_lbf(link, inside, side), _relative_lbf(link, inside, coside)
+    rel1, rel2 = _relative_lbf(work.link, inside, side), _relative_lbf(work.link, inside, coside)
 
     part_certs = []
     parts_ok = True
@@ -687,17 +660,9 @@ def certify_relative(log: Log) -> Certificate:
         )
 
     base_witnesses.update(
-        {
-            "epsilon": dict(eps),
-            "angles": dict(zip(link.names, angles)),
-            "curvature": _curvature_dict(report),
-            "relative_lbf": {"epsilon_side": rel1, "minus_epsilon_side": rel2},
-            "forests": {
-                "epsilon_side": _corner_names(link, side),
-                "minus_epsilon_side": _corner_names(link, coside),
-            },
-            "part_certificates": part_certs,
-        }
+        level,
+        relative_lbf={"epsilon_side": rel1, "minus_epsilon_side": rel2},
+        part_certificates=part_certs,
     )
 
     verdicts["coloring_test"] = _coloring_ok(lbf, report)
@@ -721,6 +686,4 @@ def certify_relative(log: Log) -> Certificate:
     provenance["DR_claim"] = NOT_EVALUATED
     provenance["locally_indicable_claim"] = NOT_EVALUATED
 
-    return Certificate(
-        _input_section(log), flags, hypothesis, base_witnesses, verdicts, provenance, citations
-    )
+    return Certificate(log, flags, hypothesis, base_witnesses, verdicts, provenance, citations)

@@ -20,11 +20,11 @@ import itertools
 import os
 import random
 from collections import deque
-from typing import Iterable, NamedTuple, Optional, Union
+from typing import Iterable, Optional, Union
 
 from . import certify
 from .arborescence import Branching, CutWitness, cut_delta, verify_branching
-from .link_complex import MINUS, PLUS, Multigraph
+from .link_complex import MINUS, PLUS, Multigraph, Walk
 from .log_model import (
     Edge,
     Log,
@@ -52,20 +52,11 @@ def _cap(value: Optional[int], default: int) -> int:
     return int(env) if env else default
 
 
-class CycleWitness(NamedTuple):
-    """A closed walk; nodes has one more entry than edges (first == last)."""
-
-    nodes: tuple
-    edges: tuple
-    classification: str  # "simple" | "reduced" | "homology_reduced"
-    total_angle: Optional[int] = None
-
-
 # ---------------------------------------------------------------------------
 # cycle enumeration
 
 
-def enumerate_simple_cycles(g: Multigraph, max_len: int) -> list[CycleWitness]:
+def enumerate_simple_cycles(g: Multigraph, max_len: int) -> list[Walk]:
     """All simple cycles with at most max_len edges, once up to rotation and
     reflection.  Loops are length-1 cycles, parallel pairs length-2 cycles.
     """
@@ -76,12 +67,12 @@ def enumerate_simple_cycles(g: Multigraph, max_len: int) -> list[CycleWitness]:
         if u != v:
             adj[v].append((key, u))
 
-    out: list[CycleWitness] = []
+    out: list[Walk] = []
 
     if max_len >= 1:
         for key, u, v in g.edges:
             if u == v:
-                out.append(CycleWitness((u, u), (key,), "simple"))
+                out.append(Walk((u, u), (key,)))
 
     if max_len >= 2:
         by_pair: dict = {}
@@ -92,7 +83,7 @@ def enumerate_simple_cycles(g: Multigraph, max_len: int) -> list[CycleWitness]:
             by_pair.setdefault(pair, []).append((key, u, v))
         for (iu, iv), bundle in sorted(by_pair.items()):
             for (k1, u, v), (k2, _, _) in itertools.combinations(bundle, 2):
-                out.append(CycleWitness((u, v, u), (k1, k2), "simple"))
+                out.append(Walk((u, v, u), (k1, k2)))
 
     if max_len >= 3:
         for start in g.nodes:
@@ -107,9 +98,7 @@ def enumerate_simple_cycles(g: Multigraph, max_len: int) -> list[CycleWitness]:
                         continue
                     if nxt == start:
                         if len(path_keys) + 1 >= 3 and index[path_nodes[1]] < index[node]:
-                            out.append(
-                                CycleWitness(path_nodes + (start,), path_keys + (key,), "simple")
-                            )
+                            out.append(Walk(path_nodes + (start,), path_keys + (key,)))
                         continue
                     if index[nxt] <= s or nxt in path_nodes:
                         continue
@@ -123,7 +112,7 @@ def enumerate_simple_cycles(g: Multigraph, max_len: int) -> list[CycleWitness]:
 
 def homology_reduced_cycle_search(
     g: Multigraph, avoid: Iterable, max_len: Optional[int] = None
-) -> Optional[CycleWitness]:
+) -> Optional[Walk]:
     """A homology reduced closed walk using an edge outside `avoid`, if any.
 
     Backtracking over edge traversals that never uses an edge twice (which in
@@ -142,7 +131,7 @@ def homology_reduced_cycle_search(
         if key0 in avoid_set:
             continue
         if u0 == v0:
-            return CycleWitness((u0, u0), (key0,), "homology_reduced")
+            return Walk((u0, u0), (key0,))
         stack = [(v0, (u0, v0), (key0,))]
         while stack:
             node, path_nodes, path_keys = stack.pop()
@@ -150,9 +139,7 @@ def homology_reduced_cycle_search(
                 if key in path_keys:
                     continue
                 if nxt == u0:
-                    return CycleWitness(
-                        path_nodes + (u0,), path_keys + (key,), "homology_reduced"
-                    )
+                    return Walk(path_nodes + (u0,), path_keys + (key,))
                 if len(path_keys) + 1 < limit:
                     stack.append((nxt, path_nodes + (nxt,), path_keys + (key,)))
     return None
@@ -471,18 +458,21 @@ def _vertex_names(n: int) -> list[str]:
     return [f"v{i}" for i in range(n)]
 
 
-def random_reduced_injective_lot(n: int, seed: int, max_tries: int = 2000) -> Log:
+_MAX_TRIES = 2000
+
+
+def random_reduced_injective_lot(n: int, seed: int) -> Log:
     """A random reduced injective LOT on n >= 3 vertices, deterministic per seed.
 
     Random tree, random edge orientations, and a random injective compressed
     labeling; attempts failing a reducedness condition are rejected and
-    retried (a bounded number of times).
+    retried, at most _MAX_TRIES times.
     """
     if n < 3:
         raise ValueError("need at least 3 vertices")
     rng = random.Random(f"lot:{n}:{seed}")
     names = _vertex_names(n)
-    for _ in range(max_tries):
+    for _ in range(_MAX_TRIES):
         tree = _random_tree_edges(n, rng)
         oriented = [(u, v) if rng.random() < 0.5 else (v, u) for u, v in tree]
         label_pool = list(range(n))

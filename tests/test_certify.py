@@ -27,7 +27,6 @@ from lotcert.certify import (
     _relative_lbf,
     _reoriented_strong_lbf,
     _sign_choice,
-    angles_from_bipartition,
     embed_into_lot,
     label_closed_groups,
     lbf_check,
@@ -108,9 +107,9 @@ def test_lbf_requires_total_signs():
 
 
 def keyed_angles(log, eps):
-    """angles_from_bipartition's list, keyed by corner (owner, kind)."""
+    """The angles of the sign choice eps, keyed by corner (owner, kind)."""
     keys = [key for key, _, _ in build_link(log).edges]
-    return dict(zip(keys, angles_from_bipartition(log, eps)))
+    return dict(zip(keys, _sign_choice(log, eps)[0]))
 
 
 def test_angles_of_reoriented_path3():
@@ -121,7 +120,7 @@ def test_angles_of_reoriented_path3():
 
 
 def test_angles_empty_for_single_vertex():
-    assert angles_from_bipartition(TRIV, {"x": "+"}) == []
+    assert _sign_choice(TRIV, {"x": "+"})[0] == []
 
 
 def test_constant_signs_make_mixed_corners_heavy():
@@ -358,7 +357,6 @@ def test_verdict_only_checks_match_their_references():
             angles, side, coside, lbf = _sign_choice(log, eps)
             ref = lbf_check(log, eps)
             assert (side, coside, lbf) == (ref.first, ref.second, ref.ok)
-            assert angles == angles_from_bipartition(log, eps)
             coloring = _coloring_ok(lbf, curvature(log, angles))
             assert coloring == verify_coloring_test(log, angles).ok
             outcomes["lbf"].append(lbf)
@@ -536,6 +534,33 @@ def test_certify_relative_badsub():
     assert cert.witnesses["part_certificates"][0]["certificate"]["verdicts"][
         "aspherical_claim"
     ] is True
+
+
+@pytest.mark.parametrize("failing", ["epsilon_side", "minus_epsilon_side"])
+def test_one_failed_relative_side_fails_the_relative_test(monkeypatch, failing):
+    # the top level decides its epsilon side, then its minus-epsilon side,
+    # before any part is certified: fail exactly one of those two calls
+    real = certify_module._relative_lbf
+    sides = []
+
+    def one_side_fails(link, inside, side):
+        sides.append(side)
+        return real(link, inside, side) and len(sides) != 1 + (failing == "minus_epsilon_side")
+
+    monkeypatch.setattr(certify_module, "_relative_lbf", one_side_fails)
+    cert = certify_relative(BADSUB)
+    names = BADSUB.link.names
+    assert [[names[c] for c in s] for s in sides[:2]] == [
+        cert.witnesses["forests"]["epsilon_side"],
+        cert.witnesses["forests"]["minus_epsilon_side"],
+    ]
+    assert cert.witnesses["relative_lbf"] == {
+        "epsilon_side": failing != "epsilon_side",
+        "minus_epsilon_side": failing != "minus_epsilon_side",
+    }
+    v = cert.verdicts
+    assert v["relative_coloring_test"] is False
+    assert v["aspherical_claim"] is False and v["VA_claim"] is False
 
 
 def test_certify_relative_on_label_disjoint_union():

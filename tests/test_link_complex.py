@@ -22,7 +22,7 @@ from lotcert import (
     make_log,
     verify_coloring_test,
 )
-from lotcert.certify import angles_from_bipartition
+from lotcert.certify import _sign_choice
 from lotcert.link_complex import (
     CORNER_KINDS,
     bridges,
@@ -169,7 +169,7 @@ def test_bridges_in_multigraph():
 
 def test_curvature_bipartition_on_path3_rho():
     eps = {"x": "+", "y": "+", "z": "+"}
-    angles = angles_from_bipartition(PATH3_RHO, eps)
+    angles = _sign_choice(PATH3_RHO, eps)[0]
     report = curvature(PATH3_RHO, angles)
     assert report.kappa_cells == {"e1": 0, "e2": 0}
     assert report.kappa_vertex == 0
@@ -213,7 +213,7 @@ def test_gauss_bonnet_identity(log, seed):
 
 def test_gauss_bonnet_failure_raises(monkeypatch):
     monkeypatch.setattr(CurvatureReport, "gauss_bonnet", property(lambda report: (0, 1)))
-    angles = angles_from_bipartition(PATH3_RHO, {"x": "+", "y": "+", "z": "+"})
+    angles = _sign_choice(PATH3_RHO, {"x": "+", "y": "+", "z": "+"})[0]
     with pytest.raises(RuntimeError, match="Gauss-Bonnet"):
         curvature(PATH3_RHO, angles)
 
@@ -223,7 +223,7 @@ def test_gauss_bonnet_failure_raises(monkeypatch):
 
 
 def test_coloring_test_bipartition_path3_rho():
-    angles = angles_from_bipartition(PATH3_RHO, {"x": "+", "y": "+", "z": "+"})
+    angles = _sign_choice(PATH3_RHO, {"x": "+", "y": "+", "z": "+"})[0]
     assert verify_coloring_test(PATH3_RHO, angles).ok
 
 
@@ -240,7 +240,7 @@ def test_coloring_test_vacuous():
 
 def test_relative_coloring_with_no_parts_matches_plain():
     eps = {"x": "+", "y": "+", "z": "-"}
-    angles = angles_from_bipartition(PATH3, eps)
+    angles = _sign_choice(PATH3, eps)[0]
     plain = verify_coloring_test(PATH3, angles)
     rel = verify_relative_coloring_test(PATH3, [], angles)
     assert plain.ok == rel.ok is True
@@ -326,7 +326,7 @@ def test_non_label_swap_is_automorphism():
 
 
 def test_link_dot_deterministic_and_styled():
-    angles = angles_from_bipartition(PATH3_RHO, {"x": "+", "y": "+", "z": "+"})
+    angles = _sign_choice(PATH3_RHO, {"x": "+", "y": "+", "z": "+"})[0]
     dot = link_to_dot(build_link(PATH3_RHO), angles)
     assert dot == link_to_dot(build_link(PATH3_RHO), angles)
     assert '"x+";' in dot and '"x-";' in dot

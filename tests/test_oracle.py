@@ -9,7 +9,6 @@ from lotcert.log_model import enumerate_sub_lots, reducedness_report
 from lotcert import oracle
 from lotcert.oracle import (
     CapExceeded,
-    CycleWitness,
     enumerate_simple_cycles,
     exhaustive_branching_search,
     exhaustive_cut_condition,
