@@ -9,17 +9,17 @@ structure passes the coloring test, which is what the downstream asphericity
 claims cite.
 
 The relative pipeline collapses the maximal proper sub-LOTs, certifies the
-quotient, lifts the sign choice, and decides the relative coloring test
-from the two sides' relative forests and the curvature; parts are then
-certified recursively after boundary reduction.
+quotient and reads the level's relative coloring test off the quotient's
+coloring test: a forest in the quotient is a relative forest in the LOG,
+and sign-choice angles make every cell flat (README).  The level lifts the
+quotient's sign choice only for its angles; parts are then certified
+recursively after boundary reduction.
 
-Every level of either pipeline records its sign choice through one routine,
-_sign_witnesses, which writes the epsilon, angles, curvature and forests
-witnesses, and a Certificate computes its input section from the LOG it
-certifies.
-
-Certificates are JSON documents (schema 2) with canonical serialization:
+Certificates are JSON documents (schema 3) with canonical serialization:
 sorted keys, no whitespace, arrays in deterministic construction order.
+A plain level writes the epsilon, angles, curvature and forests witnesses
+of its sign choice; a relative level with parts writes the angles alone,
+since its quotient's certificate and vertex_map determine the rest.
 The hypothesis lists its bad sub-LOTs as closure witnesses: the distinct
 smallest sub-LOTs around single edges that are not boundary reduced, rather
 than every bad sub-LOT.  Verdicts computed here are labeled "witnessed"; asphericity-style
@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from functools import cached_property
 from typing import Container, Iterable, NamedTuple, Optional
 
 from . import arborescence, link_complex, selection
@@ -44,7 +45,6 @@ from .link_complex import (
     curvature,
     grow_forest,
     is_forest,
-    part_corners,
 )
 from .log_model import (
     Edge,
@@ -61,7 +61,7 @@ from .log_model import (
     _UnionFind,
 )
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 HYPOTHESIS_FAILED = "hypothesis-failed"
 NON_GENERIC = "non-generic: ad hoc analysis required"
@@ -152,13 +152,6 @@ def _sign_choice(
     link = log.link
     angles, side, coside = _split(link, _side_mask(log, eps))
     return angles, side, coside, grow_forest(link, side + coside)[1] < 0
-
-
-def _relative_lbf(link: Multigraph, inside: Container[int], side: list[int]) -> bool:
-    """is_relative_forest(link, inside, side)[0], decided without a walk:
-    the side's corners inside the parts are joined, the others grown."""
-    outside = [c for c in side if c not in inside]
-    return grow_forest(link, outside, [c for c in side if c in inside])[1] < 0
 
 
 def _coloring_ok(lbf: bool, report: link_complex.CurvatureReport) -> bool:
@@ -282,8 +275,9 @@ def embed_into_lot(log: Log) -> tuple[Log, list]:
 class Certificate:
     """The sections of a certificate of log; to_json writes its canonical text.
 
-    The input section is computed from log here.  Each level's epsilon,
-    angles, curvature and forests witnesses come from _sign_witnesses.
+    The input section is computed from log when first read, so a caller
+    that certifies a reduced copy of its input names the input by setting
+    log first, and the LOG is serialized and hashed once.
     """
 
     def __init__(
@@ -296,9 +290,13 @@ class Certificate:
         provenance: dict,
         citations: dict,
     ):
-        self.input, self.flags, self.hypothesis = _input_section(log), flags, hypothesis
+        self.log, self.flags, self.hypothesis = log, flags, hypothesis
         self.witnesses, self.verdicts = witnesses, verdicts
         self.provenance, self.citations = provenance, citations
+
+    @cached_property
+    def input(self) -> dict:
+        return _input_section(self.log)
 
     def to_dict(self) -> dict:
         return {
@@ -318,8 +316,12 @@ class Certificate:
 
 def canonical_json(value) -> str:
     """The canonical JSON text of value: sorted keys, no whitespace, raw
-    UTF-8, one trailing newline."""
-    return json.dumps(value, sort_keys=True, separators=(",", ":"), ensure_ascii=False) + "\n"
+    UTF-8, one trailing newline.  value is a tree built fresh for the call,
+    so the encoder skips its reference-cycle check."""
+    text = json.dumps(
+        value, sort_keys=True, separators=(",", ":"), ensure_ascii=False, check_circular=False
+    )
+    return text + "\n"
 
 
 def _input_section(log: Log) -> dict:
@@ -357,30 +359,6 @@ def _curvature_dict(report: link_complex.CurvatureReport) -> dict:
         "chi_link": report.chi_link,
         "gauss_bonnet": [lhs, rhs],
     }
-
-
-def _sign_witnesses(
-    log: Log, eps: link_complex.SignAssignment
-) -> tuple[dict, bool, link_complex.CurvatureReport, list[int], list[int]]:
-    """The witnesses of the sign choice eps at one certificate level.
-
-    Returns the epsilon, angles, curvature and forests witnesses, the lbf
-    verdict, the curvature report, and the epsilon and minus-epsilon sides
-    as corner numbers.
-    """
-    angles, side, coside, lbf = _sign_choice(log, eps)
-    report = curvature(log, angles)
-    names = log.link.names
-    witnesses = {
-        "epsilon": dict(eps),
-        "angles": dict(zip(names, angles)),
-        "curvature": _curvature_dict(report),
-        "forests": {
-            "epsilon_side": [names[c] for c in side],
-            "minus_epsilon_side": [names[c] for c in coside],
-        },
-    }
-    return witnesses, lbf, report, side, coside
 
 
 _BY_CITATION = ("DR_claim", "aspherical_claim", "locally_indicable_claim", "VA_claim")
@@ -535,10 +513,18 @@ def certify_lof(log: Log) -> Certificate:
         for color, kinds in ((selection.BLACK, black), (selection.WHITE, white)):
             partition_out.update({corner_key_str(k): color for k in kinds.items()})
 
-    level, lbf, report, _, _ = _sign_witnesses(log, eps)
+    angles, side, coside, lbf = _sign_choice(log, eps)
+    report = curvature(log, angles)
     coloring = _coloring_ok(lbf, report)
+    names = log.link.names
     witnesses.update(
-        level,
+        epsilon=eps,
+        angles=dict(zip(names, angles)),
+        curvature=_curvature_dict(report),
+        forests={
+            "epsilon_side": [names[c] for c in side],
+            "minus_epsilon_side": [names[c] for c in coside],
+        },
         flips=flips,
         branchings=branchings_out,
         partition=partition_out,
@@ -563,14 +549,15 @@ def certify_relative(log: Log) -> Certificate:
     """Certificate for the relative pipeline.
 
     The parts are the inclusion-maximal proper sub-LOTs.  When they are
-    pairwise disjoint and the quotient LOF certifies, the quotient's sign
-    choice is lifted, the relative coloring test is verified together with
-    nonpositive curvature on all cells, and each part is certified
-    recursively after boundary reduction.  Overlapping maximal sub-LOTs or a
-    failing quotient yield the non-generic verdict.  The aspherical and VA
-    claims are False only when the relative coloring test fails at this
-    level; a passing test with some part's claim other than True leaves them
-    non-generic.
+    pairwise disjoint and the quotient LOF passes the coloring test, the
+    level's relative coloring test is the quotient's: a forest in the
+    quotient lifts to a relative forest, and the lifted angles make every
+    cell flat (README).  The level writes the lifted angles, then certifies
+    each part recursively after boundary reduction; a collapsed part's
+    cell that is not flat raises RuntimeError.  Overlapping maximal
+    sub-LOTs or a quotient that fails yield the non-generic verdict.  The
+    aspherical and VA claims of a passing level are True when every part's
+    claim is, and non-generic otherwise.
     """
     work = log
     moves: tuple = ()
@@ -592,11 +579,11 @@ def certify_relative(log: Log) -> Certificate:
 
     if not part_list:
         cert = certify_lof(work)
+        cert.log = log
         cert.verdicts["relative_coloring_test"] = cert.verdicts["coloring_test"]
         cert.provenance["relative_coloring_test"] = "witnessed"
         cert.witnesses.update(base_witnesses)
         cert.witnesses["parts"] = []
-        cert.input = _input_section(log)
         return cert
 
     verdicts, provenance, citations = _verdict_scaffold(NOT_EVALUATED)
@@ -625,7 +612,8 @@ def certify_relative(log: Log) -> Certificate:
             "vertex_map": vmap,
             "certificate": qcert.to_dict(),
         }
-        certified = qcert.verdicts["lbf"] is True
+        # the quotient's coloring test includes its lbf verdict
+        certified = qcert.verdicts["coloring_test"] is True
         if not certified:
             hypothesis["note"] = "quotient LOF does not certify"
     if not certified:
@@ -635,14 +623,10 @@ def certify_relative(log: Log) -> Certificate:
         return Certificate(log, flags, hypothesis, base_witnesses, verdicts, provenance, citations)
 
     epsbar = qcert.witnesses["epsilon"]
-    eps = {v: epsbar[vmap[v]] for v in work.vertices}
-    level, lbf, report, side, coside = _sign_witnesses(work, eps)
-    part_edge_ids = {eid for p in part_list for eid in p.edge_ids}
-    if any(report.kappa_cells[eid] for eid in part_edge_ids):
+    angles, _, _, lbf = _sign_choice(work, {v: epsbar[vmap[v]] for v in work.vertices})
+    report = curvature(work, angles)
+    if any(report.kappa_cells[eid] for p in part_list for eid in p.edge_ids):
         raise RuntimeError("cells of collapsed parts must be flat")
-
-    inside = part_corners(work, part_edge_ids)
-    rel1, rel2 = _relative_lbf(work.link, inside, side), _relative_lbf(work.link, inside, coside)
 
     part_certs = []
     parts_ok = True
@@ -660,28 +644,12 @@ def certify_relative(log: Log) -> Certificate:
         )
 
     base_witnesses.update(
-        level,
-        relative_lbf={"epsilon_side": rel1, "minus_epsilon_side": rel2},
+        angles=dict(zip(work.link.names, angles)),
         part_certificates=part_certs,
     )
-
     verdicts["coloring_test"] = _coloring_ok(lbf, report)
-    # verify_relative_coloring_test(work, part_list, angles).ok: the two
-    # sides are the angle-0 corners on disjoint node sets, so its relative
-    # forest step is rel1 and rel2, and an angle-1 corner always joins two
-    # angle-0 components; with the parts' cells flat, its cell condition is
-    # nonpositive curvature on every cell
-    verdicts["relative_coloring_test"] = _coloring_ok(rel1 and rel2, report)
-    # only a failed check at this level refutes the claim; an undecided part
-    # leaves it undecided
-    if not verdicts["relative_coloring_test"]:
-        claim = False
-    elif parts_ok:
-        claim = True
-    else:
-        claim = NON_GENERIC
-    verdicts["aspherical_claim"] = claim
-    verdicts["VA_claim"] = claim
+    verdicts["relative_coloring_test"] = qcert.verdicts["coloring_test"]
+    verdicts["aspherical_claim"] = verdicts["VA_claim"] = True if parts_ok else NON_GENERIC
     provenance["lbf"] = NOT_EVALUATED
     provenance["DR_claim"] = NOT_EVALUATED
     provenance["locally_indicable_claim"] = NOT_EVALUATED

@@ -5,10 +5,12 @@ pytest -s) and enforces its runtime budget.  All expectations are integers or
 booleans; there are no tolerances.
 """
 
+import importlib.util
 import itertools
 import json
 import time
 from functools import cache
+from pathlib import Path
 
 from conftest import degrees, flipped, induced_subgraph, seeded_rng
 from lotcert import (
@@ -19,6 +21,7 @@ from lotcert import (
     curvature,
     is_forest,
     is_relative_forest,
+    parse_log,
     verify_coloring_test,
 )
 from lotcert.arborescence import CutWitness, cut_delta, two_disjoint_branchings, verify_branching
@@ -235,7 +238,8 @@ def test_criterion_7_negative_control():
         rel = certify_relative(lot)
         assert rel.verdicts["relative_coloring_test"] is True
         assert rel.verdicts["aspherical_claim"] is True
-        kappa = rel.witnesses["curvature"]["kappa_cells"]
+        angles = {parse_corner_key(key): val for key, val in rel.witnesses["angles"].items()}
+        kappa = curvature(lot, angles).kappa_cells
         for part in rel.witnesses["parts"]:
             for eid in part["edges"]:
                 assert kappa[eid] == 0
@@ -287,24 +291,26 @@ def test_criterion_8_oracle_agreement():
 # taken from the certificates of the indenting writer, each parsed and
 # re-encoded compactly, so the compact writer keeps their content.  A change
 # here is a change of certificate bytes and must come with a schema or
-# CHANGES.md note.
+# CHANGES.md note.  Schema 3 dropped the lifted epsilon, curvature, forests
+# and relative_lbf witnesses of a relative level with parts; good_lots,
+# random_lofs and random_logs changed by the schema number alone.
 GOLDEN_DIGESTS = {
-    "fixtures": "af9df60c38590681f346927eac5119b6319e2d3d85932ac0b809ad309e9d4d45",
-    "random_logs": "3b0ab9d93108d27f10b50a5768cbc7c0b18d7d8dcefbaf27b59623a5f3ef65b8",
-    "good_lots": "4cce9d90cee91d8004b4c603db90a9555a1594a31e1c2253fd43e618bc292fba",
-    "bad_sublot_lots": "d8329d8761f08fece244aa8f1840e89b37a26b153b159aabacc1cdec61775493",
-    "random_lofs": "ce5c63d28ddb92126b64f158955ab7cac1fec9a827c0ecf4b6988da12bfedd5d",
-    "relative_lots_16": "22aa120d2ba68b20403ccf6727e6e685af44b59acbb19ce09decf71d9125f335",
+    "fixtures": "ecafd04c6fc752b3e156b1b9425942eb367eb447119b270e9d204e90dbd50be2",
+    "random_logs": "3202d3f6697792147f1e4af70629f28d9042927250565f60da1ac344ca30abdf",
+    "good_lots": "c037e2114de58eb4c0fc7fad9a55946f926873f454ed04e4414d283951df0716",
+    "bad_sublot_lots": "83e2cd99dc91e540e72983d86fd95d7cde12300ea56ca5786bd7fe29137707e4",
+    "random_lofs": "f14934e34f7d29e786c84b588907aba1ff691a400e97337a415773e79be3f554",
+    "relative_lots_16": "6402db21f77d1a6119642a57802aaaef3a21b6d306149720374276c4c6b225e5",
 }
 
 
 @cache
-def golden_certificates() -> dict:
-    """Each golden corpus's certificates, in the order its digest hashes them."""
+def golden_corpora() -> dict:
+    """Each golden corpus's LOGs and the pipelines run on every one of them."""
     from conftest import BADSUB, NONCOMP, PATH3, PATH3_RHO, TRIV
 
     both = (certify_lof, certify_relative)
-    corpora = {
+    return {
         "fixtures": ([TRIV, PATH3, PATH3_RHO, NONCOMP, BADSUB], both),
         "random_logs": (corpus_random_logs(), both),
         "good_lots": (corpus_good_lots(), (certify_lof,)),
@@ -318,9 +324,14 @@ def golden_certificates() -> dict:
             (certify_relative,),
         ),
     }
+
+
+@cache
+def golden_certificates() -> dict:
+    """Each golden corpus's certificates, in the order its digest hashes them."""
     return {
         name: [pipeline(log) for log in logs for pipeline in pipelines]
-        for name, (logs, pipelines) in corpora.items()
+        for name, (logs, pipelines) in golden_corpora().items()
     }
 
 
@@ -334,6 +345,45 @@ def test_golden_certificates():
             h.update(cert.to_json().encode("utf-8"))
         digests[name] = h.hexdigest()
     assert digests == GOLDEN_DIGESTS
+
+
+def _bench_recheck():
+    """The benchmark's witness re-check module, bench/recheck.py."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "recheck.py"
+    spec = importlib.util.spec_from_file_location("bench_recheck", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_exit_0_relative_certificates_pass_the_bench_recheck():
+    """The benchmark re-checks every exit-0 relative certificate from its
+    angles and parts; every relative golden certificate that exits 0 holds
+    what that re-check reads, so a shape change cannot break it quietly."""
+    recheck = _bench_recheck()
+    checked = with_parts = 0
+    for name, (logs, pipelines) in golden_corpora().items():
+        if certify_relative not in pipelines:
+            continue
+        certs = golden_certificates()[name][pipelines.index(certify_relative) :: len(pipelines)]
+        for log, cert in zip(logs, certs):
+            if cert.verdicts["relative_coloring_test"] is not True:
+                continue
+            data = json.loads(cert.to_json())
+            w = data["witnesses"]
+            # the witnesses describe the reduced LOG when reduction moved anything
+            work = parse_log(w["reduced_input"]) if "reduced_input" in w else log
+            # an angle for every corner, and the part fields the re-check reads
+            assert sorted(w["angles"]) == sorted(work.link.names), name
+            assert all({"vertices", "edges", "boundary_reduced"} <= set(p) for p in w["parts"])
+            # the relative coloring test on those angles and parts, and no
+            # positive cell; the bench feeds reduced inputs only, so it
+            # reads no reduced_input
+            as_reduced = {k: v for k, v in w.items() if k != "reduced_input"}
+            assert recheck.relative(work, dict(data, witnesses=as_reduced)) is None, name
+            checked += 1
+            with_parts += bool(w["parts"])
+    assert checked >= 500 and with_parts >= 30, (checked, with_parts)
 
 
 _JSON_LEAVES = (str, int, bool, type(None))

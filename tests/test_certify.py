@@ -24,7 +24,6 @@ from lotcert.certify import (
     NON_GENERIC,
     NOT_EVALUATED,
     _coloring_ok,
-    _relative_lbf,
     _reoriented_strong_lbf,
     _sign_choice,
     embed_into_lot,
@@ -41,7 +40,14 @@ from lotcert.link_complex import (
     verify_coloring_test,
     verify_relative_coloring_test,
 )
-from lotcert.log_model import Log, maximal_proper_sub_lots, reducedness_report
+from lotcert.log_model import (
+    Log,
+    _sub_edges,
+    maximal_proper_sub_lots,
+    quotient_lof,
+    reduce_log,
+    reducedness_report,
+)
 from lotcert.oracle import (
     exhaustive_lbf_search,
     random_lof,
@@ -363,9 +369,8 @@ def test_verdict_only_checks_match_their_references():
             outcomes["coloring"].append(coloring)
             if log.log_class.kind not in ("LOT", "LOF"):
                 continue
-            # certify_relative's derived verdicts, under any signs and parts
-            rel = [_relative_lbf(log.link, inside, s) for s in (side, coside)]
-            assert rel == [is_relative_forest(log.link, inside, s)[0] for s in (side, coside)]
+            # the relative references, under any signs and parts
+            rel = [is_relative_forest(log.link, inside, s)[0] for s in (side, coside)]
             # the bridge criterion: every corner outside the parts is a bridge
             assert rel == [not set(s) - inside - bridges(log.link, s) for s in (side, coside)]
             kappa = curvature(log, angles).kappa_cells
@@ -441,8 +446,8 @@ def test_plain_certify_of_a_lot_builds_each_graph_once(monkeypatch):
 
 
 def test_relative_certify_builds_no_witness(monkeypatch):
-    # each level's relative verdicts are derived from its sign choice; the
-    # checks that build a cycle are references only
+    # each level's relative verdict is read off its quotient's certificate;
+    # the relative checks and the parts' corners are references only
     from lotcert import link_complex
 
     counts = {
@@ -452,6 +457,7 @@ def test_relative_certify_builds_no_witness(monkeypatch):
             link_complex.is_relative_forest,
             link_complex.verify_relative_coloring_test,
             link_complex._closing_walk,
+            link_complex.part_corners,
         )
     }
     corpus = [random_reduced_injective_lot(n, s) for n in (8, 12, 16, 20) for s in range(50)]
@@ -459,7 +465,7 @@ def test_relative_certify_builds_no_witness(monkeypatch):
     levels = []
     for log in corpus:
         cert = certify_relative(log)
-        if "relative_lbf" in cert.witnesses:
+        if "part_certificates" in cert.witnesses:
             levels.append(cert.verdicts["relative_coloring_test"])
     assert levels.count(True) >= 50
     assert {name: len(calls) for name, calls in counts.items()} == dict.fromkeys(counts, 0)
@@ -518,49 +524,120 @@ def test_certify_relative_badsub():
     assert v["aspherical_claim"] is True and v["VA_claim"] is True
     assert v["DR_claim"] == NOT_EVALUATED
     assert cert.provenance["aspherical_claim"] == "by-citation"
-    # collapsed cells are flat
-    kappa = cert.witnesses["curvature"]["kappa_cells"]
-    for p in cert.witnesses["parts"]:
+    # the level's lifted witness is its angles; the quotient's certificate
+    # and vertex_map determine the signs, the curvature and the forests
+    w = cert.witnesses
+    assert not {"epsilon", "curvature", "forests", "relative_lbf"} & set(w)
+    assert list(w["angles"]) == list(BADSUB.link.names)
+    # collapsed cells are flat, and so is every other cell
+    angles = [w["angles"][name] for name in BADSUB.link.names]
+    kappa = curvature(BADSUB, angles).kappa_cells
+    for p in w["parts"]:
         for eid in p["edges"]:
             assert kappa[eid] == 0
-    assert all(k <= 0 for k in kappa.values())
-    assert cert.witnesses["relative_lbf"] == {
-        "epsilon_side": True,
-        "minus_epsilon_side": True,
-    }
-    # quotient certificate is embedded and positive
-    assert cert.witnesses["quotient"]["certificate"]["verdicts"]["lbf"] is True
+    assert all(k == 0 for k in kappa.values())
+    # quotient certificate is embedded and positive, and decides the level
+    qverdicts = w["quotient"]["certificate"]["verdicts"]
+    assert qverdicts["lbf"] is True and qverdicts["coloring_test"] is True
     # parts are certified recursively
-    assert cert.witnesses["part_certificates"][0]["certificate"]["verdicts"][
-        "aspherical_claim"
-    ] is True
+    assert w["part_certificates"][0]["certificate"]["verdicts"]["aspherical_claim"] is True
 
 
-@pytest.mark.parametrize("failing", ["epsilon_side", "minus_epsilon_side"])
-def test_one_failed_relative_side_fails_the_relative_test(monkeypatch, failing):
-    # the top level decides its epsilon side, then its minus-epsilon side,
-    # before any part is certified: fail exactly one of those two calls
-    real = certify_module._relative_lbf
-    sides = []
+@pytest.mark.parametrize("broken", ["quotient_fails", "part_cells_curved"])
+def test_relative_level_rests_on_its_quotient(monkeypatch, broken):
+    # a level with parts reads its relative test off the quotient: a
+    # quotient that does not pass leaves it non-generic, and a collapsed
+    # part's cell that is not flat breaks the level's invariant
+    if broken == "quotient_fails":
+        real = certify_module._sign_choice
+        quotients = []
 
-    def one_side_fails(link, inside, side):
-        sides.append(side)
-        return real(link, inside, side) and len(sides) != 1 + (failing == "minus_epsilon_side")
+        def failing_quotient(log, eps):
+            # BADSUB has parts: the first sign choice is its quotient's
+            angles, side, coside, lbf = real(log, eps)
+            if not quotients:
+                quotients.append(log)
+                lbf = False
+            return angles, side, coside, lbf
 
-    monkeypatch.setattr(certify_module, "_relative_lbf", one_side_fails)
-    cert = certify_relative(BADSUB)
-    names = BADSUB.link.names
-    assert [[names[c] for c in s] for s in sides[:2]] == [
-        cert.witnesses["forests"]["epsilon_side"],
-        cert.witnesses["forests"]["minus_epsilon_side"],
-    ]
-    assert cert.witnesses["relative_lbf"] == {
-        "epsilon_side": failing != "epsilon_side",
-        "minus_epsilon_side": failing != "minus_epsilon_side",
-    }
-    v = cert.verdicts
-    assert v["relative_coloring_test"] is False
-    assert v["aspherical_claim"] is False and v["VA_claim"] is False
+        monkeypatch.setattr(certify_module, "_sign_choice", failing_quotient)
+        cert = certify_relative(BADSUB)
+        qverdicts = cert.witnesses["quotient"]["certificate"]["verdicts"]
+        assert qverdicts["lbf"] is False and qverdicts["coloring_test"] is False
+        assert len(quotients) == 1
+        assert serialize_log(quotients[0]) == cert.witnesses["quotient"]["log"]
+        v = cert.verdicts
+        for k in ("relative_coloring_test", "aspherical_claim", "VA_claim"):
+            assert v[k] == NON_GENERIC
+        assert cert.hypothesis["satisfied"] is False
+        assert cert.hypothesis["note"] == "quotient LOF does not certify"
+        assert not {"angles", "part_certificates"} & set(cert.witnesses)
+    else:
+        real = certify_module.curvature
+        part_edges = {"e1", "e2", "e3"}  # BADSUB's one part; its quotient keeps e4 to e7
+
+        def curved_parts(log, angles):
+            report = real(log, angles)
+            kappa = {eid: k - (eid in part_edges) for eid, k in report.kappa_cells.items()}
+            return report._replace(kappa_cells=kappa)
+
+        monkeypatch.setattr(certify_module, "curvature", curved_parts)
+        with pytest.raises(RuntimeError, match="must be flat"):
+            certify_relative(BADSUB)
+def _levels_with_parts(log: Log):
+    """(work, parts, quotient, vertex_map) for each level with disjoint parts
+    of certify_relative's recursion from log, into every part whether or
+    not the quotient certifies."""
+    work = log if log.reducedness.reduced else reduce_log(log)[0]
+    if not (work.reducedness.injective.ok and work.log_class.kind in ("LOT", "LOF")):
+        return
+    parts = list(maximal_proper_sub_lots(work))
+    part_vertices = [v for p in parts for v in p.vertices]
+    if not parts or len(part_vertices) != len(set(part_vertices)):
+        return
+    yield (work, parts, *quotient_lof(work, parts, [p.vertices[0] for p in parts]))
+    for p in parts:
+        yield from _levels_with_parts(Log._of(p.vertices, _sub_edges(work, p)))
+
+
+def test_a_quotient_forest_lifts_to_relative_forests():
+    # the lemma behind reading a relative level off its quotient: wherever
+    # the quotient's sign choice passes lbf, the lifted signs pass the
+    # relative forest test on both sides, and every lifted cell is flat
+    corpus = [random_reduced_injective_lot(n, s) for n in (6, 8, 10, 12, 16) for s in range(150)]
+    corpus += [random_lof(n, s, 0.0) for n in range(4, 14) for s in range(60)]
+    rng = seeded_rng("quotient-lift")
+    levels = lifted = refuted = 0
+    for log in corpus:
+        for work, parts, quotient, vmap in _levels_with_parts(log):
+            levels += 1
+            inside = part_corners(work, [eid for p in parts for eid in p.edge_ids])
+            qv = quotient.vertices
+            if len(qv) <= 8:
+                choices = [dict(zip(qv, signs)) for signs in itertools.product("+-", repeat=len(qv))]
+            else:
+                choices = [{v: rng.choice("+-") for v in qv} for _ in range(64)]
+            for epsbar in choices:
+                angles, side, coside, _ = _sign_choice(work, {v: epsbar[vmap[v]] for v in work.vertices})
+                relative = [is_relative_forest(work.link, inside, s)[0] for s in (side, coside)]
+                if _sign_choice(quotient, epsbar)[3]:
+                    lifted += 1
+                    assert relative == [True, True]
+                    assert not any(curvature(work, angles).kappa_cells.values())
+                else:
+                    refuted += not all(relative)
+    # the relative test is not vacuous here: it fails on other sign choices
+    assert levels >= 200 and lifted >= 1500 and refuted >= 1500, (levels, lifted, refuted)
+
+
+def test_sign_choice_angles_make_every_cell_flat():
+    # a cell's four corners take angles [a != b], [b != c], [a == b] and
+    # [b == c] for the signs a, b, c of its source, label and target
+    rng = seeded_rng("flat-cells")
+    for s in range(200):
+        log = random_log(rng.randint(1, 8), rng.randint(0, 10), s)
+        eps = {v: rng.choice("+-") for v in log.vertices}
+        assert not any(curvature(log, _sign_choice(log, eps)[0]).kappa_cells.values())
 
 
 def test_certify_relative_on_label_disjoint_union():
@@ -660,7 +737,7 @@ def test_certificate_json_round_trips():
     cert = certify_lof(PATH3)
     text = cert.to_json()
     data = json.loads(text)
-    assert data["schema"] == 2
+    assert data["schema"] == 3
     assert data["verdicts"]["DR_claim"] is True
     assert text == certify_lof(PATH3).to_json()
 

@@ -75,7 +75,7 @@ def test_certify_writes_canonical_json(files, tmp_path, capsys):
     out = tmp_path / "cert.json"
     assert main(["certify", files["path3"], "--json", str(out)]) == 0
     data = json.loads(out.read_text())
-    assert data["schema"] == 2 and data["verdicts"]["DR_claim"] is True
+    assert data["schema"] == 3 and data["verdicts"]["DR_claim"] is True
     again = tmp_path / "cert2.json"
     main(["certify", files["path3"], "--json", str(again)])
     assert out.read_bytes() == again.read_bytes()
