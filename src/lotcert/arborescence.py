@@ -4,34 +4,40 @@ pass for the cut when they cannot be.
 A branching rooted at r is a spanning arborescence: every vertex other than
 the root has exactly one incoming arc and is reachable from the root.  Two
 arc-disjoint branchings rooted at r exist iff every vertex set avoiding r is
-entered by at least two arcs, delta(S) >= 2 (Edmonds 1973).
+entered by at least two arcs, delta(S) >= 2 (Edmonds 1973).  A branching
+rooted at a set of roots is a spanning forest of one arborescence per root:
+no root has an incoming arc, every other vertex has one.  Two arc-disjoint
+ones exist iff every vertex set avoiding all roots has delta(S) >= 2: that
+is the one-root theorem for an added root joined by two arcs to each root.
 
-`two_disjoint_branchings` builds the pair first and verifies both.  The
-first branching is grown greedily from a heap of frontier arcs keyed by
-arc index.  An arc u -> w is committed only when the root still reaches w
-without it and without the arcs already committed, which keeps every vertex
-reachable for the second branching.  A spanning tree of the uncommitted
-arcs answers that test: an arc outside the tree passes at once, and a tree
-arc passes iff the subtree below it can be hung from other uncommitted
-arcs, which then becomes the tree.  The subtree hangs from its top vertex,
-so one backward search from the top through the subtree, for an arc that
-enters it from the rest of the tree, decides that; usually the first arc
-into the top vertex does.  The test is exact for any spanning tree, so the
-branchings do not depend on the tree kept.  An arc that fails fails for
-good, since the committed set only grows.  The second branching takes the
-smallest-index frontier arc among the remaining arcs at each step, like
-Prim's algorithm.  Both run over the selection graph's node and arc numbers
-and are checked there before their arc keys are built; `verify_branching`
-maps the keys of a given branching to numbers for the same check.  When the
-cut condition fails, some set S is entered by at most one arc, which the
-first branching can never commit, so the construction stalls.
+`two_disjoint_branchings` builds the pair first and verifies both.  Every
+root counts as reached at the start.  The first branching is grown
+greedily from a heap of frontier arcs keyed by arc index.  An arc u -> w is
+committed only when the roots still reach w without it and without the
+arcs already committed, which keeps every vertex reachable for the second
+branching.  A spanning forest of the uncommitted arcs answers that test: an
+arc outside the forest passes at once, and a forest arc passes iff the
+subtree below it can be hung from other uncommitted arcs, which then
+becomes the forest.  The subtree hangs from its top vertex, so one backward
+search from the top through the subtree, for an arc that enters it from the
+rest of the forest, decides that; usually the first arc into the top vertex
+does.  The test is exact for any spanning forest, so the branchings do not
+depend on the forest kept.  An arc that fails fails for good, since the
+committed set only grows.  The second branching takes the smallest-index
+frontier arc among the remaining arcs at each step, like Prim's algorithm.
+Both run over the selection graph's node and arc numbers and are checked
+there before their arc keys are built; `verify_branching` maps the keys of
+given trees to numbers for the same check.  When the cut condition fails,
+some set S is entered by at most one arc, which the first branching can
+never commit, so the construction stalls.
 
-Only then does `edmonds_condition` run, and it yields the cut.  By Menger's
-theorem the condition holds iff every vertex is reachable from r and no
-single arc lies on every path from r to it.  One dominator pass (Cooper,
-Harvey and Kennedy, "A Simple, Fast Dominance Algorithm", 2001) over the
-selection graph with each arc subdivided tests both: a vertex fails when it
-is unreachable (delta 0) or when an arc node dominates it (delta 1).  A
+Only then, and only from one root, does `edmonds_condition` run, and it
+yields the cut.  By Menger's theorem the condition holds iff every vertex
+is reachable from r and no single arc lies on every path from r to it.
+One dominator pass (Cooper, Harvey and Kennedy, "A Simple, Fast Dominance
+Algorithm", 2001) over the selection graph with each arc subdivided tests
+both: a vertex fails when it is unreachable (delta 0) or when an arc node
+dominates it (delta 1).  A
 failure is reported as a minimum violating cut read off the dominator tree:
 the unreachable vertices, or else the vertices that share the first failing
 vertex's top arc, its dominating arc nearest the root.  That is the cut a
@@ -42,7 +48,7 @@ unit-capacity max-flow to that vertex leaves (see `edmonds_condition`);
 from __future__ import annotations
 
 import heapq
-from typing import NamedTuple, Optional, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 from .selection import ArcKey, SelectionGraph
 
@@ -186,33 +192,35 @@ def edmonds_condition(sel: SelectionGraph, root: str) -> tuple[bool, Optional[Cu
     return False, witness
 
 
-def _tree(g: _Index, root: int) -> list[int]:
-    """A breadth-first tree from the root: the arc into each vertex, or -1 at
-    the root and at unreachable vertices."""
+def _tree(g: _Index, is_root: bytearray) -> list[int]:
+    """A breadth-first forest from the roots: the arc into each vertex, or -1
+    at the roots and at unreachable vertices."""
     _, dst, out, _ = g
     parent = [-1] * len(out)
-    queue = [root]
+    seen = bytearray(is_root)
+    queue = [v for v, r in enumerate(is_root) if r]
     for u in queue:
         for i in out[u]:
             v = dst[i]
-            if v != root and parent[v] == -1:
+            if not seen[v]:
+                seen[v] = 1
                 parent[v] = i
                 queue.append(v)
     return parent
 
 
-def _rehang(g: _Index, root: int, used: bytearray, parent: list[int], cut: int) -> bool:
+def _rehang(g: _Index, is_root: bytearray, used: bytearray, parent: list[int], cut: int) -> bool:
     """Hang the subtree below tree arc cut from unused arcs other than cut.
 
-    The tree spans the unused arcs.  Vertices outside the subtree keep their
-    tree paths, which avoid cut, and the subtree hangs from its top vertex,
-    so it stays reachable without cut iff the top vertex does.  One backward
-    search from the top over unused arcs other than cut, through vertices of
-    the subtree, looks for an arc whose tail lies outside it; a vertex is in
-    the subtree iff its tree path up to the root meets the top.  Its first
-    level re-hangs the top vertex alone.  On success each vertex on the path
-    found takes its path arc as its tree arc; otherwise the tree is left
-    alone and the result is False.
+    The forest spans the unused arcs.  Vertices outside the subtree keep
+    their tree paths, which avoid cut, and the subtree hangs from its top
+    vertex, so it stays reachable without cut iff the top vertex does.  One
+    backward search from the top over unused arcs other than cut, through
+    vertices of the subtree, looks for an arc whose tail lies outside it; a
+    vertex is in the subtree iff its tree path up to a root meets the top.
+    Its first level re-hangs the top vertex alone.  On success each vertex
+    on the path found takes its path arc as its tree arc; otherwise the tree
+    is left alone and the result is False.
     """
     src, dst, _, into = g
     top = dst[cut]
@@ -223,12 +231,12 @@ def _rehang(g: _Index, root: int, used: bytearray, parent: list[int], cut: int) 
             if used[i] or i == cut or src[i] in toward:
                 continue
             x = src[i]
-            while x != top and x != root and parent[x] >= 0:
+            while x != top and parent[x] >= 0:
                 x = src[parent[x]]
             if x == top:
                 toward[src[i]] = i
                 queue.append(src[i])
-            elif x == root:
+            elif is_root[x]:
                 while y != top:
                     parent[y], i = i, toward[y]
                     y = dst[i]
@@ -237,26 +245,27 @@ def _rehang(g: _Index, root: int, used: bytearray, parent: list[int], cut: int) 
     return False
 
 
-def _prim(
-    out: list[list[int]], dst: list[int], root: int, removed: bytearray
-) -> Optional[list[int]]:
-    """The arborescence that always takes the smallest-index frontier arc."""
-    reached = bytearray(len(out))
-    reached[root] = 1
-    left = len(out) - 1
-    heap = [i for i in out[root] if not removed[i]]
+def _prim(g: _Index, roots: list[int], removed: bytearray) -> Optional[list[list[int]]]:
+    """The branching that always takes the smallest-index frontier arc: the
+    arcs of each root's tree, in the order taken."""
+    src, dst, out, _ = g
+    tree = [-1] * len(out)  # the tree of each vertex reached
+    for k, r in enumerate(roots):
+        tree[r] = k
+    left = len(out) - len(roots)
+    heap = [i for r in roots for i in out[r] if not removed[i]]
     heapq.heapify(heap)
-    chosen = []
+    chosen: list[list[int]] = [[] for _ in roots]
     while left:
         if not heap:
             return None
         i = heapq.heappop(heap)
         w = dst[i]
-        if reached[w]:
+        if tree[w] >= 0:
             continue
-        reached[w] = 1
+        k = tree[w] = tree[src[i]]
         left -= 1
-        chosen.append(i)
+        chosen[k].append(i)
         for j in out[w]:
             if not removed[j]:
                 heapq.heappush(heap, j)
@@ -264,114 +273,145 @@ def _prim(
 
 
 def two_disjoint_branchings(
-    sel: SelectionGraph, root: str
-) -> Union[tuple[Branching, Branching], CutWitness]:
-    """Two arc-disjoint branchings rooted at root, or a cut with delta < 2.
+    sel: SelectionGraph, roots: Sequence[str]
+) -> Union[tuple[tuple[Branching, ...], tuple[Branching, ...]], CutWitness]:
+    """Two arc-disjoint branchings rooted at the roots, or a cut with delta < 2.
 
-    The first branching takes, at each step, the smallest-index frontier arc
-    whose removal keeps every vertex reachable from the root in the arcs
-    not yet committed, which preserves the cut condition for the second
-    branching; a spanning tree of those arcs, re-hung when one of its own
-    arcs is taken, decides that.  The second branching is then grown on the
-    leftover arcs.  Both are verified on arc numbers, and only then are
-    their (owner, kind) keys built.  Only when the construction stalls
-    does `edmonds_condition` run: it returns the minimum cut, and when the
-    condition holds after all the stall is a RuntimeError.
+    Each branching is one tree per root, in the order of roots: every other
+    vertex is entered by one arc of one tree, and no root by any.  All roots
+    count as reached at the start, which is the one-root construction from
+    an added root joined by two arcs to each of them (README).  The first
+    branching takes, at each step, the smallest-index frontier arc whose
+    removal keeps every vertex reachable from the roots in the arcs not yet
+    committed, which preserves the cut condition for the second branching;
+    a spanning forest of those arcs, re-hung when one of its own arcs is
+    taken, decides that.  An arc joins the tree of its tail.  The second
+    branching is then grown on the leftover arcs.  Both are verified on arc
+    numbers, and only then are their (owner, kind) keys built.  Only when
+    the construction stalls from one root does `edmonds_condition` run: it
+    returns the minimum cut, and when the condition holds after all the
+    stall is a RuntimeError.  A stall from several roots is a RuntimeError
+    too: no caller expects a cut there, since the README rules it out for a
+    LOF that satisfies the hypothesis.
     """
-    if root not in sel.nodes:
-        raise ValueError(f"unknown root {root!r}")
+    number = {v: i for i, v in enumerate(sel.nodes)}
+    is_root = bytearray(len(sel.nodes))
+    for root in roots:
+        if root not in number or is_root[number[root]]:
+            raise ValueError(f"unknown or repeated root {root!r}")
+        is_root[number[root]] = 1
+    nums = [number[root] for root in roots]
     g = _index(sel)
-    _, dst, out, _ = g
-    r = sel.nodes.index(root)
+    src, dst, out, _ = g
     used = bytearray(len(dst))
-    parent = _tree(g, r)  # spans the unused arcs
-    reached = bytearray(len(out))
-    reached[r] = 1
-    left = len(out) - 1
-    heap = list(out[r])
+    parent = _tree(g, is_root)  # spans the unused arcs
+    tree = [-1] * len(out)  # the tree of each vertex reached
+    for k, r in enumerate(nums):
+        tree[r] = k
+    left = len(out) - len(nums)
+    heap = [i for r in nums for i in out[r]]
     heapq.heapify(heap)
-    first = []
+    first: list[list[int]] = [[] for _ in nums]
     while left:
         if not heap:
-            return _cut(sel, root, "branching construction stalled despite cut condition")
+            return _cut(sel, roots, "branching construction stalled despite cut condition")
         i = heapq.heappop(heap)
         w = dst[i]
-        if reached[w]:
+        if tree[w] >= 0:
             continue  # never a candidate again: reached only grows
         # an arc off the tree can go at once, a tree arc if its subtree re-hangs
-        if parent[w] == i and not _rehang(g, r, used, parent, i):
+        if parent[w] == i and not _rehang(g, is_root, used, parent, i):
             continue  # fails for good: used only grows
         used[i] = 1
-        reached[w] = 1
+        k = tree[w] = tree[src[i]]
         left -= 1
-        first.append(i)
+        first[k].append(i)
         for j in out[w]:
             heapq.heappush(heap, j)
 
-    second = _prim(out, dst, r, used)
+    second = _prim(g, nums, used)
     if second is None:
-        return _cut(sel, root, "second branching not found despite cut condition")
+        return _cut(sel, roots, "second branching not found despite cut condition")
+    keys, nodes = sel.keys, sel.nodes
+    pair = []
     for chosen in (first, second):
-        bad = _first_fault(sel, r, chosen)
+        trees = list(zip(nums, chosen))
+        bad = _first_fault(sel, trees)
         if bad >= 0:
-            raise RuntimeError(f"constructed branching fails verification at {sel.nodes[bad]!r}")
-    keys = sel.keys
-    b1, b2 = (Branching(root, tuple([keys[i] for i in chosen])) for chosen in (first, second))
-    return b1, b2
+            raise RuntimeError(f"constructed branching fails verification at {nodes[bad]!r}")
+        pair.append(tuple(Branching(nodes[r], tuple([keys[i] for i in arcs])) for r, arcs in trees))
+    return pair[0], pair[1]
 
 
-def _cut(sel: SelectionGraph, root: str, stall: str) -> CutWitness:
-    """The minimum cut behind a stalled construction; RuntimeError(stall)
-    when the cut condition holds after all."""
-    ok, cut = edmonds_condition(sel, root)
+def _cut(sel: SelectionGraph, roots: Sequence[str], stall: str) -> CutWitness:
+    """The minimum cut behind a construction stalled from one root;
+    RuntimeError(stall) when there are several roots, or when the cut
+    condition holds after all."""
+    if len(roots) != 1:
+        raise RuntimeError(stall)
+    ok, cut = edmonds_condition(sel, roots[0])
     if ok:
         raise RuntimeError(stall)
     return cut
 
 
-def verify_branching(sel: SelectionGraph, b: Branching) -> tuple[bool, Optional[str]]:
-    """Check the branching invariant; the witness names the violated vertex.
+def verify_branching(sel: SelectionGraph, *trees: Branching) -> tuple[bool, Optional[str]]:
+    """Check that the trees form one branching rooted at their roots, each
+    tree the arcs its own root reaches; the witness names the violated
+    vertex.  One tree is a branching rooted at its root.
 
-    The arcs are mapped to numbers in order (each known, none repeated), then
-    the root is looked up; `_first_fault` checks the rest.
+    The arcs are mapped to numbers in order (each known, none repeated),
+    then the roots are looked up; `_first_fault` checks the rest.
     """
     number = sel.arc_number
-    taken: list[int] = []
+    nodes = {v: i for i, v in enumerate(sel.nodes)}
     seen = bytearray(len(sel.keys))
-    for k in b.arcs:
-        i = number.get(k)
-        if i is None:
-            return False, f"arc {k!r} not in the selection graph"
-        if seen[i]:
-            return False, f"arc {k!r} repeated"
-        seen[i] = 1
-        taken.append(i)
-    if b.root not in sel.nodes:
-        return False, f"root {b.root!r} not a vertex"
-    bad = _first_fault(sel, sel.nodes.index(b.root), taken)
+    numbered = []
+    for b in trees:
+        taken: list[int] = []
+        for k in b.arcs:
+            i = number.get(k)
+            if i is None:
+                return False, f"arc {k!r} not in the selection graph"
+            if seen[i]:
+                return False, f"arc {k!r} repeated"
+            seen[i] = 1
+            taken.append(i)
+        if b.root not in nodes:
+            return False, f"root {b.root!r} not a vertex"
+        numbered.append((nodes[b.root], taken))
+    bad = _first_fault(sel, numbered)
     return (True, None) if bad < 0 else (False, sel.nodes[bad])
 
 
-def _first_fault(sel: SelectionGraph, r: int, arcs: list[int]) -> int:
-    """-1 when the distinct arcs form a branching rooted at node r, else the
-    first failing node: first one whose in-arc count is not one (zero at the
-    root), then the first the root does not reach, in node order."""
+def _first_fault(sel: SelectionGraph, trees: list[tuple[int, list[int]]]) -> int:
+    """-1 when the trees, each a root node and distinct arcs, form a
+    branching rooted at their roots with each tree reached from its own
+    root, else the first failing node: first one whose in-arc count is not
+    one (zero at a root, with a repeated root counted as an in-arc), then
+    the first that no root reaches through its own tree's arcs, in node
+    order."""
     src, dst = sel.src, sel.dst
     n = len(sel.nodes)
-    indeg = [0] * n
+    missing = [1] * n  # in-arcs still wanted
+    tree = [-1] * n  # the tree of each vertex's in-arcs
     out: list[list[int]] = [[] for _ in range(n)]
-    for i in arcs:
-        indeg[dst[i]] += 1
-        out[src[i]].append(dst[i])
-    for v, d in enumerate(indeg):
-        if d != (v != r):
+    for k, (r, arcs) in enumerate(trees):
+        missing[r] -= 1
+        for i in arcs:
+            missing[dst[i]] -= 1
+            tree[dst[i]] = k
+            out[src[i]].append(dst[i])
+    for v, d in enumerate(missing):
+        if d:
             return v
     reached = bytearray(n)
-    reached[r] = 1
-    queue = [r]
-    for u in queue:
-        for v in out[u]:
-            if not reached[v]:
-                reached[v] = 1
-                queue.append(v)
-    return reached.index(0) if len(queue) < n else -1
+    for k, (r, _) in enumerate(trees):
+        reached[r] = 1
+        queue = [r]
+        for u in queue:
+            for v in out[u]:
+                if tree[v] == k and not reached[v]:
+                    reached[v] = 1
+                    queue.append(v)
+    return reached.find(0)

@@ -1,12 +1,15 @@
 """End-to-end certification pipelines and the certificate format.
 
 The plain pipeline certifies a reduced injective LOF all of whose sub-LOTs
-are boundary reduced: two disjoint branchings of the selection graph give an
+are boundary reduced: two disjoint branchings of the selection graph,
+rooted at its non-label vertices with one tree per root, give an
 admissible partition, the partition selects a reorientation whose link
 splits into a positive and a negative tree, and pulling the signs back
 yields a bi-forest witness for the input.  The induced zero/one angle
-structure passes the coloring test, which is what the downstream asphericity
-claims cite.
+structure passes the coloring test, which is what the downstream
+asphericity claims cite.  A LOT has one non-label vertex and a LOF as many
+as it has components, and both take the same path: the README proves that
+the branchings exist for every LOF that satisfies the hypothesis.
 
 The relative pipeline collapses the maximal proper sub-LOTs, certifies the
 quotient and reads the level's relative coloring test off the quotient's
@@ -32,7 +35,7 @@ from __future__ import annotations
 import hashlib
 import json
 from functools import cached_property
-from typing import Container, Iterable, NamedTuple, Optional
+from typing import Container, NamedTuple, Optional
 
 from . import arborescence, link_complex, selection
 from .arborescence import Branching, CutWitness
@@ -47,7 +50,6 @@ from .link_complex import (
     is_forest,
 )
 from .log_model import (
-    Edge,
     Log,
     SubLog,
     bad_sub_lot_witnesses,
@@ -55,7 +57,6 @@ from .log_model import (
     non_label_vertices,
     quotient_lof,
     reduce_log,
-    restrict_log,
     serialize_log,
     _sub_edges,
     _UnionFind,
@@ -164,108 +165,6 @@ def _coloring_ok(lbf: bool, report: link_complex.CurvatureReport) -> bool:
     components: what is left of the test is the curvature condition.
     """
     return lbf and all(k <= 0 for k in report.kappa_cells.values())
-
-
-# ---------------------------------------------------------------------------
-# wedge decomposition and embedding of a LOF into a LOT
-
-
-def _vertex_classes(log: Log, pairs: Iterable[tuple[str, str]]) -> list[tuple[str, ...]]:
-    """Classes of the equivalence the vertex pairs generate.
-
-    Each class lists its vertices in declaration order; classes are ordered
-    by their first vertex.
-    """
-    index = log.vertex_index
-    uf = _UnionFind(len(index))
-    for a, b in pairs:
-        uf.union(index[a], index[b])
-    classes: dict[int, list[str]] = {}
-    for i, v in enumerate(log.vertices):
-        classes.setdefault(uf.find(i), []).append(v)
-    return [tuple(vs) for vs in classes.values()]
-
-
-def label_closed_groups(log: Log) -> list[tuple[str, ...]]:
-    """Finest partition of the vertices into label-closed component groups.
-
-    Two components share a group when a vertex of one labels an edge of the
-    other; each group's full sub-LOG is a LOF whose complex is a wedge
-    summand of the whole complex.
-    """
-    return _vertex_classes(log, [p for e in log.edges for p in ((e.src, e.tgt), (e.lab, e.src))])
-
-
-def embed_into_lot(log: Log) -> tuple[Log, list]:
-    """Join the components of a LOF into a LOT by fresh connecting edges.
-
-    Each connecting edge runs between label vertices of two different
-    components and is labeled by a vertex that does not yet occur as a
-    label, so the enlarged graph stays reduced and injective and the input
-    is a full sub-LOF of it.  A careless choice of endpoints can create a
-    subtree that fails boundary reducedness, so candidate connections are
-    tried in declaration order and the first one that keeps every sub-LOT
-    boundary reduced is committed (the first candidate is used if none
-    qualifies; downstream hypothesis checks then fail honestly).  Added
-    edges get ids _c1, _c2, ...
-    """
-    added = []
-    work = log
-    counter = 1
-    while True:
-        comps = _vertex_classes(work, [(e.src, e.tgt) for e in work.edges])
-        if len(comps) <= 1:
-            return work, added
-        labels = work.label_set()
-        order = work.vertex_index
-        comp_of = {v: i for i, vs in enumerate(comps) for v in vs}
-        # vertices of component i labeling an edge of component j
-        lab_into: dict[tuple[int, int], list[str]] = {}
-        for e in work.edges:
-            i, j = comp_of[e.lab], comp_of[e.src]
-            if i != j:
-                bucket = lab_into.setdefault((i, j), [])
-                if e.lab not in bucket:
-                    bucket.append(e.lab)
-        pairs: list[tuple[str, str]] = []
-        for i in range(len(comps)):
-            for j in range(i + 1, len(comps)):
-                for x1 in sorted(lab_into.get((i, j), []), key=order.__getitem__):
-                    for x2 in sorted(lab_into.get((j, i), []), key=order.__getitem__):
-                        pairs.append((x1, x2))
-        if not pairs:
-            # no mutually labeling pair: join any two components at label vertices
-            anchors = []
-            for vs in comps:
-                anchor = next((v for v in vs if v in labels), None)
-                if anchor is not None:
-                    anchors.append(anchor)
-                if len(anchors) == 2:
-                    break
-            if len(anchors) < 2:
-                raise ValueError("components cannot be joined at label vertices")
-            pairs = [(anchors[0], anchors[1])]
-        free_names = tuple(v for v in work.vertices if v not in labels)
-        while f"_c{counter}" in work.edge_index:
-            counter += 1
-        eid = f"_c{counter}"
-        counter += 1
-
-        chosen = None
-        for (x1, x2) in pairs:
-            for y in free_names:
-                candidate = Log._of(work.vertices, work.edges + (Edge(eid, x1, x2, y),))
-                if not bad_sub_lot_witnesses(candidate):
-                    chosen = (x1, x2, y)
-                    break
-            if chosen:
-                break
-        if chosen is None:
-            chosen = (pairs[0][0], pairs[0][1], free_names[0])
-        x1, x2, y = chosen
-        new_edge = (eid, x1, x2, y)
-        added.append(new_edge)
-        work = Log._of(work.vertices, work.edges + (Edge(*new_edge),))
 
 
 # ---------------------------------------------------------------------------
@@ -401,27 +300,33 @@ def _hypothesis_section(log: Log) -> dict:
     }
 
 
-def _certify_lot_core(lot: Log) -> tuple[Branching, Branching, dict, dict, list[int]]:
-    """The branchings of one LOT that satisfies the hypothesis, and what they select.
+def _certify_lot_core(
+    log: Log,
+) -> tuple[tuple[Branching, ...], tuple[Branching, ...], dict, dict, list[int]]:
+    """The branchings of a LOF that satisfies the hypothesis, and what they select.
 
-    Returns the two branchings, each edge's arc kind in each, and the numbers
-    of the edges the partition flips.  The paper's theorem says the pair
-    exists and its reorientation has a strong bi-forest link, so a cut or a
-    failed reorientation raises RuntimeError.
+    The branchings are rooted at the non-label vertices, one tree per root;
+    a LOT has one.  Returns the two branchings, each edge's arc kind in
+    each, and the numbers of the edges the partition flips.  The paper's
+    theorem says the pair exists (README) and its reorientation has a
+    strong bi-forest link, so a cut or a failed reorientation raises
+    RuntimeError.
     """
-    (root,) = non_label_vertices(lot)  # n - 1 distinct labels leave one vertex
-    res = arborescence.two_disjoint_branchings(selection.build_selection_graph(lot), root)
+    res = arborescence.two_disjoint_branchings(
+        selection.build_selection_graph(log), non_label_vertices(log)
+    )
     if isinstance(res, CutWitness):
         raise RuntimeError(f"no disjoint branching pair: cut {list(res.vertices)!r}, delta {res.delta}")
     b1, b2 = res
     # each edge's arc kind in each branching; admissible: one arc in each
-    black, white = dict(b1.arcs), dict(b2.arcs)
-    for e in lot.edges:
+    black = {owner: kind for t in b1 for owner, kind in t.arcs}
+    white = {owner: kind for t in b2 for owner, kind in t.arcs}
+    for e in log.edges:
         if (black.get(e.eid), white.get(e.eid)) not in (("a", "b"), ("b", "a")):
             raise RuntimeError(f"branching pair not admissible at {e.eid!r}")
     # flipping the edges whose a-arc is white makes every a-arc black
-    flipped = [j for j, e in enumerate(lot.edges) if white[e.eid] == "a"]
-    if not _reoriented_strong_lbf(lot, set(flipped)):
+    flipped = [j for j, e in enumerate(log.edges) if white[e.eid] == "a"]
+    if not _reoriented_strong_lbf(log, set(flipped)):
         raise RuntimeError("the selected reorientation fails the strong bi-forest check")
     return b1, b2, black, white, flipped
 
@@ -452,8 +357,9 @@ def certify_lof(log: Log) -> Certificate:
     failure is a bad sub-LOT: its closure minus the leaf is entered only by
     the leaf's arc, so the obstructing delta=1 cut of the selection graph
     exists and is included; a cut condition that holds there raises
-    RuntimeError.  A LOF whose embedding into a LOT fails the hypothesis
-    gets a note; the LOT core raises on the outcomes the theorem rules out.
+    RuntimeError.  Otherwise the LOT or LOF is certified in one pass from
+    branchings rooted at its non-label vertices, and `_certify_lot_core`
+    raises on the outcomes the theorem rules out.
     """
     hypothesis = _hypothesis_section(log)
     flags = _flags_section(log)
@@ -470,49 +376,18 @@ def certify_lof(log: Log) -> Certificate:
         verdicts, provenance, citations = _verdict_scaffold(HYPOTHESIS_FAILED)
         return Certificate(log, flags, hypothesis, witnesses, verdicts, provenance, citations)
 
-    eps: dict[str, str] = {}
-    flips: list[str] = []
-    branchings_out = []
-    partition_out: dict[str, str] = {}
-    embeddings = []
-    roots_out = []
     verdicts, provenance, citations = _verdict_scaffold(False)
     verdicts["strong_lbf"] = _reoriented_strong_lbf(log, ())
     verdicts["relative_coloring_test"] = NOT_EVALUATED
     provenance["relative_coloring_test"] = NOT_EVALUATED
 
-    # a LOT is its own single label-closed group and needs no embedding
-    is_lot = log.log_class.kind == "LOT"
-    for group in [log.vertices] if is_lot else label_closed_groups(log):
-        glog = restrict_log(log, group)
-        if not glog.edges:
-            eps.update(dict.fromkeys(group, PLUS))
-            continue
-        hat, added = (glog, []) if is_lot else embed_into_lot(glog)
-        if added:
-            hat_hyp = _hypothesis_section(hat)
-            embeddings.append(
-                {
-                    "group": list(group),
-                    "added_edges": [
-                        {"id": t[0], "src": t[1], "tgt": t[2], "label": t[3]} for t in added
-                    ],
-                    "hypotheses_after_embedding": hat_hyp["satisfied"],
-                }
-            )
-            if not hat_hyp["satisfied"]:
-                hypothesis["note"] = "embedding produced a non-certifiable LOT"
-                return Certificate(log, flags, hypothesis, {}, verdicts, provenance, citations)
-        b1, b2, black, white, flipped = _certify_lot_core(hat)
-        roots_out.append(b1.root)
-        flipped_edges = [hat.edges[j] for j in flipped]
-        flipped_labels = {e.lab for e in flipped_edges}
-        eps.update({v: (MINUS if v in flipped_labels else PLUS) for v in group})
-        flips.extend(e.eid for e in flipped_edges if e.eid in glog.edge_index)
-        branchings_out += [{"root": b.root, "arcs": [list(k) for k in b.arcs]} for b in (b1, b2)]
-        for color, kinds in ((selection.BLACK, black), (selection.WHITE, white)):
-            partition_out.update({corner_key_str(k): color for k in kinds.items()})
-
+    b1, b2, black, white, flipped = _certify_lot_core(log)
+    # a label is entered only by its edge's a- and b-arc, one in each
+    # branching, so a root on an edge has an arc in one of its two trees;
+    # a root on no edge has none, and its trees are not listed
+    trees = [pair for pair in zip(b1, b2) if pair[0].arcs or pair[1].arcs]
+    flipped_labels = {log.edges[j].lab for j in flipped}
+    eps = {v: (MINUS if v in flipped_labels else PLUS) for v in log.vertices}
     angles, side, coside, lbf = _sign_choice(log, eps)
     report = curvature(log, angles)
     coloring = _coloring_ok(lbf, report)
@@ -525,14 +400,16 @@ def certify_lof(log: Log) -> Certificate:
             "epsilon_side": [names[c] for c in side],
             "minus_epsilon_side": [names[c] for c in coside],
         },
-        flips=flips,
-        branchings=branchings_out,
-        partition=partition_out,
-        roots=roots_out,
+        flips=[log.edges[j].eid for j in flipped],
+        branchings=[{"root": t.root, "arcs": [list(k) for k in t.arcs]} for pair in trees for t in pair],
+        partition={
+            corner_key_str(k): color
+            for color, kinds in ((selection.BLACK, black), (selection.WHITE, white))
+            for k in kinds.items()
+        },
+        roots=[t.root for t, _ in trees],
         reoriented_strong_lbf=True,
     )
-    if embeddings:
-        witnesses["embedding"] = embeddings
 
     verdicts["lbf"] = lbf
     verdicts["coloring_test"] = coloring

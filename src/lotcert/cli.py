@@ -29,7 +29,7 @@ from .log_model import (
     reduce_log,
     serialize_log,
 )
-from .selection import build_selection_graph, selection_to_dot
+from .selection import SelectionGraph, build_selection_graph, selection_to_dot
 
 EXIT_OK = 0
 EXIT_PROPERTY = 1
@@ -196,6 +196,19 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
+def _with_added_root(sel: SelectionGraph, roots: tuple[str, ...]) -> SelectionGraph:
+    """sel with an added node ":", which no vertex name can be, joined by an
+    a- and a b-arc to each root."""
+    number = {v: i for i, v in enumerate(sel.nodes)}
+    heads = [number[r] for r in roots for _ in "ab"]
+    return SelectionGraph(
+        sel.nodes + (":",),
+        list(sel.src) + [len(sel.nodes)] * len(heads),
+        list(sel.dst) + heads,
+        list(sel.keys) + [(":" + r, kind) for r in roots for kind in "ab"],
+    )
+
+
 def cmd_oracle_check(args) -> int:
     from . import oracle
 
@@ -212,24 +225,31 @@ def cmd_oracle_check(args) -> int:
         checks.append(("forest-vs-cycle-enumeration", forest_fast == forest_slow))
 
     sel = build_selection_graph(log)
-    roots = non_label_vertices(log)
-    root = roots[0] if roots else (log.vertices[0] if log.vertices else None)
-    if root is not None:
-        cut_result = arborescence.edmonds_condition(sel, root)
+    roots = non_label_vertices(log) or log.vertices[:1]
+    if roots:
+        # the production branchings start from every root; the references
+        # see them as one added root joined by two arcs to each of them
+        graph, root = (sel, roots[0]) if len(roots) == 1 else (_with_added_root(sel, roots), ":")
+        cut_result = arborescence.edmonds_condition(graph, root)
         ok_cut = cut_result[0]
         checks.append(
-            ("cut-condition-vs-max-flow", cut_result == oracle.flow_cut_condition(sel, root))
+            ("cut-condition-vs-max-flow", cut_result == oracle.flow_cut_condition(graph, root))
         )
         try:
-            ok_sets = oracle.exhaustive_cut_condition(sel, root)
+            ok_sets = oracle.exhaustive_cut_condition(graph, root)
             checks.append(("cut-condition-vs-subset-enumeration", ok_cut == ok_sets))
         except oracle.CapExceeded:
             pass
-        pair = arborescence.two_disjoint_branchings(sel, root)
-        constructed = not isinstance(pair, arborescence.CutWitness)
+        try:
+            pair = arborescence.two_disjoint_branchings(sel, roots)
+        except RuntimeError:
+            if len(roots) == 1:
+                raise
+            pair = None  # a stall from several roots
+        constructed = pair is not None and not isinstance(pair, arborescence.CutWitness)
         checks.append(("branchings-iff-cut-condition", constructed == ok_cut))
         try:
-            brute = oracle.exhaustive_branching_search(sel, root)
+            brute = oracle.exhaustive_branching_search(graph, root)
             checks.append(("branchings-vs-brute-force", constructed == (brute is not None)))
         except oracle.CapExceeded:
             pass

@@ -798,15 +798,3 @@ def quotient_lof(
     )
     return Log._of(vertices, edges), vmap
 
-
-def restrict_log(log: Log, vertices: Iterable[str]) -> Log:
-    """The full sub-LOG on a label-closed vertex subset; log itself when
-    the subset holds every vertex."""
-    vset = set(vertices)
-    if vset.issuperset(log.vertices):
-        return log
-    kept = tuple(v for v in log.vertices if v in vset)
-    edges = tuple(
-        e for e in log.edges if e.src in vset and e.tgt in vset and e.lab in vset
-    )
-    return Log._of(kept, edges)

@@ -281,8 +281,9 @@ def _rescan_arborescence(sel: SelectionGraph, root: str, forbidden: set) -> Opti
 
 def rescan_branchings(
     sel: SelectionGraph, root: str
-) -> Union[tuple[Branching, Branching], CutWitness]:
-    """`arborescence.two_disjoint_branchings` by rescanning every arc per step.
+) -> Union[tuple[tuple[Branching], tuple[Branching]], CutWitness]:
+    """`arborescence.two_disjoint_branchings` from the one root, by
+    rescanning every arc per step.
 
     Each step of the first branching takes the first arc in arc order that
     leaves the reached set and whose removal, with the arcs taken so far,
@@ -309,7 +310,7 @@ def rescan_branchings(
     second = _rescan_arborescence(sel, root, used)
     if second is None:
         raise RuntimeError("second branching not found despite cut condition")
-    return Branching(root, tuple(first)), second
+    return (Branching(root, tuple(first)),), (second,)
 
 
 def exhaustive_branching_search(

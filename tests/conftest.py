@@ -148,3 +148,21 @@ def induced_subgraph(g, nodes):
         [n for n in g.nodes if n in nset],
         [e for e in g.edges if e[1] in nset and e[2] in nset],
     )
+
+
+def edge_deleted_lofs(ns, seeds) -> list[Log]:
+    """The reduced LOFs among random_reduced_injective_lot(n, s) with one to
+    three edges deleted, drawn by a seeded generator; deleting edges keeps
+    the labels distinct, so they are injective too."""
+    from lotcert.oracle import random_reduced_injective_lot
+
+    out = []
+    for n in ns:
+        for s in seeds:
+            lot = random_reduced_injective_lot(n, s)
+            rng = seeded_rng("edge-deleted", n, s)
+            drop = set(rng.sample([e.eid for e in lot.edges], rng.randint(1, min(3, len(lot.edges)))))
+            lof = Log(lot.vertices, tuple(e for e in lot.edges if e.eid not in drop))
+            if lof.reducedness.reduced:
+                out.append(lof)
+    return out

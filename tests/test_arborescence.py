@@ -3,18 +3,20 @@ import time
 from collections import Counter, deque
 
 import pytest
-from conftest import BADSUB, PATH3, TRIV, logs, path_lot
+from conftest import BADSUB, PATH3, TRIV, edge_deleted_lofs, logs, path_lot, seeded_rng
 from hypothesis import given, settings
 
 from lotcert import (
     arborescence,
     build_selection_graph,
+    make_log,
     edmonds_condition,
     non_label_vertices,
     two_disjoint_branchings,
     verify_branching,
 )
 from lotcert.arborescence import Branching, CutWitness, _index, _prim, cut_delta
+from lotcert.selection import SelectionGraph
 from lotcert.oracle import (
     CapExceeded,
     exhaustive_branching_search,
@@ -27,11 +29,10 @@ from lotcert.oracle import (
 
 def greedy_arborescence(sel, root):
     """One branching rooted at root, grown from the smallest-index frontier arc, or None."""
-    _, dst, out, _ = _index(sel)
-    chosen = _prim(out, dst, sel.nodes.index(root), bytearray(len(sel.arcs)))
+    chosen = _prim(_index(sel), [sel.nodes.index(root)], bytearray(len(sel.arcs)))
     if chosen is None:
         return None
-    return Branching(root, tuple(sel.arcs[i].key for i in chosen))
+    return Branching(root, tuple(sel.arcs[i].key for i in chosen[0]))
 
 
 def brute_force_condition(sel, root):
@@ -69,7 +70,7 @@ def test_condition_fails_on_bad_sublot():
 
 def test_two_branchings_on_path3():
     sel = build_selection_graph(PATH3)
-    b1, b2 = two_disjoint_branchings(sel, "y")
+    (b1,), (b2,) = two_disjoint_branchings(sel, ["y"])
     assert verify_branching(sel, b1) == (True, None)
     assert verify_branching(sel, b2) == (True, None)
     assert not (set(b1.arcs) & set(b2.arcs))
@@ -82,13 +83,13 @@ def test_two_branchings_on_path3():
 
 def test_two_branchings_single_vertex():
     sel = build_selection_graph(TRIV)
-    b1, b2 = two_disjoint_branchings(sel, "x")
+    (b1,), (b2,) = two_disjoint_branchings(sel, ["x"])
     assert b1.arcs == () and b2.arcs == ()
 
 
 def test_two_branchings_blocked_by_cut():
     sel = build_selection_graph(BADSUB)
-    res = two_disjoint_branchings(sel, "q")
+    res = two_disjoint_branchings(sel, ["q"])
     assert isinstance(res, CutWitness)
     assert res.delta == 1
 
@@ -130,7 +131,7 @@ def test_construction_iff_condition(log):
     sel = build_selection_graph(log)
     root = log.vertices[0]
     ok, _ = edmonds_condition(sel, root)
-    res = two_disjoint_branchings(sel, root)
+    res = two_disjoint_branchings(sel, [root])
     assert ok == (not isinstance(res, CutWitness))
     try:
         brute = exhaustive_branching_search(sel, root, cap=40)
@@ -210,9 +211,9 @@ def test_verifier_matches_dict_reference():
     outcomes = set()
     for sel, root in graphs:
         branchings = [greedy_arborescence(sel, root)]
-        res = two_disjoint_branchings(sel, root)
+        res = two_disjoint_branchings(sel, [root])
         if not isinstance(res, CutWitness):
-            branchings += res
+            branchings += [b for (b,) in res]
         for b in filter(None, branchings):
             for name, m in _mutations(b):
                 got = verify_branching(sel, m)
@@ -233,9 +234,9 @@ def test_verifier_matches_dict_reference():
 
 
 def test_failed_verification_raises(monkeypatch):
-    monkeypatch.setattr(arborescence, "_first_fault", lambda sel, r, arcs: 0)
+    monkeypatch.setattr(arborescence, "_first_fault", lambda sel, trees: 0)
     with pytest.raises(RuntimeError, match="fails verification at 'x'"):
-        two_disjoint_branchings(build_selection_graph(PATH3), "y")
+        two_disjoint_branchings(build_selection_graph(PATH3), ["y"])
 
 
 def _assert_matches_oracles(sel, root):
@@ -244,7 +245,7 @@ def _assert_matches_oracles(sel, root):
     condition holds."""
     ok, cut = edmonds_condition(sel, root)
     assert (ok, cut) == flow_cut_condition(sel, root)
-    assert two_disjoint_branchings(sel, root) == rescan_branchings(sel, root)
+    assert two_disjoint_branchings(sel, [root]) == rescan_branchings(sel, root)
     return None if ok else cut.delta
 
 
@@ -294,13 +295,12 @@ def test_dominator_pass_matches_max_flow_on_path_lots(n):
         _assert_matches_oracles(build_selection_graph(lot), non_label_vertices(lot)[0])
 
 
-def _depth_first_tree(g, root):
-    """A depth-first spanning tree from the root, in `arborescence._tree`'s form."""
+def _depth_first_tree(g, is_root):
+    """A depth-first spanning forest from the roots, in `arborescence._tree`'s form."""
     _, dst, out, _ = g
     parent = [-1] * len(out)
-    seen = bytearray(len(out))
-    seen[root] = 1
-    stack = [iter(out[root])]
+    seen = bytearray(is_root)
+    stack = [iter(out[r]) for r, flag in enumerate(is_root) if flag]
     while stack:
         for i in stack[-1]:
             if not seen[dst[i]]:
@@ -313,6 +313,13 @@ def _depth_first_tree(g, root):
     return parent
 
 
+def _root_mask(sel, roots):
+    is_root = bytearray(len(sel.nodes))
+    for root in roots:
+        is_root[sel.nodes.index(root)] = 1
+    return is_root
+
+
 def test_branchings_do_not_depend_on_the_initial_spanning_tree(monkeypatch):
     # the commit test is exact for any spanning tree of the unused arcs, so a
     # deep depth-first start gives the same results; a re-hang that gives up
@@ -321,12 +328,12 @@ def test_branchings_do_not_depend_on_the_initial_spanning_tree(monkeypatch):
     lots = reduced_injective_corpus()
     lots += [lot for n in PATH_SIZES for lot in path_corpus(n)]
     cases += [(build_selection_graph(lot), non_label_vertices(lot)[0]) for lot in lots]
-    breadth_first = [two_disjoint_branchings(sel, root) for sel, root in cases]
-    trees = [(sel.nodes.index(root), _index(sel)) for sel, root in cases]
+    breadth_first = [two_disjoint_branchings(sel, [root]) for sel, root in cases]
+    trees = [(_root_mask(sel, [root]), _index(sel)) for sel, root in cases]
     differ = sum(arborescence._tree(g, r) != _depth_first_tree(g, r) for r, g in trees)
     assert differ >= 2000
     monkeypatch.setattr(arborescence, "_tree", _depth_first_tree)
-    assert [two_disjoint_branchings(sel, root) for sel, root in cases] == breadth_first
+    assert [two_disjoint_branchings(sel, [root]) for sel, root in cases] == breadth_first
 
 
 @given(logs(max_vertices=7, max_edges=10))
@@ -363,14 +370,14 @@ def test_dominator_pass_runs_only_for_the_cut(monkeypatch):
         arborescence, "edmonds_condition", lambda *args: calls.append(args) or real(*args)
     )
     for sel, root, cut in failing:
-        assert two_disjoint_branchings(sel, root) == cut
+        assert two_disjoint_branchings(sel, [root]) == cut
     assert len(calls) == len(failing)
 
     monkeypatch.setattr(
         arborescence, "edmonds_condition", lambda *args: pytest.fail("dominator pass ran")
     )
     for sel, root in holding:
-        b1, b2 = two_disjoint_branchings(sel, root)
+        (b1,), (b2,) = two_disjoint_branchings(sel, [root])
         assert verify_branching(sel, b1) == verify_branching(sel, b2) == (True, None)
         assert not set(b1.arcs) & set(b2.arcs)
 
@@ -382,11 +389,75 @@ def test_two_branchings_at_512_vertices(lot):
     sel = build_selection_graph(lot)
     root = non_label_vertices(lot)[0]
     t0 = time.perf_counter()
-    res = two_disjoint_branchings(sel, root)
+    res = two_disjoint_branchings(sel, [root])
     elapsed = time.perf_counter() - t0
     assert not isinstance(res, CutWitness)
-    b1, b2 = res
+    (b1,), (b2,) = res
     assert verify_branching(sel, b1) == (True, None)
     assert verify_branching(sel, b2) == (True, None)
     assert not set(b1.arcs) & set(b2.arcs)
     assert elapsed < 0.5, f"two_disjoint_branchings took {elapsed:.3f} s at n=512"
+
+
+def _with_added_root(sel, roots):
+    """sel with an added node ":" joined by an a- and a b-arc to each root:
+    two disjoint branchings from the roots exist iff two from ":" do."""
+    heads = [sel.nodes.index(r) for r in roots for _ in "ab"]
+    return SelectionGraph(
+        sel.nodes + (":",),
+        list(sel.src) + [len(sel.nodes)] * len(heads),
+        list(sel.dst) + heads,
+        list(sel.keys) + [(":" + r, kind) for r in roots for kind in "ab"],
+    )
+
+
+def test_branchings_from_several_roots_match_the_added_root():
+    # LOFs rooted at their non-label vertices, and random LOGs rooted at a
+    # random vertex set, against one max-flow per vertex from the added root
+    cases = [(build_selection_graph(lof), non_label_vertices(lof)) for lof in edge_deleted_lofs(range(4, 30), range(12))]
+    for i, log in enumerate(random_log_corpus()):
+        rng = seeded_rng("roots", i)
+        cases.append((build_selection_graph(log), rng.sample(log.vertices, rng.randint(1, len(log.vertices)))))
+    outcomes = Counter()
+    for sel, roots in cases:
+        ok, _ = flow_cut_condition(_with_added_root(sel, roots), ":")
+        several = len(roots) > 1
+        outcomes[ok, several] += 1
+        if not ok:
+            if several:
+                with pytest.raises(RuntimeError, match="despite cut condition"):
+                    two_disjoint_branchings(sel, roots)
+            else:
+                assert isinstance(two_disjoint_branchings(sel, roots), CutWitness)
+            continue
+        b1, b2 = two_disjoint_branchings(sel, roots)
+        assert [t.root for t in b1] == [t.root for t in b2] == list(roots)
+        assert verify_branching(sel, *b1) == verify_branching(sel, *b2) == (True, None)
+        assert not {k for t in b1 for k in t.arcs} & {k for t in b2 for k in t.arcs}
+    assert min(outcomes.values()) >= 20 and len(outcomes) == 4
+
+
+def test_verify_branching_checks_each_tree_from_its_own_root():
+    # two path components labeling into each other, roots b and v
+    sel = build_selection_graph(
+        make_log(
+            ["a", "b", "c", "u", "v", "w"],
+            [("e1", "a", "b", "u"), ("e2", "b", "c", "w"), ("f1", "u", "v", "a"), ("f2", "v", "w", "c")],
+        )
+    )
+    b1, b2 = two_disjoint_branchings(sel, ["b", "v"])
+    for trees in (b1, b2):
+        assert verify_branching(sel, *trees) == (True, None)
+        # a root's first arc, handed to the other root's tree, leaves its
+        # head unreached, since the other root never reaches this one
+        full, other = sorted(trees, key=lambda t: not t.arcs)
+        moved = (Branching(full.root, full.arcs[1:]), Branching(other.root, other.arcs + full.arcs[:1]))
+        ok, where = verify_branching(sel, *moved)
+        assert not ok and where in sel.nodes
+        # a root listed twice is an in-arc too many; an unlisted one has none
+        assert verify_branching(sel, *trees, Branching(full.root, ())) == (False, full.root)
+        assert verify_branching(sel, full) == (False, other.root)
+    with pytest.raises(ValueError, match="repeated root"):
+        two_disjoint_branchings(sel, ["b", "b"])
+    with pytest.raises(ValueError, match="unknown"):
+        two_disjoint_branchings(sel, ["nowhere"])

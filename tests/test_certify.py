@@ -4,10 +4,11 @@ import json
 import sys
 import time
 import weakref
+from collections import Counter
 
 import pytest
 
-from conftest import BADSUB, NONCOMP, PATH3, PATH3_RHO, TRIV, path_lot, seeded_rng
+from conftest import BADSUB, NONCOMP, PATH3, PATH3_RHO, TRIV, edge_deleted_lofs, path_lot, seeded_rng
 from lotcert import (
     bad_sub_lot_witnesses,
     build_link,
@@ -26,8 +27,6 @@ from lotcert.certify import (
     _coloring_ok,
     _reoriented_strong_lbf,
     _sign_choice,
-    embed_into_lot,
-    label_closed_groups,
     lbf_check,
     strong_lbf_check,
 )
@@ -230,18 +229,20 @@ def test_wedge_of_label_disjoint_components():
         ],
     )
     assert classify(two).kind == "LOF"
-    assert label_closed_groups(two) == [("x", "y", "z"), ("u", "v", "w")]
     cert = certify_lof(two)
     assert cert.verdicts["lbf"] is True and cert.verdicts["DR_claim"] is True
-    # conjunction of the component certificates
-    left = certify_lof(PATH3)
+    # conjunction of the component certificates, one root each
     eps = cert.witnesses["epsilon"]
-    assert {k: eps[k] for k in ("x", "y", "z")} == left.witnesses["epsilon"]
+    right = make_log(["u", "v", "w"], [("f1", "u", "v", "w"), ("f2", "w", "v", "u")])
+    for part in (PATH3, right):
+        assert {k: eps[k] for k in part.vertices} == certify_lof(part).witnesses["epsilon"]
+    assert cert.witnesses["roots"] == ["y", "v"]
     assert len(cert.witnesses["branchings"]) == 4
 
 
-def test_embedding_connects_mutually_labeling_components():
-    # two path components, each labeling into the other: no wedge split possible
+def test_mutually_labeling_components_certify_from_one_root_each():
+    # two path components, each labeling into the other: one label-closed
+    # group with two components, certified without joining them into a LOT
     log = make_log(
         ["a", "b", "c", "u", "v", "w"],
         [
@@ -254,20 +255,43 @@ def test_embedding_connects_mutually_labeling_components():
     rep = reducedness_report(log)
     assert rep.reduced and rep.injective.ok
     assert classify(log).kind == "LOF" and classify(log).components == 2
-    assert label_closed_groups(log) == [("a", "b", "c", "u", "v", "w")]
-    hat, added = embed_into_lot(log)
-    assert classify(hat).kind == "LOT"
-    assert len(added) == 1
-    hat_rep = reducedness_report(hat)
-    assert hat_rep.reduced and hat_rep.injective.ok
-    assert bad_sub_lot_witnesses(hat) == ()
     cert = certify_lof(log)
     assert cert.verdicts["lbf"] is True
     assert cert.verdicts["DR_claim"] is True
-    assert cert.witnesses["embedding"][0]["added_edges"][0]["id"] == "_c1"
-    # the added edge is not part of the reported flip witness
-    assert all(not f.startswith("_c") for f in cert.witnesses["flips"])
+    assert "embedding" not in cert.witnesses
+    assert cert.witnesses["roots"] == ["b", "v"]
+    # each root has one tree in each branching
+    assert [t["root"] for t in cert.witnesses["branchings"]] == ["b", "b", "v", "v"]
+    assert set(cert.witnesses["flips"]) <= {e.eid for e in log.edges}
     assert lbf_check(log, cert.witnesses["epsilon"]).ok
+
+
+def test_lofs_certify_exactly_when_the_hypothesis_holds():
+    # one path for every reduced injective LOF: it passes the coloring test
+    # iff every sub-LOT is boundary reduced, and its lbf verdict is the sign
+    # search's (README, "Why a reduced injective LOF has its branchings")
+    from lotcert import build_selection_graph, non_label_vertices, verify_branching
+    from lotcert.arborescence import Branching
+
+    searched = Counter()
+    for lof in edge_deleted_lofs(range(4, 30), range(60)):
+        cert = certify_lof(lof)
+        holds = cert.hypothesis["satisfied"]
+        assert (cert.verdicts["coloring_test"] is True) == holds
+        if len(lof.vertices) <= 9 or (not holds and len(lof.vertices) <= 16):
+            assert (cert.verdicts["lbf"] is True) == bool(exhaustive_lbf_search(lof))
+            searched[holds] += 1
+        if not holds:
+            continue
+        # two trees per listed root, and the roots on no edge hold no arc
+        w = cert.witnesses
+        trees = [Branching(b["root"], tuple(map(tuple, b["arcs"]))) for b in w["branchings"]]
+        assert [t.root for t in trees] == [r for r in w["roots"] for _ in "12"]
+        unlisted = [Branching(v, ()) for v in non_label_vertices(lof) if v not in w["roots"]]
+        sel = build_selection_graph(lof)
+        for first in (0, 1):
+            assert verify_branching(sel, *trees[first::2], *unlisted) == (True, None)
+    assert searched[True] >= 60 and searched[False] >= 3
 
 
 def test_lbf_existence_is_reorientation_invariant_for_injective_logs():
@@ -413,7 +437,7 @@ def test_plain_certify_of_a_lot_builds_each_graph_once(monkeypatch):
     graphs: list = []
     counts = {
         fn.__name__: _count_calls(monkeypatch, fn)
-        for fn in (link_complex.build_link, oracle.reorient, label_closed_groups, embed_into_lot)
+        for fn in (link_complex.build_link, oracle.reorient)
     }
     counts["build_selection_graph"] = _count_calls(
         monkeypatch, selection.build_selection_graph, graphs
@@ -428,8 +452,6 @@ def test_plain_certify_of_a_lot_builds_each_graph_once(monkeypatch):
             "build_link": 1,
             "build_selection_graph": 1,
             "reorient": 0,
-            "label_closed_groups": 0,
-            "embed_into_lot": 0,
         }
         # the certificate reads the corner names alone, never the string view
         assert not {"nodes", "edges"} & set(vars(fresh.link))
@@ -437,12 +459,18 @@ def test_plain_certify_of_a_lot_builds_each_graph_once(monkeypatch):
     # and no arc row is built
     assert len(graphs) == len(lots)
     assert not any({"arc_number", "arcs"} & set(vars(sel)) for sel in graphs)
-    # a LOF with several components is still split into groups
+    # a LOF with several components takes the same path: one link and one
+    # selection graph for the whole LOF
     lof = random_lof(8, 24)
     assert classify(lof).components == 4
-    assert certify_lof(lof).verdicts["DR_claim"] is True
-    assert len(counts["label_closed_groups"]) == 1
-    assert len(counts["embed_into_lot"]) >= 1
+    for calls in counts.values():
+        calls.clear()
+    assert certify_lof(Log(lof.vertices, lof.edges)).verdicts["DR_claim"] is True
+    assert {name: len(calls) for name, calls in counts.items()} == {
+        "build_link": 1,
+        "build_selection_graph": 1,
+        "reorient": 0,
+    }
 
 
 def test_relative_certify_builds_no_witness(monkeypatch):

@@ -4,10 +4,11 @@ from pathlib import Path
 
 import pytest
 
-from conftest import BADSUB, NONCOMP, PATH3, TRIV, path_lot
+from conftest import BADSUB, NONCOMP, PATH3, TRIV, edge_deleted_lofs, path_lot
 from lotcert import certify_lof
 from lotcert.cli import _parser, main
-from lotcert.log_model import bad_sub_lot_witnesses, parse_log, serialize_log
+from lotcert.log_model import Log, bad_sub_lot_witnesses, parse_log, serialize_log
+from lotcert.oracle import random_reduced_injective_lot
 
 
 @pytest.fixture
@@ -214,6 +215,48 @@ def test_oracle_check(files, capsys):
     assert "PASS" in out and "FAIL" not in out
     assert main(["oracle-check", files["badsub"]]) == 0
     assert "cut-condition-vs-max-flow: PASS" in capsys.readouterr().out
+
+
+# Reduced injective LOFs that satisfy the hypothesis, each
+# random_reduced_injective_lot(n, s) with the listed edges deleted.  Joining
+# their components into one LOT by a search for connecting edges failed the
+# hypothesis, so certify exited 1 with DR_claim False although the sign
+# search finds 48, 224 and 2048 bi-forest sign choices.
+FIXTURE_LOFS = {
+    "lof_9_38": (9, 38, {"e5"}),
+    "lof_13_66": (13, 66, {"e4", "e8"}),
+    "lof_14_13": (14, 13, {"e2", "e3", "e9"}),
+}
+FIXTURES = Path(__file__).parent / "fixtures"
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURE_LOFS))
+def test_fixture_lofs_certify_and_pass_the_oracle_check(name, capsys):
+    n, s, deleted = FIXTURE_LOFS[name]
+    path = FIXTURES / f"{name}.lot"
+    lot = random_reduced_injective_lot(n, s)
+    assert parse_log(path.read_text(encoding="utf-8")) == Log(
+        lot.vertices, tuple(e for e in lot.edges if e.eid not in deleted)
+    )
+    assert main(["certify", str(path)]) == 0
+    assert capsys.readouterr().out.startswith("DR_claim: True\n")
+    assert main(["oracle-check", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "pipeline-vs-sign-search: PASS" in out and "FAIL" not in out
+
+
+def test_oracle_check_of_a_lof_with_a_bad_sub_lot(tmp_path, capsys):
+    # rooted at its two non-label vertices, the LOF's branching construction
+    # stalls, and the added-root max-flow finds the cut that stops it
+    (lof,) = [lof for lof in edge_deleted_lofs([8], range(150)) if bad_sub_lot_witnesses(lof)]
+    assert lof.log_class.components == 2
+    path = tmp_path / "lof.lot"
+    path.write_text(serialize_log(lof), encoding="utf-8")
+    assert main(["certify", str(path)]) == 3
+    capsys.readouterr()
+    assert main(["oracle-check", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "branchings-iff-cut-condition: PASS" in out and "FAIL" not in out
 
 
 def test_oracle_check_skips_subset_enumeration_above_the_cap(files, capsys, monkeypatch):

@@ -26,7 +26,6 @@ from lotcert.log_model import (
     _valid_name,
     apply_reduction_move,
     find_reduction_move,
-    restrict_log,
 )
 from lotcert.oracle import (
     block_reorient,
@@ -767,31 +766,6 @@ def test_quotient_rejects_outside_representative():
     subs = enumerate_sub_lots(PATH3)
     with pytest.raises(ValueError):
         quotient_lof(PATH3, [subs[0]], ["nope"])
-
-
-def test_restrict_log_keeps_label_closed_edges():
-    two = make_log(
-        ["x", "y", "z", "u", "v", "w"],
-        [("e1", "x", "y", "z"), ("e2", "z", "y", "x"), ("f1", "u", "v", "w"), ("f2", "w", "v", "u")],
-    )
-    left = restrict_log(two, ["x", "y", "z"])
-    assert left == PATH3
-
-
-def _restrict_by_rebuilding(log, vertices):
-    """restrict_log as a fresh Log in every case, the reference for the test below."""
-    vset = set(vertices)
-    kept = tuple(v for v in log.vertices if v in vset)
-    edges = tuple(e for e in log.edges if e.src in vset and e.tgt in vset and e.lab in vset)
-    return Log(kept, edges)
-
-
-@given(logs(), st.data())
-def test_restrict_log_whole_or_proper_subset(log, data):
-    assert restrict_log(log, log.vertices) is log
-    assert restrict_log(log, reversed(log.vertices)) is log
-    subset = data.draw(st.lists(st.sampled_from(log.vertices), unique=True))
-    assert restrict_log(log, subset) == _restrict_by_rebuilding(log, subset)
 
 
 # ---------------------------------------------------------------------------
