@@ -1,12 +1,6 @@
 """Combinatorial asphericity certificates for LOT/LOF presentation complexes."""
 
-from .arborescence import (
-    Branching,
-    CutWitness,
-    edmonds_condition,
-    two_disjoint_branchings,
-    verify_branching,
-)
+from .arborescence import Branching, two_disjoint_branchings, verify_branching
 from .certify import (
     Certificate,
     certify_lof,

@@ -1,5 +1,5 @@
-"""Disjoint branchings in the selection graph, built first; one dominator
-pass for the cut when they cannot be.
+"""Disjoint branchings in the selection graph, and the cut condition they
+need, decided by one dominator pass.
 
 A branching rooted at r is a spanning arborescence: every vertex other than
 the root has exactly one incoming arc and is reachable from the root.  Two
@@ -29,26 +29,30 @@ Both run over the selection graph's node and arc numbers and are checked
 there before their arc keys are built; `verify_branching` maps the keys of
 given trees to numbers for the same check.  When the cut condition fails,
 some set S is entered by at most one arc, which the first branching can
-never commit, so the construction stalls.
+never commit, so the construction stalls and raises RuntimeError.  The
+certify pipelines build branchings only where the README proves they
+exist, and a failed hypothesis takes its cut from its first bad closure
+(`certify._closure_cut`), so no certify path needs a cut from here.
 
-Only then, and only from one root, does `edmonds_condition` run, and it
-yields the cut.  By Menger's theorem the condition holds iff every vertex
+`edmonds_condition` decides the condition from one root and yields a
+minimum cut; `oracle-check` and the tests run it as the reference for the
+construction.  By Menger's theorem the condition holds iff every vertex
 is reachable from r and no single arc lies on every path from r to it.
 One dominator pass (Cooper, Harvey and Kennedy, "A Simple, Fast Dominance
 Algorithm", 2001) over the selection graph with each arc subdivided tests
 both: a vertex fails when it is unreachable (delta 0) or when an arc node
-dominates it (delta 1).  A
-failure is reported as a minimum violating cut read off the dominator tree:
-the unreachable vertices, or else the vertices that share the first failing
-vertex's top arc, its dominating arc nearest the root.  That is the cut a
-unit-capacity max-flow to that vertex leaves (see `edmonds_condition`);
-`oracle.flow_cut_condition` finds it by max-flow, as the reference.
+dominates it (delta 1).  A failure is reported as a minimum violating cut
+read off the dominator tree: the unreachable vertices, or else the
+vertices that share the first failing vertex's top arc, its dominating arc
+nearest the root.  That is the cut a unit-capacity max-flow to that vertex
+leaves (see `edmonds_condition`); `oracle.flow_cut_condition` finds it by
+max-flow, as its own reference.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence
 
 from .selection import ArcKey, SelectionGraph
 
@@ -274,8 +278,8 @@ def _prim(g: _Index, roots: list[int], removed: bytearray) -> Optional[list[list
 
 def two_disjoint_branchings(
     sel: SelectionGraph, roots: Sequence[str]
-) -> Union[tuple[tuple[Branching, ...], tuple[Branching, ...]], CutWitness]:
-    """Two arc-disjoint branchings rooted at the roots, or a cut with delta < 2.
+) -> tuple[tuple[Branching, ...], tuple[Branching, ...]]:
+    """Two arc-disjoint branchings rooted at the roots.
 
     Each branching is one tree per root, in the order of roots: every other
     vertex is entered by one arc of one tree, and no root by any.  All roots
@@ -287,12 +291,11 @@ def two_disjoint_branchings(
     a spanning forest of those arcs, re-hung when one of its own arcs is
     taken, decides that.  An arc joins the tree of its tail.  The second
     branching is then grown on the leftover arcs.  Both are verified on arc
-    numbers, and only then are their (owner, kind) keys built.  Only when
-    the construction stalls from one root does `edmonds_condition` run: it
-    returns the minimum cut, and when the condition holds after all the
-    stall is a RuntimeError.  A stall from several roots is a RuntimeError
-    too: no caller expects a cut there, since the README rules it out for a
-    LOF that satisfies the hypothesis.
+    numbers, and only then are their (owner, kind) keys built.  The
+    construction stalls exactly when some vertex set avoiding the roots has
+    delta < 2, and a stall raises RuntimeError: the README rules it out for
+    a LOF that satisfies the hypothesis, and `edmonds_condition` finds the
+    cut of any other selection graph.
     """
     number = {v: i for i, v in enumerate(sel.nodes)}
     is_root = bytearray(len(sel.nodes))
@@ -314,7 +317,7 @@ def two_disjoint_branchings(
     first: list[list[int]] = [[] for _ in nums]
     while left:
         if not heap:
-            return _cut(sel, roots, "branching construction stalled despite cut condition")
+            raise RuntimeError("first branching stalled: some cut has delta < 2")
         i = heapq.heappop(heap)
         w = dst[i]
         if tree[w] >= 0:
@@ -331,7 +334,7 @@ def two_disjoint_branchings(
 
     second = _prim(g, nums, used)
     if second is None:
-        return _cut(sel, roots, "second branching not found despite cut condition")
+        raise RuntimeError("second branching stalled after the first was built")
     keys, nodes = sel.keys, sel.nodes
     pair = []
     for chosen in (first, second):
@@ -341,18 +344,6 @@ def two_disjoint_branchings(
             raise RuntimeError(f"constructed branching fails verification at {nodes[bad]!r}")
         pair.append(tuple(Branching(nodes[r], tuple([keys[i] for i in arcs])) for r, arcs in trees))
     return pair[0], pair[1]
-
-
-def _cut(sel: SelectionGraph, roots: Sequence[str], stall: str) -> CutWitness:
-    """The minimum cut behind a construction stalled from one root;
-    RuntimeError(stall) when there are several roots, or when the cut
-    condition holds after all."""
-    if len(roots) != 1:
-        raise RuntimeError(stall)
-    ok, cut = edmonds_condition(sel, roots[0])
-    if ok:
-        raise RuntimeError(stall)
-    return cut
 
 
 def verify_branching(sel: SelectionGraph, *trees: Branching) -> tuple[bool, Optional[str]]:

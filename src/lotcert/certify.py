@@ -14,20 +14,21 @@ the branchings exist for every LOF that satisfies the hypothesis.
 The relative pipeline collapses the maximal proper sub-LOTs, certifies the
 quotient and reads the level's relative coloring test off the quotient's
 coloring test: a forest in the quotient is a relative forest in the LOG,
-and sign-choice angles make every cell flat (README).  The level lifts the
-quotient's sign choice only for its angles; parts are then certified
+and sign-choice angles make every cell flat (README).  The level reads its
+angles off the quotient's certificate too; parts are then certified
 recursively after boundary reduction.
 
-Certificates are JSON documents (schema 3) with canonical serialization:
+Certificates are JSON documents (schema 4) with canonical serialization:
 sorted keys, no whitespace, arrays in deterministic construction order.
 A plain level writes the epsilon, angles, curvature and forests witnesses
 of its sign choice; a relative level with parts writes the angles alone,
 since its quotient's certificate and vertex_map determine the rest.
 The hypothesis lists its bad sub-LOTs as closure witnesses: the distinct
 smallest sub-LOTs around single edges that are not boundary reduced, rather
-than every bad sub-LOT.  Verdicts computed here are labeled "witnessed"; asphericity-style
-conclusions are labeled "by-citation" and name the published result they
-rely on.
+than every bad sub-LOT.  On an injective LOF the first of them, minus its
+leaf, is the delta=1 cut written beside them.  Verdicts computed here are
+labeled "witnessed"; asphericity-style conclusions are labeled
+"by-citation" and name the published result they rely on.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from functools import cached_property
 from typing import Container, NamedTuple, Optional
 
 from . import arborescence, link_complex, selection
-from .arborescence import Branching, CutWitness
+from .arborescence import Branching
 from .link_complex import (
     MINUS,
     PLUS,
@@ -58,11 +59,12 @@ from .log_model import (
     quotient_lof,
     reduce_log,
     serialize_log,
+    _bad_leaf,
     _sub_edges,
     _UnionFind,
 )
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 HYPOTHESIS_FAILED = "hypothesis-failed"
 NON_GENERIC = "non-generic: ad hoc analysis required"
@@ -309,15 +311,12 @@ def _certify_lot_core(
     a LOT has one.  Returns the two branchings, each edge's arc kind in
     each, and the numbers of the edges the partition flips.  The paper's
     theorem says the pair exists (README) and its reorientation has a
-    strong bi-forest link, so a cut or a failed reorientation raises
-    RuntimeError.
+    strong bi-forest link, so a stalled construction or a failed
+    reorientation raises RuntimeError.
     """
-    res = arborescence.two_disjoint_branchings(
+    b1, b2 = arborescence.two_disjoint_branchings(
         selection.build_selection_graph(log), non_label_vertices(log)
     )
-    if isinstance(res, CutWitness):
-        raise RuntimeError(f"no disjoint branching pair: cut {list(res.vertices)!r}, delta {res.delta}")
-    b1, b2 = res
     # each edge's arc kind in each branching; admissible: one arc in each
     black = {owner: kind for t in b1 for owner, kind in t.arcs}
     white = {owner: kind for t in b2 for owner, kind in t.arcs}
@@ -349,29 +348,41 @@ def _reoriented_strong_lbf(lot: Log, flipped: Container[int]) -> bool:
     return True
 
 
+def _closure_cut(log: Log, bad: dict) -> dict:
+    """The cut of the selection graph that a bad closure of an injective
+    LOF gives: its vertices but its leaf that labels none of its edges.
+
+    Each other vertex labels one of its edges and, by injectivity, no edge
+    outside it, so only the leaf's arc enters the set: delta is 1 (README),
+    and any other value raises RuntimeError.
+    """
+    index = log.edge_index
+    leaf = _bad_leaf([log.edges[index[eid]] for eid in bad["edges"]])
+    vertices = [v for v in bad["vertices"] if v != leaf]
+    delta = arborescence.cut_delta(selection.build_selection_graph(log), vertices)
+    if delta != 1:
+        raise RuntimeError(f"the bad closure's cut {vertices!r} has delta {delta}, not 1")
+    return {"vertices": vertices, "delta": delta}
+
+
 def certify_lof(log: Log) -> Certificate:
     """Certificate for the plain pipeline.
 
     On hypothesis failure all verdicts are "hypothesis-failed" and the
-    relative pipeline is suggested.  For a reduced injective LOT the only
-    failure is a bad sub-LOT: its closure minus the leaf is entered only by
-    the leaf's arc, so the obstructing delta=1 cut of the selection graph
-    exists and is included; a cut condition that holds there raises
-    RuntimeError.  Otherwise the LOT or LOF is certified in one pass from
-    branchings rooted at its non-label vertices, and `_certify_lot_core`
-    raises on the outcomes the theorem rules out.
+    relative pipeline is suggested.  An injective LOF with a bad sub-LOT
+    also gets the cut that rules out its two disjoint branchings (Edmonds
+    1973): the first bad closure minus its leaf, entered only by the leaf's
+    arc (`_closure_cut`).  Otherwise the LOT or LOF is certified in one
+    pass from branchings rooted at its non-label vertices, and
+    `_certify_lot_core` raises on the outcomes the theorem rules out.
     """
     hypothesis = _hypothesis_section(log)
     flags = _flags_section(log)
     witnesses: dict = {}
 
     if not hypothesis["satisfied"]:
-        if flags["log_class"] == "LOT" and flags["reduced"] and flags["injective"]:
-            (root,) = non_label_vertices(log)
-            ok, cut = arborescence.edmonds_condition(selection.build_selection_graph(log), root)
-            if ok:
-                raise RuntimeError("a LOT with a bad sub-LOT satisfies the cut condition")
-            witnesses["cut"] = {"vertices": list(cut.vertices), "delta": cut.delta}
+        if hypothesis["injective"] and hypothesis["bad_sub_lots"]:
+            witnesses["cut"] = _closure_cut(log, hypothesis["bad_sub_lots"][0])
         hypothesis["suggestion"] = "certify-relative"
         verdicts, provenance, citations = _verdict_scaffold(HYPOTHESIS_FAILED)
         return Certificate(log, flags, hypothesis, witnesses, verdicts, provenance, citations)
@@ -429,12 +440,14 @@ def certify_relative(log: Log) -> Certificate:
     pairwise disjoint and the quotient LOF passes the coloring test, the
     level's relative coloring test is the quotient's: a forest in the
     quotient lifts to a relative forest, and the lifted angles make every
-    cell flat (README).  The level writes the lifted angles, then certifies
-    each part recursively after boundary reduction; a collapsed part's
-    cell that is not flat raises RuntimeError.  Overlapping maximal
-    sub-LOTs or a quotient that fails yield the non-generic verdict.  The
-    aspherical and VA claims of a passing level are True when every part's
-    claim is, and non-generic otherwise.
+    cell flat (README).  The level writes the lifted angles, read off the
+    quotient's: an outside corner has its quotient corner's angle, and a
+    collapsed cell's corners have 0, 0, 1, 1.  It evaluates neither its
+    plain coloring test nor its lbf, and certifies each part recursively
+    after boundary reduction.  Overlapping maximal sub-LOTs or a quotient
+    that fails yield the non-generic verdict.  The aspherical and VA
+    claims of a passing level are True when every part's claim is, and
+    non-generic otherwise.
     """
     work = log
     moves: tuple = ()
@@ -499,11 +512,15 @@ def certify_relative(log: Log) -> Certificate:
         hypothesis["satisfied"] = False
         return Certificate(log, flags, hypothesis, base_witnesses, verdicts, provenance, citations)
 
-    epsbar = qcert.witnesses["epsilon"]
-    angles, _, _, lbf = _sign_choice(work, {v: epsbar[vmap[v]] for v in work.vertices})
-    report = curvature(work, angles)
-    if any(report.kappa_cells[eid] for p in part_list for eid in p.edge_ids):
-        raise RuntimeError("cells of collapsed parts must be flat")
+    # the quotient's signs lifted through vmap give an outside corner its
+    # quotient corner's angle, and a collapsed cell's corners, in
+    # CORNER_KINDS order, the angles 0, 0, 1, 1 (README)
+    qangles = qcert.witnesses["angles"]
+    inside = {eid for p in part_list for eid in p.edge_ids}
+    angles = {
+        name: (0, 0, 1, 1)[c % 4] if work.edges[c // 4].eid in inside else qangles[name]
+        for c, name in enumerate(work.link.names)
+    }
 
     part_certs = []
     parts_ok = True
@@ -520,15 +537,10 @@ def certify_relative(log: Log) -> Certificate:
             }
         )
 
-    base_witnesses.update(
-        angles=dict(zip(work.link.names, angles)),
-        part_certificates=part_certs,
-    )
-    verdicts["coloring_test"] = _coloring_ok(lbf, report)
+    base_witnesses.update(angles=angles, part_certificates=part_certs)
     verdicts["relative_coloring_test"] = qcert.verdicts["coloring_test"]
     verdicts["aspherical_claim"] = verdicts["VA_claim"] = True if parts_ok else NON_GENERIC
-    provenance["lbf"] = NOT_EVALUATED
-    provenance["DR_claim"] = NOT_EVALUATED
-    provenance["locally_indicable_claim"] = NOT_EVALUATED
+    for k in ("lbf", "coloring_test", "DR_claim", "locally_indicable_claim"):
+        provenance[k] = NOT_EVALUATED
 
     return Certificate(log, flags, hypothesis, base_witnesses, verdicts, provenance, citations)

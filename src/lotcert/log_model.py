@@ -500,14 +500,15 @@ class SubLog(NamedTuple):
     is_boundary_reduced: bool
 
 
-def _has_bad_leaf(edges: Sequence[Edge]) -> bool:
-    """Does the subtree on these edges have a leaf that labels none of them?"""
+def _bad_leaf(edges: Sequence[Edge]) -> Optional[str]:
+    """The first leaf of the subtree on these edges that labels none of
+    them, in the order the edges meet their ends, or None."""
     deg: dict[str, int] = {}
     for e in edges:
         deg[e.src] = deg.get(e.src, 0) + 1
         deg[e.tgt] = deg.get(e.tgt, 0) + 1
     labels_inside = {e.lab for e in edges}
-    return any(d == 1 and v not in labels_inside for v, d in deg.items())
+    return next((v for v, d in deg.items() if d == 1 and v not in labels_inside), None)
 
 
 def _sub_lot(log: Log, indices: Sequence[int]) -> SubLog:
@@ -515,7 +516,7 @@ def _sub_lot(log: Log, indices: Sequence[int]) -> SubLog:
     edges = [log.edges[i] for i in indices]
     vset = {v for e in edges for v in (e.src, e.tgt)}
     vertices = tuple(v for v in log.vertices if v in vset)
-    return SubLog(vertices, tuple(e.eid for e in edges), True, not _has_bad_leaf(edges))
+    return SubLog(vertices, tuple(e.eid for e in edges), True, _bad_leaf(edges) is None)
 
 
 def _by_size(found) -> list[tuple[int, ...]]:
@@ -689,7 +690,7 @@ def bad_sub_lot_witnesses(log: Log) -> tuple[SubLog, ...]:
     """
     classes = {c for c in log.closures if c is not None}
     closures = [tuple(sorted(c)) for c in classes]
-    bad = [t for t in closures if _has_bad_leaf([log.edges[j] for j in t])]
+    bad = [t for t in closures if _bad_leaf([log.edges[j] for j in t]) is not None]
     return tuple(_sub_lot(log, t) for t in _by_size(bad))
 
 

@@ -283,7 +283,7 @@ def rescan_branchings(
     sel: SelectionGraph, root: str
 ) -> Union[tuple[tuple[Branching], tuple[Branching]], CutWitness]:
     """`arborescence.two_disjoint_branchings` from the one root, by
-    rescanning every arc per step.
+    rescanning every arc per step; the max-flow cut where that stalls.
 
     Each step of the first branching takes the first arc in arc order that
     leaves the reached set and whose removal, with the arcs taken so far,

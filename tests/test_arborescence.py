@@ -10,12 +10,11 @@ from lotcert import (
     arborescence,
     build_selection_graph,
     make_log,
-    edmonds_condition,
     non_label_vertices,
     two_disjoint_branchings,
     verify_branching,
 )
-from lotcert.arborescence import Branching, CutWitness, _index, _prim, cut_delta
+from lotcert.arborescence import Branching, CutWitness, _index, _prim, cut_delta, edmonds_condition
 from lotcert.selection import SelectionGraph
 from lotcert.oracle import (
     CapExceeded,
@@ -33,6 +32,14 @@ def greedy_arborescence(sel, root):
     if chosen is None:
         return None
     return Branching(root, tuple(sel.arcs[i].key for i in chosen[0]))
+
+
+def branchings_or_none(sel, roots):
+    """two_disjoint_branchings(sel, roots), or None where the construction stalls."""
+    try:
+        return two_disjoint_branchings(sel, roots)
+    except RuntimeError:
+        return None
 
 
 def brute_force_condition(sel, root):
@@ -88,10 +95,11 @@ def test_two_branchings_single_vertex():
 
 
 def test_two_branchings_blocked_by_cut():
+    # the construction stalls and raises; the dominator pass gives the cut
     sel = build_selection_graph(BADSUB)
-    res = two_disjoint_branchings(sel, ["q"])
-    assert isinstance(res, CutWitness)
-    assert res.delta == 1
+    with pytest.raises(RuntimeError, match="stalled"):
+        two_disjoint_branchings(sel, ["q"])
+    assert edmonds_condition(sel, "q")[1].delta == 1
 
 
 def test_verify_branching_rejects_bad_sets():
@@ -131,8 +139,7 @@ def test_construction_iff_condition(log):
     sel = build_selection_graph(log)
     root = log.vertices[0]
     ok, _ = edmonds_condition(sel, root)
-    res = two_disjoint_branchings(sel, [root])
-    assert ok == (not isinstance(res, CutWitness))
+    assert ok == (branchings_or_none(sel, [root]) is not None)
     try:
         brute = exhaustive_branching_search(sel, root, cap=40)
         assert ok == (brute is not None)
@@ -211,8 +218,8 @@ def test_verifier_matches_dict_reference():
     outcomes = set()
     for sel, root in graphs:
         branchings = [greedy_arborescence(sel, root)]
-        res = two_disjoint_branchings(sel, [root])
-        if not isinstance(res, CutWitness):
+        res = branchings_or_none(sel, [root])
+        if res is not None:
             branchings += [b for (b,) in res]
         for b in filter(None, branchings):
             for name, m in _mutations(b):
@@ -241,11 +248,14 @@ def test_failed_verification_raises(monkeypatch):
 
 def _assert_matches_oracles(sel, root):
     """Dominator cut test against one max-flow per vertex, heap branchings
-    against the rescanning greedy; the cut's delta, or None when the
-    condition holds."""
+    against the rescanning greedy, which returns the max-flow cut where the
+    heap construction stalls; the cut's delta, or None when the condition
+    holds."""
     ok, cut = edmonds_condition(sel, root)
     assert (ok, cut) == flow_cut_condition(sel, root)
-    assert two_disjoint_branchings(sel, [root]) == rescan_branchings(sel, root)
+    rescanned = rescan_branchings(sel, root)
+    assert branchings_or_none(sel, [root]) == (rescanned if ok else None)
+    assert ok or rescanned == cut
     return None if ok else cut.delta
 
 
@@ -328,12 +338,12 @@ def test_branchings_do_not_depend_on_the_initial_spanning_tree(monkeypatch):
     lots = reduced_injective_corpus()
     lots += [lot for n in PATH_SIZES for lot in path_corpus(n)]
     cases += [(build_selection_graph(lot), non_label_vertices(lot)[0]) for lot in lots]
-    breadth_first = [two_disjoint_branchings(sel, [root]) for sel, root in cases]
+    breadth_first = [branchings_or_none(sel, [root]) for sel, root in cases]
     trees = [(_root_mask(sel, [root]), _index(sel)) for sel, root in cases]
     differ = sum(arborescence._tree(g, r) != _depth_first_tree(g, r) for r, g in trees)
     assert differ >= 2000
     monkeypatch.setattr(arborescence, "_tree", _depth_first_tree)
-    assert [two_disjoint_branchings(sel, [root]) for sel, root in cases] == breadth_first
+    assert [branchings_or_none(sel, [root]) for sel, root in cases] == breadth_first
 
 
 @given(logs(max_vertices=7, max_edges=10))
@@ -351,9 +361,8 @@ def test_dominator_pass_runs_only_for_the_cut(monkeypatch):
             for seed in range(4):
                 log = random_log(n, m, seed)
                 sel = build_selection_graph(log)
-                ok, cut = edmonds_condition(sel, log.vertices[0])
-                if not ok:
-                    failing.append((sel, log.vertices[0], cut))
+                if not edmonds_condition(sel, log.vertices[0])[0]:
+                    failing.append((sel, log.vertices[0]))
     holding = []
     for n in range(3, 41):
         for seed in range(12):
@@ -364,18 +373,13 @@ def test_dominator_pass_runs_only_for_the_cut(monkeypatch):
                 holding.append((sel, root))
     assert len(failing) == 480 and len(holding) == 438
 
-    calls = []
-    real = arborescence.edmonds_condition
-    monkeypatch.setattr(
-        arborescence, "edmonds_condition", lambda *args: calls.append(args) or real(*args)
-    )
-    for sel, root, cut in failing:
-        assert two_disjoint_branchings(sel, [root]) == cut
-    assert len(calls) == len(failing)
-
-    monkeypatch.setattr(
-        arborescence, "edmonds_condition", lambda *args: pytest.fail("dominator pass ran")
-    )
+    # the construction never runs the dominator pass: a failing input
+    # stalls and raises, and the caller asks edmonds_condition for the cut
+    for name in ("edmonds_condition", "_disjoint_paths"):
+        monkeypatch.setattr(arborescence, name, lambda *args: pytest.fail("dominator pass ran"))
+    for sel, root in failing:
+        with pytest.raises(RuntimeError, match="stalled"):
+            two_disjoint_branchings(sel, [root])
     for sel, root in holding:
         (b1,), (b2,) = two_disjoint_branchings(sel, [root])
         assert verify_branching(sel, b1) == verify_branching(sel, b2) == (True, None)
@@ -389,10 +393,8 @@ def test_two_branchings_at_512_vertices(lot):
     sel = build_selection_graph(lot)
     root = non_label_vertices(lot)[0]
     t0 = time.perf_counter()
-    res = two_disjoint_branchings(sel, [root])
+    (b1,), (b2,) = two_disjoint_branchings(sel, [root])
     elapsed = time.perf_counter() - t0
-    assert not isinstance(res, CutWitness)
-    (b1,), (b2,) = res
     assert verify_branching(sel, b1) == (True, None)
     assert verify_branching(sel, b2) == (True, None)
     assert not set(b1.arcs) & set(b2.arcs)
@@ -424,11 +426,9 @@ def test_branchings_from_several_roots_match_the_added_root():
         several = len(roots) > 1
         outcomes[ok, several] += 1
         if not ok:
-            if several:
-                with pytest.raises(RuntimeError, match="despite cut condition"):
-                    two_disjoint_branchings(sel, roots)
-            else:
-                assert isinstance(two_disjoint_branchings(sel, roots), CutWitness)
+            with pytest.raises(RuntimeError, match="stalled"):
+                two_disjoint_branchings(sel, roots)
+            assert several or not edmonds_condition(sel, roots[0])[0]
             continue
         b1, b2 = two_disjoint_branchings(sel, roots)
         assert [t.root for t in b1] == [t.root for t in b2] == list(roots)

@@ -169,7 +169,8 @@ def test_certify_badsub_fails_hypothesis_with_cut():
     assert cert.verdicts["lbf"] == HYPOTHESIS_FAILED
     assert cert.hypothesis["satisfied"] is False
     assert cert.hypothesis["bad_sub_lots"][0]["edges"] == ["e1", "e2", "e3"]
-    assert cert.witnesses["cut"]["delta"] == 1
+    # the bad closure minus its leaf d, which labels none of its edges
+    assert cert.witnesses["cut"] == {"vertices": ["a", "b", "c"], "delta": 1}
     assert cert.hypothesis["suggestion"] == "certify-relative"
 
 
@@ -474,9 +475,11 @@ def test_plain_certify_of_a_lot_builds_each_graph_once(monkeypatch):
 
 
 def test_relative_certify_builds_no_witness(monkeypatch):
-    # each level's relative verdict is read off its quotient's certificate;
-    # the relative checks and the parts' corners are references only
-    from lotcert import link_complex
+    # each level's relative verdict and angles are read off its quotient's
+    # certificate; the relative checks, the parts' corners and the dominator
+    # pass are references only, and a failed hypothesis takes its cut from
+    # its bad closure
+    from lotcert import arborescence, link_complex
 
     counts = {
         fn.__name__: _count_calls(monkeypatch, fn)
@@ -486,10 +489,20 @@ def test_relative_certify_builds_no_witness(monkeypatch):
             link_complex.verify_relative_coloring_test,
             link_complex._closing_walk,
             link_complex.part_corners,
+            arborescence.edmonds_condition,
+            arborescence._disjoint_paths,
         )
     }
+    # a level with parts is the first argument of its quotient_lof call; it
+    # runs neither a sign choice nor curvature of its own
+    with_parts = _count_calls(monkeypatch, quotient_lof)
+    lifted = [_count_calls(monkeypatch, fn) for fn in (curvature, _sign_choice)]
     corpus = [random_reduced_injective_lot(n, s) for n in (8, 12, 16, 20) for s in range(50)]
     corpus += [random_lof(n, s) for n in range(4, 20) for s in range(4)]
+    for log in corpus:
+        certify_lof(log)
+    for calls in lifted:
+        calls.clear()
     levels = []
     for log in corpus:
         cert = certify_relative(log)
@@ -497,6 +510,9 @@ def test_relative_certify_builds_no_witness(monkeypatch):
             levels.append(cert.verdicts["relative_coloring_test"])
     assert levels.count(True) >= 50
     assert {name: len(calls) for name, calls in counts.items()} == dict.fromkeys(counts, 0)
+    works = {id(args[0]) for args in with_parts}
+    assert len(with_parts) >= 50 and all(calls for calls in lifted)
+    assert not [args for calls in lifted for args in calls if id(args[0]) in works]
 
 
 def test_relative_certify_derives_each_fact_once_per_log(monkeypatch):
@@ -571,11 +587,11 @@ def test_certify_relative_badsub():
     assert w["part_certificates"][0]["certificate"]["verdicts"]["aspherical_claim"] is True
 
 
-@pytest.mark.parametrize("broken", ["quotient_fails", "part_cells_curved"])
+@pytest.mark.parametrize("broken", ["quotient_fails", "quotient_angles"])
 def test_relative_level_rests_on_its_quotient(monkeypatch, broken):
-    # a level with parts reads its relative test off the quotient: a
-    # quotient that does not pass leaves it non-generic, and a collapsed
-    # part's cell that is not flat breaks the level's invariant
+    # a level with parts reads its relative test and its angles off the
+    # quotient: a quotient that does not pass leaves it non-generic, and
+    # the outside corners follow the quotient's angles, whatever they are
     if broken == "quotient_fails":
         real = certify_module._sign_choice
         quotients = []
@@ -601,17 +617,27 @@ def test_relative_level_rests_on_its_quotient(monkeypatch, broken):
         assert cert.hypothesis["note"] == "quotient LOF does not certify"
         assert not {"angles", "part_certificates"} & set(cert.witnesses)
     else:
-        real = certify_module.curvature
         part_edges = {"e1", "e2", "e3"}  # BADSUB's one part; its quotient keeps e4 to e7
+        before = certify_relative(BADSUB).witnesses["angles"]
+        real = certify_module.certify_lof
+        quotients = []
 
-        def curved_parts(log, angles):
-            report = real(log, angles)
-            kappa = {eid: k - (eid in part_edges) for eid, k in report.kappa_cells.items()}
-            return report._replace(kappa_cells=kappa)
+        def flipped_quotient(log):
+            # BADSUB has parts: the first plain certificate is its quotient's
+            cert = real(log)
+            if not quotients:
+                quotients.append(log)
+                cert.witnesses["angles"] = {k: 1 - a for k, a in cert.witnesses["angles"].items()}
+            return cert
 
-        monkeypatch.setattr(certify_module, "curvature", curved_parts)
-        with pytest.raises(RuntimeError, match="must be flat"):
-            certify_relative(BADSUB)
+        monkeypatch.setattr(certify_module, "certify_lof", flipped_quotient)
+        cert = certify_relative(BADSUB)
+        assert serialize_log(quotients[0]) == cert.witnesses["quotient"]["log"]
+        after = cert.witnesses["angles"]
+        assert list(after) == list(before)
+        for name, angle in after.items():
+            inside = name.split(":")[0] in part_edges
+            assert angle == (before[name] if inside else 1 - before[name]), name
 def _levels_with_parts(log: Log):
     """(work, parts, quotient, vertex_map) for each level with disjoint parts
     of certify_relative's recursion from log, into every part whether or
@@ -765,7 +791,7 @@ def test_certificate_json_round_trips():
     cert = certify_lof(PATH3)
     text = cert.to_json()
     data = json.loads(text)
-    assert data["schema"] == 3
+    assert data["schema"] == 4
     assert data["verdicts"]["DR_claim"] is True
     assert text == certify_lof(PATH3).to_json()
 
@@ -778,28 +804,16 @@ def test_certificate_digest_matches_serialization():
     assert cert.input["digest"] == want
 
 
-def test_collapsed_part_with_curved_cells_raises(monkeypatch):
-    real = certify_module.curvature
-
-    def curved(log, angles):
-        report = real(log, angles)
-        return report._replace(kappa_cells={eid: -1 for eid in report.kappa_cells})
-
-    monkeypatch.setattr(certify_module, "curvature", curved)
-    with pytest.raises(RuntimeError, match="must be flat"):
-        certify_relative(BADSUB)
-
-
 # The theorem rules these outcomes out, so the certify paths raise rather
 # than write a certificate for them.
 
 
 def test_missing_branching_pair_raises(monkeypatch):
     from lotcert import arborescence
-    from lotcert.arborescence import CutWitness
 
-    monkeypatch.setattr(arborescence, "two_disjoint_branchings", lambda sel, root: CutWitness(("y",), 1))
-    with pytest.raises(RuntimeError, match="no disjoint branching pair"):
+    # a stalled construction is a RuntimeError, not a certificate
+    monkeypatch.setattr(arborescence, "_prim", lambda g, roots, removed: None)
+    with pytest.raises(RuntimeError, match="second branching stalled"):
         certify_lof(PATH3)
 
 
@@ -809,9 +823,10 @@ def test_failed_reorientation_raises(monkeypatch):
         certify_lof(PATH3)
 
 
-def test_cut_condition_holding_on_a_bad_sub_lot_raises(monkeypatch):
+def test_a_closure_cut_whose_delta_is_not_one_raises(monkeypatch):
     from lotcert import arborescence
 
-    monkeypatch.setattr(arborescence, "edmonds_condition", lambda sel, root: (True, None))
-    with pytest.raises(RuntimeError, match="satisfies the cut condition"):
+    # injectivity makes the bad closure's cut delta 1 (README)
+    monkeypatch.setattr(arborescence, "cut_delta", lambda sel, vertices: 2)
+    with pytest.raises(RuntimeError, match="has delta 2, not 1"):
         certify_lof(BADSUB)

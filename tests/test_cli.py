@@ -76,7 +76,7 @@ def test_certify_writes_canonical_json(files, tmp_path, capsys):
     out = tmp_path / "cert.json"
     assert main(["certify", files["path3"], "--json", str(out)]) == 0
     data = json.loads(out.read_text())
-    assert data["schema"] == 3 and data["verdicts"]["DR_claim"] is True
+    assert data["schema"] == 4 and data["verdicts"]["DR_claim"] is True
     again = tmp_path / "cert2.json"
     main(["certify", files["path3"], "--json", str(again)])
     assert out.read_bytes() == again.read_bytes()
@@ -257,6 +257,34 @@ def test_oracle_check_of_a_lof_with_a_bad_sub_lot(tmp_path, capsys):
     assert main(["oracle-check", str(path)]) == 0
     out = capsys.readouterr().out
     assert "branchings-iff-cut-condition: PASS" in out and "FAIL" not in out
+
+
+def test_no_production_command_runs_the_dominator_pass(files, tmp_path, capsys, monkeypatch):
+    # the dominator pass is oracle-check's reference: a failed hypothesis
+    # takes its cut from its first bad closure, a LOF's included
+    from lotcert import arborescence
+
+    for name in ("edmonds_condition", "_disjoint_paths"):
+        monkeypatch.setattr(arborescence, name, lambda *args, name=name: pytest.fail(f"{name} ran"))
+    (lof,) = [lof for lof in edge_deleted_lofs([8], range(150)) if bad_sub_lot_witnesses(lof)]
+    inputs = [files[name] for name in ("path3", "triv", "noncomp", "badsub")]
+    for i, log in enumerate([lof, path_lot(64, 0)]):
+        inputs.append(str(tmp_path / f"in{i}.lot"))
+        Path(inputs[-1]).write_text(serialize_log(log), encoding="utf-8")
+    out, dots = str(tmp_path / "out"), str(tmp_path / "dots")
+    for f in inputs:
+        for argv in (
+            ["validate", f, "--json"],
+            ["reduce", f, "-o", out],
+            ["certify", f, "--json", out, "--dot", dots],
+            ["certify", f, "--relative", "--json", out],
+            ["export", f, "selection"],
+        ):
+            assert main(argv) in (0, 1, 3), argv
+    assert main(["certify", inputs[-2], "--json", out]) == 3
+    assert json.loads(Path(out).read_text(encoding="utf-8"))["witnesses"]["cut"]["delta"] == 1
+    assert main(["generate", "8", "20", "1", str(tmp_path / "corpus")]) == 0
+    capsys.readouterr()
 
 
 def test_oracle_check_skips_subset_enumeration_above_the_cap(files, capsys, monkeypatch):

@@ -53,7 +53,8 @@ def test_importing_the_cli_leaves_the_oracles_unloaded():
 
 
 def test_only_the_oracles_define_a_max_flow():
-    # the production cut is read off the dominator tree; max-flow is the reference
+    # a failed hypothesis's cut is read off its bad closure and the cut
+    # condition off the dominator tree; max-flow is the reference
     found = {}
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
