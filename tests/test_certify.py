@@ -638,6 +638,8 @@ def test_relative_level_rests_on_its_quotient(monkeypatch, broken):
         for name, angle in after.items():
             inside = name.split(":")[0] in part_edges
             assert angle == (before[name] if inside else 1 - before[name]), name
+
+
 def _levels_with_parts(log: Log):
     """(work, parts, quotient, vertex_map) for each level with disjoint parts
     of certify_relative's recursion from log, into every part whether or
