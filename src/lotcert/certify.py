@@ -20,6 +20,8 @@ recursively after boundary reduction.
 
 Certificates are JSON documents (schema 4) with canonical serialization:
 sorted keys, no whitespace, arrays in deterministic construction order.
+canonical_json writes them with orjson; where orjson refuses a value
+(nesting past 255 levels, say), the stdlib json encoder writes the same text.
 A plain level writes the epsilon, angles, curvature and forests witnesses
 of its sign choice; a relative level with parts writes the angles alone,
 since its quotient's certificate and vertex_map determine the rest.
@@ -38,6 +40,8 @@ import json
 from functools import cached_property
 from typing import Container, NamedTuple, Optional
 
+import orjson
+
 from . import arborescence, link_complex, selection
 from .arborescence import Branching
 from .link_complex import (
@@ -46,6 +50,7 @@ from .link_complex import (
     Multigraph,
     Walk,
     corner_key_str,
+    corner_names,
     curvature,
     grow_forest,
     is_forest,
@@ -217,12 +222,26 @@ class Certificate:
 
 def canonical_json(value) -> str:
     """The canonical JSON text of value: sorted keys, no whitespace, raw
-    UTF-8, one trailing newline.  value is a tree built fresh for the call,
-    so the encoder skips its reference-cycle check."""
-    text = json.dumps(
-        value, sort_keys=True, separators=(",", ":"), ensure_ascii=False, check_circular=False
-    )
-    return text + "\n"
+    UTF-8, one trailing newline.
+
+    value is a tree of dicts with str keys, lists, str, int, bool and None,
+    as every certificate is; orjson writes it, with the same text as
+    json.dumps(value, sort_keys=True, separators=(",", ":"),
+    ensure_ascii=False) and one trailing newline.  What orjson refuses goes
+    to that stdlib encoder, so its text or error is the same: nesting
+    deeper than 255 levels (deeply nested relative certificates), ints
+    outside 64 bits, keys that are not str and lone surrogates.  value is
+    built fresh for the call, so the stdlib encoder skips its
+    reference-cycle check.  Floats are not canonical here: the two encoders
+    write them differently, and no certificate holds one.
+    """
+    try:
+        return orjson.dumps(value, option=orjson.OPT_SORT_KEYS | orjson.OPT_APPEND_NEWLINE).decode()
+    except orjson.JSONEncodeError:
+        text = json.dumps(
+            value, sort_keys=True, separators=(",", ":"), ensure_ascii=False, check_circular=False
+        )
+        return text + "\n"
 
 
 def _input_section(log: Log) -> dict:
@@ -519,7 +538,7 @@ def certify_relative(log: Log) -> Certificate:
     inside = {eid for p in part_list for eid in p.edge_ids}
     angles = {
         name: (0, 0, 1, 1)[c % 4] if work.edges[c // 4].eid in inside else qangles[name]
-        for c, name in enumerate(work.link.names)
+        for c, name in enumerate(corner_names(work.edges))
     }
 
     part_certs = []

@@ -103,8 +103,13 @@ def build_link(log: Log) -> Multigraph:
     are built here; the node and corner strings when first read.
     """
     tail, head = corner_ends(log)
-    names = tuple([e.eid + suffix for e in log.edges for suffix in _NAME_SUFFIXES])
-    return _Link(log.vertices, log.edges, tail, head, names)
+    return _Link(log.vertices, log.edges, tail, head, corner_names(log.edges))
+
+
+def corner_names(edges: Iterable[Edge]) -> tuple[str, ...]:
+    """Each corner's "owner:kind" name, in corner order: build_link's names,
+    read off the edges alone."""
+    return tuple([e.eid + suffix for e in edges for suffix in _NAME_SUFFIXES])
 
 
 def corner_ends(log: Log) -> tuple[list[int], list[int]]:

@@ -115,6 +115,24 @@ def path_lot(n: int, seed: int) -> Log:
             return log
 
 
+def nested_lot(k: int) -> Log:
+    """The k-th LOT of a family whose relative certificates nest k levels
+    deep: reduced and injective, on 2k + 3 vertices, each one a proper
+    sub-LOT of the next.  The first is p0 p1 p2 with f1: p0 -> p1 : p2 and
+    f2: p1 -> p2 : p0; the next adds a_i, b_i and the edges
+    x_i: x -> a_i : b_i and y_i: a_i -> b_i : r, for x the newest vertex
+    and r the one non-label vertex."""
+    vertices = ["p0", "p1", "p2"]
+    edges = [("f1", "p0", "p1", "p2"), ("f2", "p1", "p2", "p0")]
+    root = "p1"
+    for i in range(k):
+        x, a, b = vertices[-1], f"a{i}", f"b{i}"
+        vertices += [a, b]
+        edges += [(f"x{i}", x, a, b), (f"y{i}", a, b, root)]
+        root = a
+    return make_log(vertices, edges)
+
+
 def degrees(g) -> dict:
     """Node degrees of a Multigraph; a loop counts twice."""
     deg = dict.fromkeys(g.nodes, 0)

@@ -13,6 +13,8 @@ import time
 from functools import cache
 from pathlib import Path
 
+import orjson
+
 from conftest import degrees, flipped, induced_subgraph, seeded_rng
 from lotcert import (
     build_link,
@@ -482,7 +484,9 @@ _JSON_LEAVES = (str, int, bool, type(None))
 def test_certificates_hold_only_json_types_in_canonical_form():
     """json.dumps would write a tuple as a list, stringify an int key and
     accept a float; a certificate holds none of them, and its text is the
-    canonical encoding of its own parse."""
+    canonical encoding of its own parse.  orjson writes every one: a value
+    it refuses, such as an int key or a namedtuple, would send the
+    certificate to the slower stdlib encoder."""
     for name, certs in golden_certificates().items():
         for cert in certs:
             data = cert.to_dict()
@@ -497,6 +501,7 @@ def test_certificates_hold_only_json_types_in_canonical_form():
                 else:
                     assert type(value) in _JSON_LEAVES, (name, value)
             text = cert.to_json()
+            assert orjson.dumps(data, option=orjson.OPT_SORT_KEYS | orjson.OPT_APPEND_NEWLINE).decode() == text
             parsed = json.loads(text)
             assert parsed == data
             canonical = json.dumps(parsed, sort_keys=True, separators=(",", ":"), ensure_ascii=False)

@@ -27,6 +27,7 @@ from lotcert.certify import (
     _coloring_ok,
     _reoriented_strong_lbf,
     _sign_choice,
+    canonical_json,
     lbf_check,
     strong_lbf_check,
 )
@@ -172,6 +173,18 @@ def test_certify_badsub_fails_hypothesis_with_cut():
     # the bad closure minus its leaf d, which labels none of its edges
     assert cert.witnesses["cut"] == {"vertices": ["a", "b", "c"], "delta": 1}
     assert cert.hypothesis["suggestion"] == "certify-relative"
+
+
+def test_a_bad_closure_rules_out_every_bi_forest_sign_choice():
+    # the lemma behind a refutation: a label-closed subtree with a leaf that
+    # labels none of its edges leaves no sign choice whose link is a
+    # bi-forest; it needs neither reducedness nor injectivity, and the
+    # random_lof trees are neither
+    corpus = [random_reduced_injective_lot(n, s) for n in range(5, 10) for s in range(60)]
+    corpus += [random_lof(n, s, 0.0) for n in range(4, 9) for s in range(40)]
+    bad = [log for log in corpus if bad_sub_lot_witnesses(log)]
+    assert len(bad) == 213
+    assert [serialize_log(log) for log in bad if exhaustive_lbf_search(log)] == []
 
 
 def test_certify_non_forest_fails_hypothesis():
@@ -494,9 +507,10 @@ def test_relative_certify_builds_no_witness(monkeypatch):
         )
     }
     # a level with parts is the first argument of its quotient_lof call; it
-    # runs neither a sign choice nor curvature of its own
+    # runs neither a sign choice nor curvature of its own, and names its
+    # angles' corners without building its link
     with_parts = _count_calls(monkeypatch, quotient_lof)
-    lifted = [_count_calls(monkeypatch, fn) for fn in (curvature, _sign_choice)]
+    lifted = [_count_calls(monkeypatch, fn) for fn in (curvature, _sign_choice, build_link)]
     corpus = [random_reduced_injective_lot(n, s) for n in (8, 12, 16, 20) for s in range(50)]
     corpus += [random_lof(n, s) for n in range(4, 20) for s in range(4)]
     for log in corpus:
@@ -505,7 +519,8 @@ def test_relative_certify_builds_no_witness(monkeypatch):
         calls.clear()
     levels = []
     for log in corpus:
-        cert = certify_relative(log)
+        # a fresh LOG: plain certify kept its link on the one above
+        cert = certify_relative(Log(log.vertices, log.edges))
         if "part_certificates" in cert.witnesses:
             levels.append(cert.verdicts["relative_coloring_test"])
     assert levels.count(True) >= 50
@@ -533,16 +548,22 @@ def test_relative_certify_derives_each_fact_once_per_log(monkeypatch):
             assert calls and len({id(args[0]) for args in calls}) == len(calls)
 
 
+def test_canonical_json_writes_what_orjson_refuses_with_the_stdlib_encoder():
+    # keys that are not str, as json.dumps writes them: stringified and sorted
+    assert canonical_json({2: "b", 1: ["a"]}) == '{"1":["a"],"2":"b"}\n'
+
+
 def test_a_certified_log_is_freed_without_the_cycle_collector():
     # no view kept on a Log refers back to it, so the last reference frees it
-    inputs = [(certify_lof, path_lot(64, 1)), (certify_relative, BADSUB)]
-    inputs += [(certify_relative, random_reduced_injective_lot(16, s)) for s in range(5)]
+    # each certify builds the view named beside it
+    inputs = [(certify_lof, path_lot(64, 1), "link"), (certify_relative, BADSUB, "closures")]
+    inputs += [(certify_relative, random_reduced_injective_lot(16, s), "closures") for s in range(5)]
     gc.disable()
     try:
-        for certify, log in inputs:
+        for certify, log, view in inputs:
             fresh = Log(log.vertices, log.edges)
             certify(fresh).to_json()
-            assert "link" in vars(fresh)
+            assert view in vars(fresh)
             ref = weakref.ref(fresh)
             del fresh
             assert ref() is None, certify.__name__

@@ -2,10 +2,11 @@ import json
 import os
 from pathlib import Path
 
+import orjson
 import pytest
 
-from conftest import BADSUB, NONCOMP, PATH3, TRIV, edge_deleted_lofs, path_lot
-from lotcert import certify_lof
+from conftest import BADSUB, NONCOMP, PATH3, TRIV, edge_deleted_lofs, nested_lot, path_lot
+from lotcert import certify_lof, certify_relative
 from lotcert.cli import _parser, main
 from lotcert.log_model import Log, bad_sub_lot_witnesses, parse_log, serialize_log
 from lotcert.oracle import random_reduced_injective_lot
@@ -80,6 +81,18 @@ def test_certify_writes_canonical_json(files, tmp_path, capsys):
     again = tmp_path / "cert2.json"
     main(["certify", files["path3"], "--json", str(again)])
     assert out.read_bytes() == again.read_bytes()
+
+
+def test_a_certificate_too_deep_for_orjson_is_written_by_the_stdlib_encoder(tmp_path, capsys):
+    log = nested_lot(70)
+    src, out = tmp_path / "nested.lot", tmp_path / "nested.json"
+    src.write_text(serialize_log(log), encoding="utf-8")
+    data = certify_relative(log).to_dict()
+    with pytest.raises(orjson.JSONEncodeError):
+        orjson.dumps(data)
+    assert main(["certify", str(src), "--relative", "--json", str(out)]) == 0
+    text = json.dumps(data, sort_keys=True, separators=(",", ":"), ensure_ascii=False) + "\n"
+    assert out.read_text(encoding="utf-8") == text
 
 
 def test_certify_json_overwrites_a_longer_file(files, tmp_path, capsys):
