@@ -21,17 +21,21 @@ subtree below it can be hung from other uncommitted arcs, which then
 becomes the forest.  The subtree hangs from its top vertex, so one backward
 search from the top through the subtree, for an arc that enters it from the
 rest of the forest, decides that; usually the first arc into the top vertex
-does.  The test is exact for any spanning forest, so the branchings do not
-depend on the forest kept.  An arc that fails fails for good, since the
+does.  Whether an arc's tail lies in the subtree is read off its tree path,
+walked up only as far as the first vertex the search has already found.
+The test is exact for any spanning forest, so the branchings do not depend
+on the forest kept.  An arc that fails fails for good, since the
 committed set only grows.  The second branching takes the smallest-index
 frontier arc among the remaining arcs at each step, like Prim's algorithm.
 Both run over the selection graph's node and arc numbers and are checked
 there before their arc keys are built; `verify_branching` maps the keys of
 given trees to numbers for the same check.  When the cut condition fails,
 some set S is entered by at most one arc, which the first branching can
-never commit, so the construction stalls and raises RuntimeError.  The
-certify pipelines build branchings only where the README proves they
-exist, and a failed hypothesis takes its cut from its first bad closure
+never commit, so the construction stalls and raises BranchingStall, a
+RuntimeError; every other failure is a plain RuntimeError.  On a reduced
+injective LOF the certify pipeline builds the branchings first and reads
+the hypothesis off them (README): a stall sends it to the closure scan,
+and a failed hypothesis takes its cut from its first bad closure
 (`certify._closure_cut`), so no certify path needs a cut from here.
 
 `edmonds_condition` decides the condition from one root and yields a
@@ -60,6 +64,12 @@ from .selection import ArcKey, SelectionGraph
 class Branching(NamedTuple):
     root: str
     arcs: tuple[ArcKey, ...]
+
+
+class BranchingStall(RuntimeError):
+    """The first branching stalled: some vertex set avoiding the roots is
+    entered by fewer than two arcs.  Every other failure of
+    `two_disjoint_branchings` is a plain RuntimeError."""
 
 
 class CutWitness(NamedTuple):
@@ -222,7 +232,10 @@ def _rehang(g: _Index, is_root: bytearray, used: bytearray, parent: list[int], c
     backward search from the top over unused arcs other than cut, through
     vertices of the subtree, looks for an arc whose tail lies outside it; a
     vertex is in the subtree iff its tree path up to a root meets the top.
-    Its first level re-hangs the top vertex alone.  On success each vertex
+    That walk stops at the first vertex in toward, the subtree vertices
+    found so far, whose paths all meet the top: the answer is the same, and
+    a deep subtree is not walked again for every arc into it.  Its first
+    level re-hangs the top vertex alone.  On success each vertex
     on the path found takes its path arc as its tree arc; otherwise the tree
     is left alone and the result is False.
     """
@@ -235,9 +248,9 @@ def _rehang(g: _Index, is_root: bytearray, used: bytearray, parent: list[int], c
             if used[i] or i == cut or src[i] in toward:
                 continue
             x = src[i]
-            while x != top and parent[x] >= 0:
+            while x not in toward and parent[x] >= 0:
                 x = src[parent[x]]
-            if x == top:
+            if x in toward:
                 toward[src[i]] = i
                 queue.append(src[i])
             elif is_root[x]:
@@ -293,9 +306,11 @@ def two_disjoint_branchings(
     branching is then grown on the leftover arcs.  Both are verified on arc
     numbers, and only then are their (owner, kind) keys built.  The
     construction stalls exactly when some vertex set avoiding the roots has
-    delta < 2, and a stall raises RuntimeError: the README rules it out for
-    a LOF that satisfies the hypothesis, and `edmonds_condition` finds the
-    cut of any other selection graph.
+    delta < 2, and a stall of the first branching raises BranchingStall:
+    the README rules it out for a LOF that satisfies the hypothesis, and
+    `edmonds_condition` finds the cut of any other selection graph.  A
+    stall of the second branching or a failed verification, which the
+    construction rules out, raises a plain RuntimeError.
     """
     number = {v: i for i, v in enumerate(sel.nodes)}
     is_root = bytearray(len(sel.nodes))
@@ -317,7 +332,7 @@ def two_disjoint_branchings(
     first: list[list[int]] = [[] for _ in nums]
     while left:
         if not heap:
-            raise RuntimeError("first branching stalled: some cut has delta < 2")
+            raise BranchingStall("first branching stalled: some cut has delta < 2")
         i = heapq.heappop(heap)
         w = dst[i]
         if tree[w] >= 0:

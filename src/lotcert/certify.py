@@ -9,7 +9,10 @@ yields a bi-forest witness for the input.  The induced zero/one angle
 structure passes the coloring test, which is what the downstream
 asphericity claims cite.  A LOT has one non-label vertex and a LOF as many
 as it has components, and both take the same path: the README proves that
-the branchings exist for every LOF that satisfies the hypothesis.
+on a reduced injective LOF the branchings exist exactly when the hypothesis
+holds.  So the branchings are built first and decide it; only a stalled
+first branching sends the LOF to the closure scan, for its bad sub-LOTs
+and its cut.
 
 The relative pipeline collapses the maximal proper sub-LOTs, certifies the
 quotient and reads the level's relative coloring test off the quotient's
@@ -306,12 +309,13 @@ def _hypothesis_flags(log: Log) -> dict:
     }
 
 
-def _hypothesis_section(log: Log) -> dict:
-    """The hypothesis report; the sub-LOT scan runs only on a LOF, since a
-    cycle already fails the hypothesis and closures need a forest."""
-    base = _hypothesis_flags(log)
+def _hypothesis_section(base: dict, bad: tuple[SubLog, ...]) -> dict:
+    """The hypothesis report from the three flags of _hypothesis_flags and
+    the LOF's bad closure witnesses.  bad is empty on a LOG that is not a
+    forest, since a cycle already fails the hypothesis and closures need a
+    forest, and on a reduced injective LOF whose branchings were built,
+    since they rule out every bad sub-LOT (README)."""
     forest = base["forest"]
-    bad = bad_sub_lot_witnesses(log) if forest else ()
     return {
         "satisfied": all(base.values()) and not bad,
         **base,
@@ -328,14 +332,15 @@ def _certify_lot_core(
 
     The branchings are rooted at the non-label vertices, one tree per root;
     a LOT has one.  Returns the two branchings, each edge's arc kind in
-    each, and the numbers of the edges the partition flips.  The paper's
-    theorem says the pair exists (README) and its reorientation has a
-    strong bi-forest link, so a stalled construction or a failed
-    reorientation raises RuntimeError.
+    each, and the numbers of the edges the partition flips.  A stall of the
+    first branching raises arborescence.BranchingStall: the cut condition
+    fails, and on an injective LOF so does the hypothesis.  The paper's
+    theorem says that a pair, once built, is admissible and its
+    reorientation has a strong bi-forest link (README), so a second stall,
+    a failed verification, an inadmissible pair or a failed reorientation
+    raises a plain RuntimeError.
     """
-    b1, b2 = arborescence.two_disjoint_branchings(
-        selection.build_selection_graph(log), non_label_vertices(log)
-    )
+    b1, b2 = arborescence.two_disjoint_branchings(log.selection, non_label_vertices(log))
     # each edge's arc kind in each branching; admissible: one arc in each
     black = {owner: kind for t in b1 for owner, kind in t.arcs}
     white = {owner: kind for t in b2 for owner, kind in t.arcs}
@@ -378,7 +383,7 @@ def _closure_cut(log: Log, bad: dict) -> dict:
     index = log.edge_index
     leaf = _bad_leaf([log.edges[index[eid]] for eid in bad["edges"]])
     vertices = [v for v in bad["vertices"] if v != leaf]
-    delta = arborescence.cut_delta(selection.build_selection_graph(log), vertices)
+    delta = arborescence.cut_delta(log.selection, vertices)
     if delta != 1:
         raise RuntimeError(f"the bad closure's cut {vertices!r} has delta {delta}, not 1")
     return {"vertices": vertices, "delta": delta}
@@ -387,15 +392,35 @@ def _closure_cut(log: Log, bad: dict) -> dict:
 def certify_lof(log: Log) -> Certificate:
     """Certificate for the plain pipeline.
 
+    On a reduced injective LOF the branchings decide the hypothesis: they
+    are built first, from the non-label vertices, and a verified pair
+    gives every vertex set avoiding the roots delta >= 2, so no sub-LOT is
+    bad (README) and no closure is built.  Only a stall of the first
+    branching sends the LOF to the closure scan, which must then find a bad
+    closure, or RuntimeError is raised.  Any other input, not reduced, not
+    injective or not a forest, fails the hypothesis and is scanned as
+    before when it is a forest.
+
     On hypothesis failure all verdicts are "hypothesis-failed" and the
     relative pipeline is suggested.  An injective LOF with a bad sub-LOT
     also gets the cut that rules out its two disjoint branchings (Edmonds
     1973): the first bad closure minus its leaf, entered only by the leaf's
     arc (`_closure_cut`).  Otherwise the LOT or LOF is certified in one
-    pass from branchings rooted at its non-label vertices, and
-    `_certify_lot_core` raises on the outcomes the theorem rules out.
+    pass from its branchings, and `_certify_lot_core` raises on the
+    outcomes the theorem rules out.
     """
-    hypothesis = _hypothesis_section(log)
+    base = _hypothesis_flags(log)
+    core, bad = None, ()
+    if all(base.values()):
+        try:
+            core = _certify_lot_core(log)
+        except arborescence.BranchingStall:
+            bad = bad_sub_lot_witnesses(log)
+            if not bad:
+                raise RuntimeError("first branching stalled, yet no closure is bad")
+    elif base["forest"]:
+        bad = bad_sub_lot_witnesses(log)
+    hypothesis = _hypothesis_section(base, bad)
     flags = _flags_section(log)
     witnesses: dict = {}
 
@@ -411,7 +436,7 @@ def certify_lof(log: Log) -> Certificate:
     verdicts["relative_coloring_test"] = NOT_EVALUATED
     provenance["relative_coloring_test"] = NOT_EVALUATED
 
-    b1, b2, black, white, flipped = _certify_lot_core(log)
+    b1, b2, black, white, flipped = core
     # a label is entered only by its edge's a- and b-arc, one in each
     # branching, so a root on an edge has an arc in one of its two trees;
     # a root on no edge has none, and its trees are not listed

@@ -29,7 +29,7 @@ from .log_model import (
     reduce_log,
     serialize_log,
 )
-from .selection import SelectionGraph, build_selection_graph, selection_to_dot
+from .selection import SelectionGraph, selection_to_dot
 
 EXIT_OK = 0
 EXIT_PROPERTY = 1
@@ -124,7 +124,7 @@ def cmd_certify(args) -> int:
         if partition_raw:
             partition = {parse_corner_key(key): color for key, color in partition_raw.items()}
         _write(outdir / "link.dot", link_to_dot(drawn.link, angles))
-        sel = build_selection_graph(drawn)
+        sel = drawn.selection
         if partition is not None:
             partition = {a.key: partition.get(a.key, "black") for a in sel.arcs}
         _write(outdir / "selection.dot", selection_to_dot(sel, partition))
@@ -146,7 +146,7 @@ def cmd_export(args) -> int:
     if args.what == "link":
         text = link_to_dot(log.link)
     else:
-        text = selection_to_dot(build_selection_graph(log))
+        text = selection_to_dot(log.selection)
     if args.dot:
         _write(Path(args.dot), text)
     else:
@@ -224,7 +224,7 @@ def cmd_oracle_check(args) -> int:
         forest_slow = not oracle.enumerate_simple_cycles(g, max_len=len(g.edges))
         checks.append(("forest-vs-cycle-enumeration", forest_fast == forest_slow))
 
-    sel = build_selection_graph(log)
+    sel = log.selection
     roots = non_label_vertices(log) or log.vertices[:1]
     if roots:
         # the production branchings start from every root; the references
@@ -246,6 +246,10 @@ def cmd_oracle_check(args) -> int:
         except RuntimeError:  # the construction stalled
             constructed = False
         checks.append(("branchings-iff-cut-condition", constructed == ok_cut))
+        if log.log_class.kind in ("LOT", "LOF") and log.reducedness.injective.ok:
+            # the branchings exist iff no closure is bad, reduced or not (README)
+            no_bad = not bad_sub_lot_witnesses(log)
+            checks.append(("branchings-iff-no-bad-closure", constructed == no_bad))
         try:
             brute = oracle.exhaustive_branching_search(graph, root)
             checks.append(("branchings-vs-brute-force", constructed == (brute is not None)))

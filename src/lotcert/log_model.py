@@ -59,8 +59,9 @@ class Log:
     through Log._of without a second check.
 
     The facts derived from the LOG alone -- its numbering, reducedness
-    report, class, closure table and link -- are computed on first use and
-    kept on the LOG, so each is built once however many stages read it.
+    report, class, closure table, link and selection graph -- are computed
+    on first use and kept on the LOG, so each is built once however many
+    stages read it.
     """
 
     def __init__(self, vertices: Iterable[str], edges: Iterable[Edge]):
@@ -146,6 +147,13 @@ class Log:
         from . import link_complex
 
         return link_complex.build_link(self)
+
+    @cached_property
+    def selection(self):
+        """build_selection_graph(self), the selection graph on the LOG's numbering."""
+        from . import selection
+
+        return selection.build_selection_graph(self)
 
     def valency(self) -> dict[str, int]:
         """Undirected degree per vertex; a loop contributes 2."""

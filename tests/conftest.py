@@ -122,9 +122,24 @@ def nested_lot(k: int) -> Log:
     f2: p1 -> p2 : p0; the next adds a_i, b_i and the edges
     x_i: x -> a_i : b_i and y_i: a_i -> b_i : r, for x the newest vertex
     and r the one non-label vertex."""
-    vertices = ["p0", "p1", "p2"]
-    edges = [("f1", "p0", "p1", "p2"), ("f2", "p1", "p2", "p0")]
-    root = "p1"
+    return _grown(["p0", "p1", "p2"], [("f1", "p0", "p1", "p2"), ("f2", "p1", "p2", "p0")], "p1", k)
+
+
+def bad_nested_lot(k: int) -> Log:
+    """nested_lot's chain grown k steps from q0 q1 q2 q3, with
+    g1: q0 -> q1 : q2, g2: q1 -> q2 : q0 and g3: q2 -> q3 : q1, from the
+    non-label vertex q3: injective on 2k + 4 vertices, reduced from k = 1
+    on, with the one bad sub-LOT g1 g2 g3, whose leaf q3 labels none of
+    its edges."""
+    edges = [("g1", "q0", "q1", "q2"), ("g2", "q1", "q2", "q0"), ("g3", "q2", "q3", "q1")]
+    return _grown(["q0", "q1", "q2", "q3"], edges, "q3", k)
+
+
+def _grown(vertices: list, edges: list, root: str, k: int) -> Log:
+    """The LOT grown k steps from vertices and edges, with root its one
+    non-label vertex: each step adds a_i, b_i and the edges
+    x_i: x -> a_i : b_i and y_i: a_i -> b_i : root, for x the newest
+    vertex, and a_i becomes the root."""
     for i in range(k):
         x, a, b = vertices[-1], f"a{i}", f"b{i}"
         vertices += [a, b]

@@ -3,7 +3,7 @@ import time
 from collections import Counter, deque
 
 import pytest
-from conftest import BADSUB, PATH3, TRIV, edge_deleted_lofs, logs, path_lot, seeded_rng
+from conftest import BADSUB, PATH3, TRIV, edge_deleted_lofs, logs, nested_lot, path_lot, seeded_rng
 from hypothesis import given, settings
 
 from lotcert import (
@@ -399,6 +399,18 @@ def test_two_branchings_at_512_vertices(lot):
     assert verify_branching(sel, b2) == (True, None)
     assert not set(b1.arcs) & set(b2.arcs)
     assert elapsed < 0.5, f"two_disjoint_branchings took {elapsed:.3f} s at n=512"
+
+
+def test_two_branchings_of_a_deep_nested_lot():
+    # the re-hung subtrees lie on one long chain; a membership walk that
+    # went up to a root for every arc into the subtree took about 20 s here
+    lot = nested_lot(1024)
+    sel = build_selection_graph(lot)
+    t0 = time.perf_counter()
+    (b1,), (b2,) = two_disjoint_branchings(sel, non_label_vertices(lot))
+    elapsed = time.perf_counter() - t0
+    assert verify_branching(sel, b1) == verify_branching(sel, b2) == (True, None)
+    assert elapsed < 5.0, f"two_disjoint_branchings took {elapsed:.3f} s at n=2051"
 
 
 def _with_added_root(sel, roots):

@@ -5,10 +5,23 @@ import sys
 import time
 import weakref
 from collections import Counter
+from functools import cache
+from pathlib import Path
 
 import pytest
 
-from conftest import BADSUB, NONCOMP, PATH3, PATH3_RHO, TRIV, edge_deleted_lofs, path_lot, seeded_rng
+from conftest import (
+    BADSUB,
+    NONCOMP,
+    PATH3,
+    PATH3_RHO,
+    TRIV,
+    bad_nested_lot,
+    edge_deleted_lofs,
+    nested_lot,
+    path_lot,
+    seeded_rng,
+)
 from lotcert import (
     bad_sub_lot_witnesses,
     build_link,
@@ -17,6 +30,7 @@ from lotcert import (
     classify,
     enumerate_sub_lots,
     make_log,
+    parse_log,
     serialize_log,
 )
 from lotcert import certify as certify_module
@@ -26,6 +40,7 @@ from lotcert.certify import (
     NOT_EVALUATED,
     _coloring_ok,
     _reoriented_strong_lbf,
+    _side_mask,
     _sign_choice,
     canonical_json,
     lbf_check,
@@ -35,6 +50,7 @@ from lotcert.link_complex import (
     CORNER_KINDS,
     bridges,
     curvature,
+    is_forest,
     is_relative_forest,
     part_corners,
     verify_coloring_test,
@@ -175,16 +191,43 @@ def test_certify_badsub_fails_hypothesis_with_cut():
     assert cert.hypothesis["suggestion"] == "certify-relative"
 
 
+@cache
+def bad_closure_lots() -> list[Log]:
+    """The trees with a bad closure among random_reduced_injective_lot
+    (n = 5..9, seeds 0..59) and random_lof(n, s, 0.0) (n = 4..8, seeds
+    0..39); the random_lof trees are neither reduced nor injective."""
+    corpus = [random_reduced_injective_lot(n, s) for n in range(5, 10) for s in range(60)]
+    corpus += [random_lof(n, s, 0.0) for n in range(4, 9) for s in range(40)]
+    return [log for log in corpus if bad_sub_lot_witnesses(log)]
+
+
 def test_a_bad_closure_rules_out_every_bi_forest_sign_choice():
     # the lemma behind a refutation: a label-closed subtree with a leaf that
     # labels none of its edges leaves no sign choice whose link is a
-    # bi-forest; it needs neither reducedness nor injectivity, and the
-    # random_lof trees are neither
-    corpus = [random_reduced_injective_lot(n, s) for n in range(5, 10) for s in range(60)]
-    corpus += [random_lof(n, s, 0.0) for n in range(4, 9) for s in range(40)]
-    bad = [log for log in corpus if bad_sub_lot_witnesses(log)]
+    # bi-forest; it needs neither reducedness nor injectivity
+    bad = bad_closure_lots()
     assert len(bad) == 213
     assert [serialize_log(log) for log in bad if exhaustive_lbf_search(log)] == []
+
+
+def test_a_bad_closure_holds_a_cycle_on_one_side_of_a_random_sign_choice():
+    # the lemma's count: the closure's corners on the two sides are too many
+    # for two forests on its link nodes, so one side has a cycle among them
+    for i, log in enumerate(bad_closure_lots()):
+        edges = set(bad_sub_lot_witnesses(log)[0].edge_ids)
+        rng = seeded_rng("bad-closure-signs", i)
+        eps = {v: rng.choice("+-") for v in log.vertices}
+        link, on = log.link, _side_mask(log, eps)
+        corners = [4 * j + k for j, e in enumerate(log.edges) if e.eid in edges for k in range(4)]
+        sides = [
+            [c for c in corners if on[link.tail[c]] == on[link.head[c]] == sign]
+            for sign in (1, 0)
+        ]
+        cycles = [is_forest(link, side)[1] for side in sides]
+        assert any(cycles), serialize_log(log)
+        for side, cycle in zip(sides, cycles):
+            if cycle is not None:
+                assert set(cycle.edges) <= {link.edges[c][0] for c in side}
 
 
 def test_certify_non_forest_fails_hypothesis():
@@ -548,6 +591,90 @@ def test_relative_certify_derives_each_fact_once_per_log(monkeypatch):
             assert calls and len({id(args[0]) for args in calls}) == len(calls)
 
 
+def test_a_lof_whose_branchings_are_built_builds_no_closure_table(monkeypatch):
+    # verified branchings give every set avoiding the roots delta >= 2, so
+    # no sub-LOT is bad (README) and the closure scan is skipped
+    from lotcert import log_model
+    from test_acceptance import corpus_good_lots
+
+    fixtures = sorted((Path(__file__).parent / "fixtures").glob("lof_*.lot"))
+    inputs = list(corpus_good_lots())
+    inputs += [parse_log(path.read_text(encoding="utf-8")) for path in fixtures]
+    inputs += [path_lot(n, s) for n in (16, 128) for s in range(3)]
+    inputs += [nested_lot(k) for k in (0, 1, 8)]
+    assert len(fixtures) == 3
+    tables = _count_calls(monkeypatch, log_model._closure_table)
+    for log in inputs:
+        cert = certify_lof(Log(log.vertices, log.edges))
+        assert cert.hypothesis["satisfied"] is True
+        assert cert.hypothesis["all_sub_lots_boundary_reduced"] is True
+        assert cert.hypothesis["bad_sub_lots"] == []
+    assert tables == []
+
+
+def test_a_stalled_lof_takes_its_cut_from_one_closure_table(monkeypatch):
+    # the first branching stalls, and one closure scan lists the bad
+    # sub-LOTs and gives the cut
+    from lotcert import arborescence, log_model, selection
+
+    tables = _count_calls(monkeypatch, log_model._closure_table)
+    attempts = _count_calls(monkeypatch, arborescence.two_disjoint_branchings)
+    graphs = _count_calls(monkeypatch, selection.build_selection_graph)
+    cases = [(BADSUB, ["e1", "e2", "e3"], ["a", "b", "c"])]
+    cases += [(bad_nested_lot(k), ["g1", "g2", "g3"], ["q0", "q1", "q2"]) for k in range(1, 9)]
+    for log, bad_edges, cut in cases:
+        for calls in (tables, attempts, graphs):
+            calls.clear()
+        cert = certify_lof(Log(log.vertices, log.edges))
+        assert cert.hypothesis["reduced"] and cert.hypothesis["injective"]
+        # the stall and the cut read one selection graph
+        assert len(attempts) == len(tables) == len(graphs) == 1
+        assert [b["edges"] for b in cert.hypothesis["bad_sub_lots"]] == [bad_edges]
+        assert cert.witnesses["cut"] == {"vertices": cut, "delta": 1}
+        assert cert.verdicts["DR_claim"] == HYPOTHESIS_FAILED
+    # not reduced: scanned without a branching attempt, as before
+    tables.clear()
+    attempts.clear()
+    cert = certify_lof(bad_nested_lot(0))
+    assert cert.hypothesis["reduced"] is False
+    assert (len(attempts), len(tables)) == (0, 1)
+    assert cert.witnesses["cut"] == {"vertices": ["q0", "q1", "q2"], "delta": 1}
+
+
+def test_a_stall_without_a_bad_closure_raises(monkeypatch):
+    # the README rules the stall out when no closure is bad
+    monkeypatch.setattr(certify_module, "bad_sub_lot_witnesses", lambda log: ())
+    with pytest.raises(RuntimeError, match="no closure is bad") as raised:
+        certify_lof(BADSUB)
+    assert raised.type is RuntimeError  # not a BranchingStall
+
+
+def test_the_branchings_are_built_exactly_when_no_closure_is_bad():
+    # README step 2 on injective forests, reduced or not: a bad closure
+    # minus its leaf is a delta=1 cut, and with none every cut has delta >= 2
+    from lotcert import non_label_vertices, two_disjoint_branchings
+    from lotcert.arborescence import BranchingStall
+
+    corpus = [random_reduced_injective_lot(n, s) for n in range(5, 13) for s in range(100)]
+    corpus += edge_deleted_lofs(range(4, 30), range(60))
+    corpus += [random_lof(n, s, 0.0) for n in range(4, 13) for s in range(100)]
+    corpus += [family(k) for family in (nested_lot, bad_nested_lot) for k in range(41)]
+    outcomes = Counter()
+    for log in corpus:
+        if not log.reducedness.injective.ok:
+            continue
+        no_bad = not bad_sub_lot_witnesses(log)
+        try:
+            two_disjoint_branchings(log.selection, non_label_vertices(log))
+            built = True
+        except BranchingStall:
+            built = False
+        assert built == no_bad, serialize_log(log)
+        outcomes[built, log.reducedness.reduced] += 1
+    # (built, reduced): no non-reduced tree here has its branchings
+    assert outcomes == {(True, True): 1224, (False, True): 103, (False, False): 59}
+
+
 def test_canonical_json_writes_what_orjson_refuses_with_the_stdlib_encoder():
     # keys that are not str, as json.dumps writes them: stringified and sorted
     assert canonical_json({2: "b", 1: ["a"]}) == '{"1":["a"],"2":"b"}\n'
@@ -836,14 +963,16 @@ def test_missing_branching_pair_raises(monkeypatch):
 
     # a stalled construction is a RuntimeError, not a certificate
     monkeypatch.setattr(arborescence, "_prim", lambda g, roots, removed: None)
-    with pytest.raises(RuntimeError, match="second branching stalled"):
+    with pytest.raises(RuntimeError, match="second branching stalled") as raised:
         certify_lof(PATH3)
+    assert raised.type is RuntimeError  # not a first-branching stall
 
 
 def test_failed_reorientation_raises(monkeypatch):
     monkeypatch.setattr(certify_module, "_reoriented_strong_lbf", lambda lot, flipped: False)
-    with pytest.raises(RuntimeError, match="strong bi-forest"):
+    with pytest.raises(RuntimeError, match="strong bi-forest") as raised:
         certify_lof(PATH3)
+    assert raised.type is RuntimeError
 
 
 def test_a_closure_cut_whose_delta_is_not_one_raises(monkeypatch):

@@ -1,12 +1,13 @@
 import json
 import os
+import sys
 from pathlib import Path
 
 import orjson
 import pytest
 
 from conftest import BADSUB, NONCOMP, PATH3, TRIV, edge_deleted_lofs, nested_lot, path_lot
-from lotcert import certify_lof, certify_relative
+from lotcert import certify_lof, certify_relative, cli
 from lotcert.cli import _parser, main
 from lotcert.log_model import Log, bad_sub_lot_witnesses, parse_log, serialize_log
 from lotcert.oracle import random_reduced_injective_lot
@@ -222,12 +223,46 @@ def test_certify_dot_without_witnesses(files, tmp_path):
     assert (dotdir / "selection.dot").exists()
 
 
+def test_certify_dot_and_oracle_check_build_one_selection_graph(files, tmp_path, capsys, monkeypatch):
+    # the selection graph is kept on the LOG, so the certificate, its cut
+    # and the DOT file or the oracle checks read the same one
+    from lotcert import selection
+
+    built = []
+    build = selection.build_selection_graph
+    for name, module in list(sys.modules.items()):
+        if name.startswith("lotcert") and vars(module).get("build_selection_graph") is build:
+            monkeypatch.setattr(module, "build_selection_graph", lambda log: built.append(log) or build(log))
+    for name, code in (("path3", 0), ("badsub", 3)):
+        for argv in (["certify", files[name], "--dot", str(tmp_path / name)], ["oracle-check", files[name]]):
+            built.clear()
+            assert main(argv) == (0 if argv[0] == "oracle-check" else code)
+            assert len(built) == 1, argv
+    capsys.readouterr()
+
+
 def test_oracle_check(files, capsys):
     assert main(["oracle-check", files["path3"]]) == 0
     out = capsys.readouterr().out
     assert "PASS" in out and "FAIL" not in out
     assert main(["oracle-check", files["badsub"]]) == 0
     assert "cut-condition-vs-max-flow: PASS" in capsys.readouterr().out
+
+
+def test_oracle_check_ties_the_branchings_to_the_closure_scan(files, tmp_path, capsys, monkeypatch):
+    # on an injective forest the branchings are built iff no closure is bad
+    for name in ("path3", "badsub"):
+        assert main(["oracle-check", files[name]]) == 0
+        assert "branchings-iff-no-bad-closure: PASS" in capsys.readouterr().out
+    # a LOG that is not an injective forest gets no such check
+    cyclic = tmp_path / "cyclic.lot"
+    cyclic.write_text("vertices: x y z\nedge: x -> y : z\nedge: z -> y : x\nedge: x -> z : y\n", encoding="utf-8")
+    main(["oracle-check", str(cyclic)])
+    assert "branchings-iff-no-bad-closure" not in capsys.readouterr().out
+    # a scan that misses BADSUB's bad closure fails the check
+    monkeypatch.setattr(cli, "bad_sub_lot_witnesses", lambda log: ())
+    assert main(["oracle-check", files["badsub"]]) == 1
+    assert "branchings-iff-no-bad-closure: FAIL" in capsys.readouterr().out
 
 
 # Reduced injective LOFs that satisfy the hypothesis, each
@@ -270,6 +305,7 @@ def test_oracle_check_of_a_lof_with_a_bad_sub_lot(tmp_path, capsys):
     assert main(["oracle-check", str(path)]) == 0
     out = capsys.readouterr().out
     assert "branchings-iff-cut-condition: PASS" in out and "FAIL" not in out
+    assert "branchings-iff-no-bad-closure: PASS" in out
 
 
 def test_no_production_command_runs_the_dominator_pass(files, tmp_path, capsys, monkeypatch):
