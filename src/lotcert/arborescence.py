@@ -34,14 +34,14 @@ some set S is entered by at most one arc, which the first branching can
 never commit, so the construction stalls and raises BranchingStall, a
 RuntimeError; every other failure is a plain RuntimeError.  On a reduced
 injective LOF the certify pipeline builds the branchings first and reads
-the hypothesis off them (README): a stall sends it to the closure scan,
-and a failed hypothesis takes its cut from its first bad closure
-(`certify._closure_cut`), so no certify path needs a cut from here.
+the hypothesis off them (README): a stall sends it to the dominator pass.
 
-`edmonds_condition` decides the condition from one root and yields a
-minimum cut; `oracle-check` and the tests run it as the reference for the
-construction.  By Menger's theorem the condition holds iff every vertex
-is reachable from r and no single arc lies on every path from r to it.
+`edmonds_condition` decides the condition from one root, or from several
+through `with_added_root`, and yields a minimum cut: `certify` reads a
+failed hypothesis's bad sub-LOT off it, and `oracle-check` and the tests
+run it as the reference for the construction.  By Menger's theorem the
+condition holds iff every vertex is reachable from r and no single arc
+lies on every path from r to it.
 One dominator pass (Cooper, Harvey and Kennedy, "A Simple, Fast Dominance
 Algorithm", 2001) over the selection graph with each arc subdivided tests
 both: a vertex fails when it is unreachable (delta 0) or when an arc node
@@ -84,6 +84,22 @@ def cut_delta(sel: SelectionGraph, vertices) -> int:
     vset = set(vertices)
     inside = [v in vset for v in sel.nodes]
     return sum(1 for s, d in zip(sel.src, sel.dst) if inside[d] and not inside[s])
+
+
+def with_added_root(sel: SelectionGraph, roots: Sequence[str]) -> tuple[SelectionGraph, str]:
+    """sel and its root when there is one root, else sel with an added root
+    ":", which no vertex name can be, joined by an a- and a b-arc to each
+    root: a set that avoids the roots keeps its delta (README step 3)."""
+    if len(roots) == 1:
+        return sel, roots[0]
+    number = {v: i for i, v in enumerate(sel.nodes)}
+    heads = [number[r] for r in roots for _ in "ab"]
+    return SelectionGraph(
+        sel.nodes + (":",),
+        list(sel.src) + [len(sel.nodes)] * len(heads),
+        list(sel.dst) + heads,
+        list(sel.keys) + [(":" + r, kind) for r in roots for kind in "ab"],
+    ), ":"
 
 
 _Index = tuple[list[int], list[int], list[list[int]], list[list[int]]]

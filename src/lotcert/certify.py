@@ -11,8 +11,8 @@ asphericity claims cite.  A LOT has one non-label vertex and a LOF as many
 as it has components, and both take the same path: the README proves that
 on a reduced injective LOF the branchings exist exactly when the hypothesis
 holds.  So the branchings are built first and decide it; only a stalled
-first branching sends the LOF to the closure scan, for its bad sub-LOTs
-and its cut.
+first branching sends the LOF to one dominator pass, whose delta = 1 cut
+names a bad sub-LOT.
 
 The relative pipeline collapses the maximal proper sub-LOTs, certifies the
 quotient and reads the level's relative coloring test off the quotient's
@@ -21,19 +21,18 @@ and sign-choice angles make every cell flat (README).  The level reads its
 angles off the quotient's certificate too; parts are then certified
 recursively after boundary reduction.
 
-Certificates are JSON documents (schema 4) with canonical serialization:
+Certificates are JSON documents (schema 5) with canonical serialization:
 sorted keys, no whitespace, arrays in deterministic construction order.
 canonical_json writes them with orjson; where orjson refuses a value
 (nesting past 255 levels, say), the stdlib json encoder writes the same text.
 A plain level writes the epsilon, angles, curvature and forests witnesses
 of its sign choice; a relative level with parts writes the angles alone,
 since its quotient's certificate and vertex_map determine the rest.
-The hypothesis lists its bad sub-LOTs as closure witnesses: the distinct
-smallest sub-LOTs around single edges that are not boundary reduced, rather
-than every bad sub-LOT.  On an injective LOF the first of them, minus its
-leaf, is the delta=1 cut written beside them.  Verdicts computed here are
-labeled "witnessed"; asphericity-style conclusions are labeled
-"by-citation" and name the published result they rely on.
+A failed hypothesis of an injective forest is witnessed by a cut entered
+by one arc, which with that arc's tail and the edges it labels is a bad
+sub-LOT.  Verdicts computed here are labeled "witnessed"; asphericity-style
+conclusions are labeled "by-citation" and name the published result they
+rely on.
 """
 
 from __future__ import annotations
@@ -60,19 +59,16 @@ from .link_complex import (
 )
 from .log_model import (
     Log,
-    SubLog,
-    bad_sub_lot_witnesses,
     maximal_proper_sub_lots,
     non_label_vertices,
     quotient_lof,
     reduce_log,
     serialize_log,
-    _bad_leaf,
     _sub_edges,
     _UnionFind,
 )
 
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 
 HYPOTHESIS_FAILED = "hypothesis-failed"
 NON_GENERIC = "non-generic: ad hoc analysis required"
@@ -265,14 +261,6 @@ def _flags_section(log: Log) -> dict:
     }
 
 
-def _sublog_dict(sub: SubLog) -> dict:
-    return {
-        "vertices": list(sub.vertices),
-        "edges": list(sub.edge_ids),
-        "boundary_reduced": sub.is_boundary_reduced,
-    }
-
-
 def _curvature_dict(report: link_complex.CurvatureReport) -> dict:
     lhs, rhs = report.gauss_bonnet
     return {
@@ -306,22 +294,6 @@ def _hypothesis_flags(log: Log) -> dict:
         "reduced": rep.reduced,
         "injective": rep.injective.ok,
         "forest": log.log_class.kind in ("LOT", "LOF"),
-    }
-
-
-def _hypothesis_section(base: dict, bad: tuple[SubLog, ...]) -> dict:
-    """The hypothesis report from the three flags of _hypothesis_flags and
-    the LOF's bad closure witnesses.  bad is empty on a LOG that is not a
-    forest, since a cycle already fails the hypothesis and closures need a
-    forest, and on a reduced injective LOF whose branchings were built,
-    since they rule out every bad sub-LOT (README)."""
-    forest = base["forest"]
-    return {
-        "satisfied": all(base.values()) and not bad,
-        **base,
-        "all_sub_lots_boundary_reduced": (not bad) if forest else NOT_EVALUATED,
-        "bad_sub_lots": [_sublog_dict(s) for s in bad],
-        "note": "sub-LOT conditions range over connected subtrees with at least one edge",
     }
 
 
@@ -372,21 +344,25 @@ def _reoriented_strong_lbf(lot: Log, flipped: Container[int]) -> bool:
     return True
 
 
-def _closure_cut(log: Log, bad: dict) -> dict:
-    """The cut of the selection graph that a bad closure of an injective
-    LOF gives: its vertices but its leaf that labels none of its edges.
+def _dominator_cut(log: Log) -> Optional[dict]:
+    """The cut that refutes an injective LOF's hypothesis, or None when it holds.
 
-    Each other vertex labels one of its edges and, by injectivity, no edge
-    outside it, so only the leaf's arc enters the set: delta is 1 (README),
-    and any other value raises RuntimeError.
+    One dominator pass from the non-label vertices finds a set S that
+    avoids them with delta(S) < 2, if any.  On an injective LOF its delta
+    is 1, or RuntimeError is raised, and S with the tail v of its one
+    entering arc and the edges that S labels is a sub-LOT whose leaf v
+    labels none of them; any such sub-LOT gives such an S (README step 2).
     """
-    index = log.edge_index
-    leaf = _bad_leaf([log.edges[index[eid]] for eid in bad["edges"]])
-    vertices = [v for v in bad["vertices"] if v != leaf]
-    delta = arborescence.cut_delta(log.selection, vertices)
-    if delta != 1:
-        raise RuntimeError(f"the bad closure's cut {vertices!r} has delta {delta}, not 1")
-    return {"vertices": vertices, "delta": delta}
+    graph, root = arborescence.with_added_root(log.selection, non_label_vertices(log))
+    ok, cut = arborescence.edmonds_condition(graph, root)
+    if ok:
+        return None
+    if cut.delta != 1:
+        raise RuntimeError(f"the dominator cut {cut.vertices!r} has delta {cut.delta}, not 1")
+    inside = set(cut.vertices)
+    edges = [e for e in log.edges if e.lab in inside]
+    leaf = next(v for e in edges for v in (e.src, e.tgt) if v not in inside)
+    return {"vertices": list(cut.vertices), "delta": 1, "leaf": leaf, "edges": [e.eid for e in edges]}
 
 
 def certify_lof(log: Log) -> Certificate:
@@ -395,38 +371,39 @@ def certify_lof(log: Log) -> Certificate:
     On a reduced injective LOF the branchings decide the hypothesis: they
     are built first, from the non-label vertices, and a verified pair
     gives every vertex set avoiding the roots delta >= 2, so no sub-LOT is
-    bad (README) and no closure is built.  Only a stall of the first
-    branching sends the LOF to the closure scan, which must then find a bad
-    closure, or RuntimeError is raised.  Any other input, not reduced, not
-    injective or not a forest, fails the hypothesis and is scanned as
-    before when it is a forest.
+    bad (README).  A stall of the first branching sends the LOF to one
+    dominator pass (`_dominator_cut`), which must then find a cut, or
+    RuntimeError is raised; an injective LOF that is not reduced takes
+    that pass at once.  No closure table is built.
 
     On hypothesis failure all verdicts are "hypothesis-failed" and the
-    relative pipeline is suggested.  An injective LOF with a bad sub-LOT
-    also gets the cut that rules out its two disjoint branchings (Edmonds
-    1973): the first bad closure minus its leaf, entered only by the leaf's
-    arc (`_closure_cut`).  Otherwise the LOT or LOF is certified in one
-    pass from its branchings, and `_certify_lot_core` raises on the
-    outcomes the theorem rules out.
+    relative pipeline is suggested, and an injective LOF with a bad
+    sub-LOT gets the cut that rules out its two disjoint branchings
+    (Edmonds 1973), with the leaf and the edges of the bad sub-LOT.
+    Otherwise the LOT or LOF is certified in one pass from its branchings,
+    and `_certify_lot_core` raises on the outcomes the theorem rules out.
     """
     base = _hypothesis_flags(log)
-    core, bad = None, ()
+    decided = base["forest"] and base["injective"]
+    core = cut = None
     if all(base.values()):
         try:
             core = _certify_lot_core(log)
         except arborescence.BranchingStall:
-            bad = bad_sub_lot_witnesses(log)
-            if not bad:
-                raise RuntimeError("first branching stalled, yet no closure is bad")
-    elif base["forest"]:
-        bad = bad_sub_lot_witnesses(log)
-    hypothesis = _hypothesis_section(base, bad)
+            if (cut := _dominator_cut(log)) is None:
+                raise RuntimeError("first branching stalled, yet the dominator pass finds no cut")
+    elif decided:
+        cut = _dominator_cut(log)
+    hypothesis = {
+        "satisfied": core is not None,
+        **base,
+        "all_sub_lots_boundary_reduced": cut is None if decided else NOT_EVALUATED,
+        "note": "sub-LOT conditions range over connected subtrees with at least one edge",
+    }
     flags = _flags_section(log)
-    witnesses: dict = {}
 
-    if not hypothesis["satisfied"]:
-        if hypothesis["injective"] and hypothesis["bad_sub_lots"]:
-            witnesses["cut"] = _closure_cut(log, hypothesis["bad_sub_lots"][0])
+    if core is None:
+        witnesses = {} if cut is None else {"cut": cut}
         hypothesis["suggestion"] = "certify-relative"
         verdicts, provenance, citations = _verdict_scaffold(HYPOTHESIS_FAILED)
         return Certificate(log, flags, hypothesis, witnesses, verdicts, provenance, citations)
@@ -447,7 +424,7 @@ def certify_lof(log: Log) -> Certificate:
     report = curvature(log, angles)
     coloring = _coloring_ok(lbf, report)
     names = log.link.names
-    witnesses.update(
+    witnesses = dict(
         epsilon=eps,
         angles=dict(zip(names, angles)),
         curvature=_curvature_dict(report),
@@ -533,7 +510,8 @@ def certify_relative(log: Log) -> Certificate:
         note="sub-LOT conditions range over connected subtrees with at least one edge",
     )
     base_witnesses["parts"] = [
-        dict(_sublog_dict(p), rep=p.vertices[0]) for p in part_list
+        {"vertices": list(p.vertices), "edges": list(p.edge_ids), "boundary_reduced": p.is_boundary_reduced, "rep": p.vertices[0]}
+        for p in part_list
     ]
 
     certified = False

@@ -18,7 +18,7 @@ import stat
 import sys
 from pathlib import Path
 
-from . import arborescence, certify
+from . import arborescence, certify, log_model
 from .link_complex import grow_forest, is_forest, link_to_dot, parse_corner_key
 from .log_model import (
     Log,
@@ -29,7 +29,7 @@ from .log_model import (
     reduce_log,
     serialize_log,
 )
-from .selection import SelectionGraph, selection_to_dot
+from .selection import selection_to_dot
 
 EXIT_OK = 0
 EXIT_PROPERTY = 1
@@ -196,23 +196,26 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
-def _with_added_root(sel: SelectionGraph, roots: tuple[str, ...]) -> SelectionGraph:
-    """sel with an added node ":", which no vertex name can be, joined by an
-    a- and a b-arc to each root."""
-    number = {v: i for i, v in enumerate(sel.nodes)}
-    heads = [number[r] for r in roots for _ in "ab"]
-    return SelectionGraph(
-        sel.nodes + (":",),
-        list(sel.src) + [len(sel.nodes)] * len(heads),
-        list(sel.dst) + heads,
-        list(sel.keys) + [(":" + r, kind) for r in roots for kind in "ab"],
-    )
+def _names_a_bad_sub_lot(log: Log, cut: dict) -> bool:
+    """Do the cut's vertices and leaf, with its edges, form a sub-LOT whose
+    leaf has degree 1 and labels none of them (on an injective LOF, the one
+    vertex that labels none), and is the cut entered by one arc?"""
+    leaf, inside = cut["leaf"], set(cut["vertices"])
+    vertices = tuple(v for v in log.vertices if v in inside or v == leaf)
+    sub = log_model.SubLog(vertices, tuple(cut["edges"]), True, False)
+    try:
+        log_model.validate_sub_lot(log, sub)
+    except ValueError:
+        return False
+    one_arc = arborescence.cut_delta(log.selection, inside) == cut["delta"] == 1
+    return one_arc and leaf not in inside and log_model._bad_leaf(log_model._sub_edges(log, sub)) == leaf
 
 
 def cmd_oracle_check(args) -> int:
     from . import oracle
 
     log = _load(args.file)
+    cert = certify.certify_lof(log)
     checks = []
 
     g = log.link
@@ -229,7 +232,7 @@ def cmd_oracle_check(args) -> int:
     if roots:
         # the production branchings start from every root; the references
         # see them as one added root joined by two arcs to each of them
-        graph, root = (sel, roots[0]) if len(roots) == 1 else (_with_added_root(sel, roots), ":")
+        graph, root = arborescence.with_added_root(sel, roots)
         cut_result = arborescence.edmonds_condition(graph, root)
         ok_cut = cut_result[0]
         checks.append(
@@ -250,6 +253,10 @@ def cmd_oracle_check(args) -> int:
             # the branchings exist iff no closure is bad, reduced or not (README)
             no_bad = not bad_sub_lot_witnesses(log)
             checks.append(("branchings-iff-no-bad-closure", constructed == no_bad))
+            # the certificate's cut names a bad sub-LOT exactly when a closure is bad
+            cut = cert.witnesses.get("cut")
+            named = no_bad if cut is None else not no_bad and _names_a_bad_sub_lot(log, cut)
+            checks.append(("cut-iff-bad-closure", named))
         try:
             brute = oracle.exhaustive_branching_search(graph, root)
             checks.append(("branchings-vs-brute-force", constructed == (brute is not None)))
@@ -258,7 +265,6 @@ def cmd_oracle_check(args) -> int:
 
     try:
         hits = oracle.exhaustive_lbf_search(log)
-        cert = certify.certify_lof(log)
         if cert.verdicts["lbf"] in (True, False):
             checks.append(("pipeline-vs-sign-search", cert.verdicts["lbf"] == bool(hits)))
     except oracle.CapExceeded:

@@ -237,7 +237,7 @@ def test_criterion_7_negative_control():
     for lot in fixtures:
         cert = certify_lof(lot)
         assert cert.verdicts["lbf"] == "hypothesis-failed"
-        assert cert.hypothesis["bad_sub_lots"]
+        assert cert.hypothesis["all_sub_lots_boundary_reduced"] is False
         assert cert.witnesses["cut"]["delta"] == 1
         rel = certify_relative(lot)
         assert rel.verdicts["relative_coloring_test"] is True
@@ -307,14 +307,20 @@ def test_criterion_8_oracle_agreement():
 # theirs (bad_sublot_lots).  It leaves the plain coloring_test of a
 # relative level with parts not-evaluated: fixtures 1, bad_sublot_lots 6
 # and relative_lots_16 29 certificates.  good_lots changed by the schema
-# number alone.
+# number alone.  Schema 5 drops hypothesis.bad_sub_lots from every plain
+# certificate, nested ones included, and reads the cut off one dominator
+# pass, with its leaf and edges: 190 plain certificates' cuts gained those
+# fields and 41 of them moved (random_logs 11, bad_sublot_lots 2,
+# random_lofs 28).  A forest that is not injective is no longer scanned:
+# random_logs 60 and random_lofs 267 plain certificates read
+# all_sub_lots_boundary_reduced "not-evaluated".
 GOLDEN_DIGESTS = {
-    "fixtures": "c3fed59d64e20650b009fbeca2b3e54668350cae4918279d22e932e11304edb9",
-    "random_logs": "12ad67159c3772331f233ac7d3f25a3a1bc473c77c740211d800af2d4cbae8ba",
-    "good_lots": "c8db474c5488c6633d3bb9cf3e5565854825ee5d8529474344e5a50932409b7a",
-    "bad_sublot_lots": "4ff114121858cf48b6de0ef9f50c333318823b4513c86c4ff76bd35a997dff99",
-    "random_lofs": "892100ef85088eb945396777cc160c4b8d6011d87ee37b3c86dae491cf1a852f",
-    "relative_lots_16": "e70ac97b86e319e303a038d657cc59d2ff6dbd06da7a0d910a63b70114d2fae8",
+    "fixtures": "36b80fe7328a5cd827c60c0360c9ad0fb61e48d0ac0d461d96e3462813ebd015",
+    "random_logs": "20ea7ed9ee40ddec936ab806f7a860357d07e9717086406d544ccf1eca7bab25",
+    "good_lots": "45109a4e3baa8d89fc6765f19558dda57f63f00cc7e6e8cae70bcabe4648e4f9",
+    "bad_sublot_lots": "0ac2bfe0e6bde76cf66f42c1e867f9df93c182c1007c2a38ad575fabe75c1462",
+    "random_lofs": "0bc19bf7e37f032dfce8f6f31fab3cfa018a4f7d93d9a008b41065d1c2149ae1",
+    "relative_lots_16": "7e63b0e6b2f0321c638c3eb80f92ff3a2c80165cedb0fbc66916af5821136b40",
 }
 
 
@@ -398,13 +404,55 @@ def test_exit_0_relative_certificates_pass_the_bench_recheck():
     assert checked >= 500 and with_parts >= 30, (checked, with_parts)
 
 
-def test_a_failed_hypothesis_takes_its_cut_from_its_first_bad_closure():
-    """Every plain certificate of an injective forest with a bad sub-LOT has
-    a cut: the first bad closure minus one vertex, its leaf.  It avoids the
-    non-label vertices, is entered by one arc, and so fails the max-flow
-    cut condition from the roots; no other certificate has a cut."""
+def test_plain_certify_builds_no_closure_table(monkeypatch):
+    """The branchings or one dominator pass decide the hypothesis on every
+    golden corpus and the nested families, so no closure table is built."""
+    from conftest import bad_nested_lot, nested_lot
+    from lotcert import log_model
+    from lotcert.log_model import Log
+
+    def refuse(log):
+        raise AssertionError("plain certify built a closure table")
+
+    monkeypatch.setattr(log_model, "_closure_table", refuse)
+    logs = [log for corpus, _ in golden_corpora().values() for log in corpus]
+    logs += [family(k) for family in (nested_lot, bad_nested_lot) for k in range(41)]
+    cuts = 0
+    for log in logs:
+        # a fresh LOG: no closure table kept from an earlier call
+        cuts += "cut" in certify_lof(Log(log.vertices, log.edges)).witnesses
+    assert cuts >= 200, cuts
+
+
+def test_exit_3_plain_certificates_pass_the_bench_recheck():
+    """The benchmark re-checks each exit-3 plain certificate of a reduced
+    injective LOT for a delta-1 cut; every hypothesis-failed plain golden
+    certificate of a reduced injective forest holds what that re-check
+    reads, so a shape change cannot break it quietly."""
+    recheck = _bench_recheck()
+    checked = 0
+    for name, (logs, pipelines) in golden_corpora().items():
+        if certify_lof not in pipelines:
+            continue
+        certs = golden_certificates()[name][pipelines.index(certify_lof) :: len(pipelines)]
+        for log, cert in zip(logs, certs):
+            hyp = cert.hypothesis
+            if hyp["satisfied"] or not (hyp["reduced"] and hyp["injective"] and hyp["forest"]):
+                continue
+            assert recheck.hypothesis_failed(json.loads(cert.to_json()), 1) is None, name
+            checked += 1
+    assert checked >= 7, checked
+
+
+def test_a_failed_hypothesis_takes_its_cut_from_the_dominator_pass():
+    """Every plain certificate of an injective forest with a bad closure has
+    a cut, and no other certificate has one.  The cut avoids the non-label
+    vertices and is entered by one arc, from its leaf, so it fails the
+    max-flow cut condition from the roots; its vertices and leaf, with its
+    edges, are a sub-LOT whose leaf has degree 1 and labels none of them."""
     from conftest import edge_deleted_lofs
-    from lotcert.cli import _with_added_root
+    from lotcert.arborescence import with_added_root
+    from lotcert.log_model import SubLog, bad_sub_lot_witnesses, validate_sub_lot
 
     cases = []
     for name, (logs, pipelines) in golden_corpora().items():
@@ -416,19 +464,26 @@ def test_a_failed_hypothesis_takes_its_cut_from_its_first_bad_closure():
     cases += [(log, certify_lof(log)) for log in lots]
     cuts = 0
     for log, cert in cases:
-        bad = cert.hypothesis["bad_sub_lots"]
-        if not (cert.hypothesis["injective"] and bad):
+        hyp = cert.hypothesis
+        if not (hyp["forest"] and hyp["injective"] and bad_sub_lot_witnesses(log)):
             assert "cut" not in cert.witnesses
+            decided = hyp["forest"] and hyp["injective"]
+            assert hyp["all_sub_lots_boundary_reduced"] == (True if decided else "not-evaluated")
             continue
-        cut = cert.witnesses["cut"]["vertices"]
-        leaf = [v for v in bad[0]["vertices"] if v not in cut]
-        assert len(leaf) == 1 and [v for v in bad[0]["vertices"] if v != leaf[0]] == cut
+        assert hyp["all_sub_lots_boundary_reduced"] is False
+        cut = cert.witnesses["cut"]
+        leaf, edges = cut["leaf"], [log.edges[log.edge_index[eid]] for eid in cut["edges"]]
+        vertices = tuple(v for v in log.vertices if v in cut["vertices"] or v == leaf)
+        validate_sub_lot(log, SubLog(vertices, tuple(cut["edges"]), True, False))
+        assert leaf not in cut["vertices"] and len(vertices) == len(edges) + 1
+        assert [e.eid for e in edges] == [e.eid for e in log.edges if e.lab in cut["vertices"]]
+        assert sum((e.src, e.tgt).count(leaf) for e in edges) == 1
+        assert leaf not in {e.lab for e in edges}
         roots = non_label_vertices(log)
-        assert not set(roots) & set(cut)
+        assert not set(roots) & set(cut["vertices"])
         sel = build_selection_graph(log)
-        assert cert.witnesses["cut"]["delta"] == cut_delta(sel, cut) == 1
-        graph, root = (sel, roots[0]) if len(roots) == 1 else (_with_added_root(sel, roots), ":")
-        assert oracle.flow_cut_condition(graph, root)[0] is False
+        assert cut["delta"] == cut_delta(sel, cut["vertices"]) == 1
+        assert oracle.flow_cut_condition(*with_added_root(sel, roots))[0] is False
         cuts += 1
     assert cuts >= 200, cuts
 

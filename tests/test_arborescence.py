@@ -14,8 +14,15 @@ from lotcert import (
     two_disjoint_branchings,
     verify_branching,
 )
-from lotcert.arborescence import Branching, CutWitness, _index, _prim, cut_delta, edmonds_condition
-from lotcert.selection import SelectionGraph
+from lotcert.arborescence import (
+    Branching,
+    CutWitness,
+    _index,
+    _prim,
+    cut_delta,
+    edmonds_condition,
+    with_added_root,
+)
 from lotcert.oracle import (
     CapExceeded,
     exhaustive_branching_search,
@@ -413,16 +420,20 @@ def test_two_branchings_of_a_deep_nested_lot():
     assert elapsed < 5.0, f"two_disjoint_branchings took {elapsed:.3f} s at n=2051"
 
 
-def _with_added_root(sel, roots):
-    """sel with an added node ":" joined by an a- and a b-arc to each root:
-    two disjoint branchings from the roots exist iff two from ":" do."""
-    heads = [sel.nodes.index(r) for r in roots for _ in "ab"]
-    return SelectionGraph(
-        sel.nodes + (":",),
-        list(sel.src) + [len(sel.nodes)] * len(heads),
-        list(sel.dst) + heads,
-        list(sel.keys) + [(":" + r, kind) for r in roots for kind in "ab"],
-    )
+def test_the_added_root_serves_zero_one_and_many_roots():
+    # one root is its own graph; otherwise ":" is added, with two arcs to
+    # each root, so a set that avoids the roots keeps its delta
+    sel = build_selection_graph(PATH3)
+    assert with_added_root(sel, ["y"]) == (sel, "y")
+    empty = build_selection_graph(make_log([], []))
+    assert edmonds_condition(*with_added_root(empty, [])) == (True, None)
+    graph, root = with_added_root(sel, [])
+    assert edmonds_condition(graph, root) == (False, CutWitness(sel.nodes, 0))
+    badsub = build_selection_graph(make_log([*BADSUB.vertices, "w"], [tuple(e) for e in BADSUB.edges]))
+    graph, root = with_added_root(badsub, ["q", "w"])
+    assert root == ":" and graph.nodes == (*badsub.nodes, ":")
+    assert graph.keys[-4:] == [(":q", "a"), (":q", "b"), (":w", "a"), (":w", "b")]
+    assert edmonds_condition(graph, root) == (False, CutWitness(("a", "b", "c"), 1))
 
 
 def test_branchings_from_several_roots_match_the_added_root():
@@ -434,7 +445,7 @@ def test_branchings_from_several_roots_match_the_added_root():
         cases.append((build_selection_graph(log), rng.sample(log.vertices, rng.randint(1, len(log.vertices)))))
     outcomes = Counter()
     for sel, roots in cases:
-        ok, _ = flow_cut_condition(_with_added_root(sel, roots), ":")
+        ok, _ = flow_cut_condition(*with_added_root(sel, roots))
         several = len(roots) > 1
         outcomes[ok, several] += 1
         if not ok:

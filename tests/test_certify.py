@@ -185,9 +185,11 @@ def test_certify_badsub_fails_hypothesis_with_cut():
     cert = certify_lof(BADSUB)
     assert cert.verdicts["lbf"] == HYPOTHESIS_FAILED
     assert cert.hypothesis["satisfied"] is False
-    assert cert.hypothesis["bad_sub_lots"][0]["edges"] == ["e1", "e2", "e3"]
-    # the bad closure minus its leaf d, which labels none of its edges
-    assert cert.witnesses["cut"] == {"vertices": ["a", "b", "c"], "delta": 1}
+    assert cert.hypothesis["all_sub_lots_boundary_reduced"] is False
+    assert "bad_sub_lots" not in cert.hypothesis
+    # entered only by the arc from d, which with the cut and the edges it
+    # labels is the bad sub-LOT e1 e2 e3 with leaf d
+    assert cert.witnesses["cut"] == {"vertices": ["a", "b", "c"], "delta": 1, "leaf": "d", "edges": ["e1", "e2", "e3"]}
     assert cert.hypothesis["suggestion"] == "certify-relative"
 
 
@@ -201,33 +203,51 @@ def bad_closure_lots() -> list[Log]:
     return [log for log in corpus if bad_sub_lot_witnesses(log)]
 
 
+def _cut_sub_lot(log: Log):
+    """The bad sub-LOT that log's plain certificate names by its cut, as a
+    LOG of its own, or None when it has no cut."""
+    cut = certify_lof(log).witnesses.get("cut")
+    if cut is None:
+        return None
+    inside = {*cut["vertices"], cut["leaf"]}
+    edges = [log.edges[log.edge_index[eid]] for eid in cut["edges"]]
+    return Log([v for v in log.vertices if v in inside], edges)
+
+
 def test_a_bad_closure_rules_out_every_bi_forest_sign_choice():
     # the lemma behind a refutation: a label-closed subtree with a leaf that
     # labels none of its edges leaves no sign choice whose link is a
-    # bi-forest; it needs neither reducedness nor injectivity
+    # bi-forest; it needs neither reducedness nor injectivity.  The bad
+    # sub-LOT an injective tree's cut names is such a subtree of itself
     bad = bad_closure_lots()
     assert len(bad) == 213
     assert [serialize_log(log) for log in bad if exhaustive_lbf_search(log)] == []
+    named = [sub for sub in map(_cut_sub_lot, bad) if sub is not None]
+    assert len(named) == sum(log.reducedness.injective.ok for log in bad) == 47
+    assert [serialize_log(sub) for sub in named if exhaustive_lbf_search(sub)] == []
 
 
 def test_a_bad_closure_holds_a_cycle_on_one_side_of_a_random_sign_choice():
     # the lemma's count: the closure's corners on the two sides are too many
-    # for two forests on its link nodes, so one side has a cycle among them
+    # for two forests on its link nodes, so one side has a cycle among them;
+    # so too for the bad sub-LOT that an injective tree's cut names
     for i, log in enumerate(bad_closure_lots()):
-        edges = set(bad_sub_lot_witnesses(log)[0].edge_ids)
+        cut = certify_lof(log).witnesses.get("cut")
+        subs = [bad_sub_lot_witnesses(log)[0].edge_ids] + ([cut["edges"]] if cut else [])
         rng = seeded_rng("bad-closure-signs", i)
         eps = {v: rng.choice("+-") for v in log.vertices}
         link, on = log.link, _side_mask(log, eps)
-        corners = [4 * j + k for j, e in enumerate(log.edges) if e.eid in edges for k in range(4)]
-        sides = [
-            [c for c in corners if on[link.tail[c]] == on[link.head[c]] == sign]
-            for sign in (1, 0)
-        ]
-        cycles = [is_forest(link, side)[1] for side in sides]
-        assert any(cycles), serialize_log(log)
-        for side, cycle in zip(sides, cycles):
-            if cycle is not None:
-                assert set(cycle.edges) <= {link.edges[c][0] for c in side}
+        for edges in map(set, subs):
+            corners = [4 * j + k for j, e in enumerate(log.edges) if e.eid in edges for k in range(4)]
+            sides = [
+                [c for c in corners if on[link.tail[c]] == on[link.head[c]] == sign]
+                for sign in (1, 0)
+            ]
+            cycles = [is_forest(link, side)[1] for side in sides]
+            assert any(cycles), serialize_log(log)
+            for side, cycle in zip(sides, cycles):
+                if cycle is not None:
+                    assert set(cycle.edges) <= {link.edges[c][0] for c in side}
 
 
 def test_certify_non_forest_fails_hypothesis():
@@ -248,7 +268,7 @@ def test_certify_general_log_skips_the_sub_lot_scan():
         assert time.monotonic() - t0 < 1.0
         assert cert.hypothesis["forest"] is False
         assert cert.hypothesis["all_sub_lots_boundary_reduced"] == NOT_EVALUATED
-        assert cert.hypothesis["bad_sub_lots"] == []
+        assert "cut" not in cert.witnesses
         assert cert.verdicts["DR_claim"] == HYPOTHESIS_FAILED
 
 
@@ -532,10 +552,9 @@ def test_plain_certify_of_a_lot_builds_each_graph_once(monkeypatch):
 
 def test_relative_certify_builds_no_witness(monkeypatch):
     # each level's relative verdict and angles are read off its quotient's
-    # certificate; the relative checks, the parts' corners and the dominator
-    # pass are references only, and a failed hypothesis takes its cut from
-    # its bad closure
-    from lotcert import arborescence, link_complex
+    # certificate; the relative checks and the parts' corners are
+    # references only
+    from lotcert import link_complex
 
     counts = {
         fn.__name__: _count_calls(monkeypatch, fn)
@@ -545,8 +564,6 @@ def test_relative_certify_builds_no_witness(monkeypatch):
             link_complex.verify_relative_coloring_test,
             link_complex._closing_walk,
             link_complex.part_corners,
-            arborescence.edmonds_condition,
-            arborescence._disjoint_paths,
         )
     }
     # a level with parts is the first argument of its quotient_lof call; it
@@ -593,8 +610,9 @@ def test_relative_certify_derives_each_fact_once_per_log(monkeypatch):
 
 def test_a_lof_whose_branchings_are_built_builds_no_closure_table(monkeypatch):
     # verified branchings give every set avoiding the roots delta >= 2, so
-    # no sub-LOT is bad (README) and the closure scan is skipped
-    from lotcert import log_model
+    # no sub-LOT is bad (README), and neither a closure table nor the
+    # dominator pass is built
+    from lotcert import arborescence, log_model
     from test_acceptance import corpus_good_lots
 
     fixtures = sorted((Path(__file__).parent / "fixtures").glob("lof_*.lot"))
@@ -604,47 +622,74 @@ def test_a_lof_whose_branchings_are_built_builds_no_closure_table(monkeypatch):
     inputs += [nested_lot(k) for k in (0, 1, 8)]
     assert len(fixtures) == 3
     tables = _count_calls(monkeypatch, log_model._closure_table)
+    passes = _count_calls(monkeypatch, arborescence.edmonds_condition)
     for log in inputs:
         cert = certify_lof(Log(log.vertices, log.edges))
         assert cert.hypothesis["satisfied"] is True
         assert cert.hypothesis["all_sub_lots_boundary_reduced"] is True
-        assert cert.hypothesis["bad_sub_lots"] == []
-    assert tables == []
+        assert "cut" not in cert.witnesses
+    assert tables == passes == []
 
 
-def test_a_stalled_lof_takes_its_cut_from_one_closure_table(monkeypatch):
-    # the first branching stalls, and one closure scan lists the bad
-    # sub-LOTs and gives the cut
+def test_a_stalled_lof_takes_its_cut_from_one_dominator_pass(monkeypatch):
+    # the first branching stalls, and one dominator pass gives the cut and
+    # the bad sub-LOT it names; no closure table is built
     from lotcert import arborescence, log_model, selection
 
     tables = _count_calls(monkeypatch, log_model._closure_table)
     attempts = _count_calls(monkeypatch, arborescence.two_disjoint_branchings)
+    passes = _count_calls(monkeypatch, arborescence.edmonds_condition)
     graphs = _count_calls(monkeypatch, selection.build_selection_graph)
-    cases = [(BADSUB, ["e1", "e2", "e3"], ["a", "b", "c"])]
-    cases += [(bad_nested_lot(k), ["g1", "g2", "g3"], ["q0", "q1", "q2"]) for k in range(1, 9)]
-    for log, bad_edges, cut in cases:
-        for calls in (tables, attempts, graphs):
+    badsub = {"vertices": ["a", "b", "c"], "delta": 1, "leaf": "d", "edges": ["e1", "e2", "e3"]}
+    nested = {"vertices": ["q0", "q1", "q2"], "delta": 1, "leaf": "q3", "edges": ["g1", "g2", "g3"]}
+    cases = [(BADSUB, badsub)] + [(bad_nested_lot(k), nested) for k in range(1, 9)]
+    for log, cut in cases:
+        for calls in (tables, attempts, passes, graphs):
             calls.clear()
         cert = certify_lof(Log(log.vertices, log.edges))
         assert cert.hypothesis["reduced"] and cert.hypothesis["injective"]
         # the stall and the cut read one selection graph
-        assert len(attempts) == len(tables) == len(graphs) == 1
-        assert [b["edges"] for b in cert.hypothesis["bad_sub_lots"]] == [bad_edges]
-        assert cert.witnesses["cut"] == {"vertices": cut, "delta": 1}
+        assert len(attempts) == len(passes) == len(graphs) == 1
+        assert tables == []
+        assert cert.hypothesis["all_sub_lots_boundary_reduced"] is False
+        assert cert.witnesses["cut"] == cut
         assert cert.verdicts["DR_claim"] == HYPOTHESIS_FAILED
-    # not reduced: scanned without a branching attempt, as before
-    tables.clear()
-    attempts.clear()
+    # not reduced: one pass without a branching attempt
+    for calls in (tables, attempts, passes):
+        calls.clear()
     cert = certify_lof(bad_nested_lot(0))
     assert cert.hypothesis["reduced"] is False
-    assert (len(attempts), len(tables)) == (0, 1)
-    assert cert.witnesses["cut"] == {"vertices": ["q0", "q1", "q2"], "delta": 1}
+    assert (len(attempts), len(passes), len(tables)) == (0, 1, 0)
+    assert cert.witnesses["cut"] == nested
+
+
+def test_plain_certify_of_a_stalled_lot_takes_linear_memory():
+    # the stall's cut comes from one dominator pass, linear in the LOT, and
+    # no closure table of the nested closures, which is quadratic here
+    import tracemalloc
+
+    peaks = []
+    for k in (512, 1024):
+        log = bad_nested_lot(k)
+        fresh = Log(log.vertices, log.edges)
+        tracemalloc.start()
+        try:
+            cert = certify_lof(fresh)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert cert.witnesses["cut"]["delta"] == 1
+    assert peaks[1] <= 2.5 * peaks[0], peaks
+    assert peaks[1] < 16 * 2**20, peaks
 
 
 def test_a_stall_without_a_bad_closure_raises(monkeypatch):
-    # the README rules the stall out when no closure is bad
-    monkeypatch.setattr(certify_module, "bad_sub_lot_witnesses", lambda log: ())
-    with pytest.raises(RuntimeError, match="no closure is bad") as raised:
+    # the README rules the stall out when no cut has delta 1, and so when
+    # no closure is bad
+    from lotcert import arborescence
+
+    monkeypatch.setattr(arborescence, "edmonds_condition", lambda sel, root: (True, None))
+    with pytest.raises(RuntimeError, match="the dominator pass finds no cut") as raised:
         certify_lof(BADSUB)
     assert raised.type is RuntimeError  # not a BranchingStall
 
@@ -941,7 +986,7 @@ def test_certificate_json_round_trips():
     cert = certify_lof(PATH3)
     text = cert.to_json()
     data = json.loads(text)
-    assert data["schema"] == 4
+    assert data["schema"] == 5
     assert data["verdicts"]["DR_claim"] is True
     assert text == certify_lof(PATH3).to_json()
 
@@ -975,10 +1020,16 @@ def test_failed_reorientation_raises(monkeypatch):
     assert raised.type is RuntimeError
 
 
-def test_a_closure_cut_whose_delta_is_not_one_raises(monkeypatch):
+def test_a_dominator_cut_whose_delta_is_not_one_raises(monkeypatch):
     from lotcert import arborescence
+    from lotcert.arborescence import CutWitness
 
-    # injectivity makes the bad closure's cut delta 1 (README)
+    # injectivity makes every cut from the roots delta 1 (README)
     monkeypatch.setattr(arborescence, "cut_delta", lambda sel, vertices: 2)
-    with pytest.raises(RuntimeError, match="has delta 2, not 1"):
+    with pytest.raises(RuntimeError, match="has delta 2, the dominator pass gave 1"):
         certify_lof(BADSUB)
+    # a pass that returns some other delta is refused by certify itself
+    monkeypatch.setattr(arborescence, "edmonds_condition", lambda sel, root: (False, CutWitness(("a",), 0)))
+    for log in (BADSUB, bad_nested_lot(0)):
+        with pytest.raises(RuntimeError, match="has delta 0, not 1"):
+            certify_lof(log)

@@ -78,7 +78,7 @@ def test_certify_writes_canonical_json(files, tmp_path, capsys):
     out = tmp_path / "cert.json"
     assert main(["certify", files["path3"], "--json", str(out)]) == 0
     data = json.loads(out.read_text())
-    assert data["schema"] == 4 and data["verdicts"]["DR_claim"] is True
+    assert data["schema"] == 5 and data["verdicts"]["DR_claim"] is True
     again = tmp_path / "cert2.json"
     main(["certify", files["path3"], "--json", str(again)])
     assert out.read_bytes() == again.read_bytes()
@@ -250,19 +250,48 @@ def test_oracle_check(files, capsys):
 
 
 def test_oracle_check_ties_the_branchings_to_the_closure_scan(files, tmp_path, capsys, monkeypatch):
-    # on an injective forest the branchings are built iff no closure is bad
+    # on an injective forest the branchings are built iff no closure is bad,
+    # and the certificate has a cut that names a bad sub-LOT iff one is
     for name in ("path3", "badsub"):
         assert main(["oracle-check", files[name]]) == 0
-        assert "branchings-iff-no-bad-closure: PASS" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "branchings-iff-no-bad-closure: PASS" in out and "cut-iff-bad-closure: PASS" in out
     # a LOG that is not an injective forest gets no such check
     cyclic = tmp_path / "cyclic.lot"
     cyclic.write_text("vertices: x y z\nedge: x -> y : z\nedge: z -> y : x\nedge: x -> z : y\n", encoding="utf-8")
     main(["oracle-check", str(cyclic)])
-    assert "branchings-iff-no-bad-closure" not in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "branchings-iff-no-bad-closure" not in out and "cut-iff-bad-closure" not in out
     # a scan that misses BADSUB's bad closure fails the check
     monkeypatch.setattr(cli, "bad_sub_lot_witnesses", lambda log: ())
     assert main(["oracle-check", files["badsub"]]) == 1
-    assert "branchings-iff-no-bad-closure: FAIL" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "branchings-iff-no-bad-closure: FAIL" in out and "cut-iff-bad-closure: FAIL" in out
+    monkeypatch.undo()
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"leaf": "c"},
+        {"leaf": "p"},
+        {"edges": ["e1", "e2"]},
+        {"edges": ["e1", "e2", "e3", "e4"]},
+        {"vertices": ["a", "b"]},
+        {"delta": 2},
+    ],
+)
+def test_oracle_check_refuses_a_cut_that_names_no_bad_sub_lot(change, files, capsys, monkeypatch):
+    # the cut's vertices and leaf, with its edges, must be a sub-LOT whose
+    # leaf has degree 1 and labels none of them, entered by one arc
+    def altered(log):
+        cert = certify_lof(log)
+        cert.witnesses["cut"] = dict(cert.witnesses["cut"], **change)
+        return cert
+
+    monkeypatch.setattr(cli.certify, "certify_lof", altered)
+    assert main(["oracle-check", files["badsub"]]) == 1
+    assert "cut-iff-bad-closure: FAIL" in capsys.readouterr().out
 
 
 # Reduced injective LOFs that satisfy the hypothesis, each
@@ -305,21 +334,25 @@ def test_oracle_check_of_a_lof_with_a_bad_sub_lot(tmp_path, capsys):
     assert main(["oracle-check", str(path)]) == 0
     out = capsys.readouterr().out
     assert "branchings-iff-cut-condition: PASS" in out and "FAIL" not in out
-    assert "branchings-iff-no-bad-closure: PASS" in out
+    assert "branchings-iff-no-bad-closure: PASS" in out and "cut-iff-bad-closure: PASS" in out
 
 
-def test_no_production_command_runs_the_dominator_pass(files, tmp_path, capsys, monkeypatch):
-    # the dominator pass is oracle-check's reference: a failed hypothesis
-    # takes its cut from its first bad closure, a LOF's included
+def test_only_a_failed_hypothesis_runs_the_dominator_pass(files, tmp_path, capsys, monkeypatch):
+    # plain certify of an injective forest whose hypothesis fails runs one
+    # dominator pass for its cut, a LOF's included; every other production
+    # command and input runs none
     from lotcert import arborescence
 
-    for name in ("edmonds_condition", "_disjoint_paths"):
-        monkeypatch.setattr(arborescence, name, lambda *args, name=name: pytest.fail(f"{name} ran"))
+    passes = []
+    condition = arborescence.edmonds_condition
+    monkeypatch.setattr(arborescence, "edmonds_condition", lambda *args: passes.append(args) or condition(*args))
     (lof,) = [lof for lof in edge_deleted_lofs([8], range(150)) if bad_sub_lot_witnesses(lof)]
     inputs = [files[name] for name in ("path3", "triv", "noncomp", "badsub")]
     for i, log in enumerate([lof, path_lot(64, 0)]):
         inputs.append(str(tmp_path / f"in{i}.lot"))
         Path(inputs[-1]).write_text(serialize_log(log), encoding="utf-8")
+    # NONCOMP is an injective tree, not reduced, whose leaf x labels nothing
+    failing = {files["noncomp"], files["badsub"], inputs[-2]}
     out, dots = str(tmp_path / "out"), str(tmp_path / "dots")
     for f in inputs:
         for argv in (
@@ -329,11 +362,41 @@ def test_no_production_command_runs_the_dominator_pass(files, tmp_path, capsys, 
             ["certify", f, "--relative", "--json", out],
             ["export", f, "selection"],
         ):
+            passes.clear()
             assert main(argv) in (0, 1, 3), argv
+            ran = argv[0] == "certify" and "--relative" not in argv and f in failing
+            assert len(passes) == ran, argv
     assert main(["certify", inputs[-2], "--json", out]) == 3
     assert json.loads(Path(out).read_text(encoding="utf-8"))["witnesses"]["cut"]["delta"] == 1
+    passes.clear()
     assert main(["generate", "8", "20", "1", str(tmp_path / "corpus")]) == 0
+    assert passes == []
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "text, plain, relative",
+    [
+        ("vertices:\n", 0, 0),
+        ("vertices: x\n", 0, 0),
+        ("vertices: x y z w\nedge e1: x -> y : z\nedge e2: z -> y : x\n", 0, 0),
+        (serialize_log(Log((*BADSUB.vertices, "w"), BADSUB.edges)), 3, 0),
+        ("vertices: w q0 q1 q2 q3\nedge g1: q0 -> q1 : q2\nedge g2: q1 -> q2 : q0\nedge g3: q2 -> q3 : q1\n", 3, 0),
+    ],
+    ids=["empty", "lone-vertex", "isolated-root", "isolated-root-badsub", "isolated-root-not-reduced"],
+)
+def test_certify_exit_codes_from_zero_one_and_many_roots(text, plain, relative, tmp_path, capsys):
+    # no root, one root, and a root on no edge beside the others; the
+    # failing ones take their cut from the added root
+    path = tmp_path / "in.lot"
+    path.write_text(text, encoding="utf-8")
+    out = tmp_path / "out.json"
+    assert main(["certify", str(path), "--json", str(out)]) == plain
+    cut = json.loads(out.read_text(encoding="utf-8"))["witnesses"].get("cut")
+    assert (cut is not None and cut["delta"] == 1) == (plain == 3)
+    assert main(["certify", str(path), "--relative", "--json", str(out)]) == relative
+    assert main(["oracle-check", str(path)]) == 0
+    assert "FAIL" not in capsys.readouterr().out
 
 
 def test_oracle_check_skips_subset_enumeration_above_the_cap(files, capsys, monkeypatch):

@@ -53,8 +53,8 @@ def test_importing_the_cli_leaves_the_oracles_unloaded():
 
 
 def test_only_the_oracles_define_a_max_flow():
-    # a failed hypothesis's cut is read off its bad closure and the cut
-    # condition off the dominator tree; max-flow is the reference
+    # the cut condition and a failed hypothesis's cut are read off the
+    # dominator tree; max-flow is the reference
     found = {}
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
@@ -62,3 +62,21 @@ def test_only_the_oracles_define_a_max_flow():
             if isinstance(node, ast.FunctionDef) and "max_flow" in node.name:
                 found.setdefault(path.name, []).append(node.name)
     assert found == {"oracle.py": ["_max_flow"]}
+
+
+def test_plain_certify_imports_nothing_from_the_closure_layer():
+    # the branchings or the dominator cut decide the hypothesis, so the
+    # certify module names no closure function, and the added root that
+    # oracle-check and certify share lives in arborescence alone
+    closure_layer = {"bad_sub_lot_witnesses", "_bad_leaf", "_closure_table", "_closure", "closures"}
+    tree = ast.parse((SRC / "certify.py").read_text(encoding="utf-8"))
+    names = {n.split(".")[-1] for n in _imported_modules(tree)}
+    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert names & closure_layer == set()
+    defined = {
+        path.name: [n.name for n in ast.walk(ast.parse(path.read_text(encoding="utf-8"))) if isinstance(n, ast.FunctionDef)]
+        for path in sorted(SRC.glob("*.py"))
+    }
+    assert [name for name, fns in defined.items() if "with_added_root" in fns or "_with_added_root" in fns] == [
+        "arborescence.py"
+    ]
