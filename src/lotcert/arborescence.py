@@ -10,53 +10,26 @@ no root has an incoming arc, every other vertex has one.  Two arc-disjoint
 ones exist iff every vertex set avoiding all roots has delta(S) >= 2: that
 is the one-root theorem for an added root joined by two arcs to each root.
 
-`two_disjoint_branchings` builds the pair first and verifies both.  Every
-root counts as reached at the start.  The first branching is grown
-greedily from a heap of frontier arcs keyed by arc index.  An arc u -> w is
-committed only when the roots still reach w without it and without the
-arcs already committed, which keeps every vertex reachable for the second
-branching.  A spanning forest of the uncommitted arcs answers that test: an
-arc outside the forest passes at once, and a forest arc passes iff the
-subtree below it can be hung from other uncommitted arcs, which then
-becomes the forest.  The subtree hangs from its top vertex, so one backward
-search from the top through the subtree, for an arc that enters it from the
-rest of the forest, decides that; usually the first arc into the top vertex
-does.  Whether an arc's tail lies in the subtree is read off its tree path,
-walked up only as far as the first vertex the search has already found.
-The test is exact for any spanning forest, so the branchings do not depend
-on the forest kept.  An arc that fails fails for good, since the
-committed set only grows.  The second branching takes the smallest-index
-frontier arc among the remaining arcs at each step, like Prim's algorithm.
-Both run over the selection graph's node and arc numbers and are checked
-there before their arc keys are built; `verify_branching` maps the keys of
-given trees to numbers for the same check.  When the cut condition fails,
-some set S is entered by at most one arc, which the first branching can
-never commit, so the construction stalls and raises BranchingStall, a
-RuntimeError; every other failure is a plain RuntimeError.  On a reduced
-injective LOF the certify pipeline builds the branchings first and reads
-the hypothesis off them (README): a stall sends it to the dominator pass.
+`two_disjoint_branchings` grows both branchings with one heap grower,
+`_grow`, which takes the smallest-index frontier arc that a test admits:
+the first branching's test keeps every vertex reachable from the roots in
+the arcs not yet used (`_rehang`), and the second branching takes what is
+left.  Both run on the node and arc numbers and the out/in-arc lists that
+the SelectionGraph keeps; `verify_branching` maps the keys of given trees
+to those numbers for the same check.
 
 `edmonds_condition` decides the condition from one root, or from several
-through `with_added_root`, and yields a minimum cut: `certify` reads a
-failed hypothesis's bad sub-LOT off it, and `oracle-check` and the tests
-run it as the reference for the construction.  By Menger's theorem the
-condition holds iff every vertex is reachable from r and no single arc
-lies on every path from r to it.
-One dominator pass (Cooper, Harvey and Kennedy, "A Simple, Fast Dominance
-Algorithm", 2001) over the selection graph with each arc subdivided tests
-both: a vertex fails when it is unreachable (delta 0) or when an arc node
-dominates it (delta 1).  A failure is reported as a minimum violating cut
-read off the dominator tree: the unreachable vertices, or else the
-vertices that share the first failing vertex's top arc, its dominating arc
-nearest the root.  That is the cut a unit-capacity max-flow to that vertex
-leaves (see `edmonds_condition`); `oracle.flow_cut_condition` finds it by
-max-flow, as its own reference.
+through `with_added_root`, by one dominator pass (Cooper, Harvey and
+Kennedy, "A Simple, Fast Dominance Algorithm", 2001), and yields a minimum
+cut: `certify` reads a failed hypothesis's bad sub-LOT off it, and
+`oracle-check` and the tests run it as the reference for the construction.
+`oracle.flow_cut_condition` finds the same cut by max-flow.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .selection import ArcKey, SelectionGraph
 
@@ -92,8 +65,7 @@ def with_added_root(sel: SelectionGraph, roots: Sequence[str]) -> tuple[Selectio
     root: a set that avoids the roots keeps its delta (README step 3)."""
     if len(roots) == 1:
         return sel, roots[0]
-    number = {v: i for i, v in enumerate(sel.nodes)}
-    heads = [number[r] for r in roots for _ in "ab"]
+    heads = [sel.node_number[r] for r in roots for _ in "ab"]
     return SelectionGraph(
         sel.nodes + (":",),
         list(sel.src) + [len(sel.nodes)] * len(heads),
@@ -102,25 +74,11 @@ def with_added_root(sel: SelectionGraph, roots: Sequence[str]) -> tuple[Selectio
     ), ":"
 
 
-_Index = tuple[list[int], list[int], list[list[int]], list[list[int]]]
-
-
-def _index(sel: SelectionGraph) -> _Index:
-    """Arc tails, arc heads, out-arc and in-arc lists, all by number."""
-    src, dst = sel.src, sel.dst
-    out: list[list[int]] = [[] for _ in sel.nodes]
-    into: list[list[int]] = [[] for _ in sel.nodes]
-    for i, (u, v) in enumerate(zip(src, dst)):
-        out[u].append(i)
-        into[v].append(i)
-    return src, dst, out, into
-
-
 _TWO_PATHS = -1  # _disjoint_paths' entry for a vertex no single arc cuts off
 _UNREACHED = -2  # and for one the root does not reach
 
 
-def _disjoint_paths(g: _Index, root: int) -> list[int]:
+def _disjoint_paths(sel: SelectionGraph, root: int) -> list[int]:
     """For every vertex, the arc nearest the root among the arcs that lie on
     every path from the root to it: its number, or _TWO_PATHS when no arc
     does (the root included), or _UNREACHED when no path reaches it.
@@ -129,7 +87,8 @@ def _disjoint_paths(g: _Index, root: int) -> list[int]:
     arc i is node n + i.  By Menger's theorem two arc-disjoint paths reach a
     vertex iff it is reachable and no arc node dominates it.
     """
-    src, dst, out, into = g
+    src, dst = sel.src, sel.dst
+    out, into = sel.arc_lists
     n, m = len(out), len(src)
 
     def successors(x: int):
@@ -208,9 +167,10 @@ def edmonds_condition(sel: SelectionGraph, root: str) -> tuple[bool, Optional[Cu
     by a iff its top arc is a, since an arc above a on its dominator chain
     would dominate the sink too.
     """
-    if root not in sel.nodes:
+    r = sel.node_number.get(root)
+    if r is None:
         raise ValueError(f"unknown root {root!r}")
-    top = _disjoint_paths(_index(sel), sel.nodes.index(root))
+    top = _disjoint_paths(sel, r)
     failing = [t for t in top if t != _TWO_PATHS]
     if not failing:
         return True, None
@@ -222,10 +182,10 @@ def edmonds_condition(sel: SelectionGraph, root: str) -> tuple[bool, Optional[Cu
     return False, witness
 
 
-def _tree(g: _Index, is_root: bytearray) -> list[int]:
+def _tree(sel: SelectionGraph, is_root: bytearray) -> list[int]:
     """A breadth-first forest from the roots: the arc into each vertex, or -1
     at the roots and at unreachable vertices."""
-    _, dst, out, _ = g
+    dst, (out, _) = sel.dst, sel.arc_lists
     parent = [-1] * len(out)
     seen = bytearray(is_root)
     queue = [v for v, r in enumerate(is_root) if r]
@@ -239,7 +199,7 @@ def _tree(g: _Index, is_root: bytearray) -> list[int]:
     return parent
 
 
-def _rehang(g: _Index, is_root: bytearray, used: bytearray, parent: list[int], cut: int) -> bool:
+def _rehang(sel: SelectionGraph, is_root: bytearray, used: bytearray, parent: list[int], cut: int) -> bool:
     """Hang the subtree below tree arc cut from unused arcs other than cut.
 
     The forest spans the unused arcs.  Vertices outside the subtree keep
@@ -255,7 +215,7 @@ def _rehang(g: _Index, is_root: bytearray, used: bytearray, parent: list[int], c
     on the path found takes its path arc as its tree arc; otherwise the tree
     is left alone and the result is False.
     """
-    src, dst, _, into = g
+    src, dst, (_, into) = sel.src, sel.dst, sel.arc_lists
     top = dst[cut]
     toward = {top: cut}  # subtree vertices found, each with its arc toward the top
     queue = [top]
@@ -278,15 +238,20 @@ def _rehang(g: _Index, is_root: bytearray, used: bytearray, parent: list[int], c
     return False
 
 
-def _prim(g: _Index, roots: list[int], removed: bytearray) -> Optional[list[list[int]]]:
-    """The branching that always takes the smallest-index frontier arc: the
-    arcs of each root's tree, in the order taken."""
-    src, dst, out, _ = g
+def _grow(
+    sel: SelectionGraph, roots: list[int], used: bytearray, admits: Callable[[int], bool]
+) -> Optional[list[list[int]]]:
+    """The branching that takes, at each step, the smallest-index frontier
+    arc that is not used, whose head is not reached, and that admits: it
+    marks the arc used and adds it to the tree of its tail.  An arc is
+    popped once, so admits must refuse an arc for good.  The arcs of each
+    root's tree, in the order taken, or None when it stalls."""
+    src, dst, (out, _) = sel.src, sel.dst, sel.arc_lists
     tree = [-1] * len(out)  # the tree of each vertex reached
     for k, r in enumerate(roots):
         tree[r] = k
     left = len(out) - len(roots)
-    heap = [i for r in roots for i in out[r] if not removed[i]]
+    heap = [i for r in roots for i in out[r] if not used[i]]
     heapq.heapify(heap)
     chosen: list[list[int]] = [[] for _ in roots]
     while left:
@@ -294,13 +259,14 @@ def _prim(g: _Index, roots: list[int], removed: bytearray) -> Optional[list[list
             return None
         i = heapq.heappop(heap)
         w = dst[i]
-        if tree[w] >= 0:
-            continue
+        if tree[w] >= 0 or not admits(i):
+            continue  # dropped for good: reached only grows, and so does used
+        used[i] = 1
         k = tree[w] = tree[src[i]]
         left -= 1
         chosen[k].append(i)
         for j in out[w]:
-            if not removed[j]:
+            if not used[j]:
                 heapq.heappush(heap, j)
     return chosen
 
@@ -313,57 +279,37 @@ def two_disjoint_branchings(
     Each branching is one tree per root, in the order of roots: every other
     vertex is entered by one arc of one tree, and no root by any.  All roots
     count as reached at the start, which is the one-root construction from
-    an added root joined by two arcs to each of them (README).  The first
-    branching takes, at each step, the smallest-index frontier arc whose
-    removal keeps every vertex reachable from the roots in the arcs not yet
-    committed, which preserves the cut condition for the second branching;
-    a spanning forest of those arcs, re-hung when one of its own arcs is
-    taken, decides that.  An arc joins the tree of its tail.  The second
-    branching is then grown on the leftover arcs.  Both are verified on arc
-    numbers, and only then are their (owner, kind) keys built.  The
-    construction stalls exactly when some vertex set avoiding the roots has
-    delta < 2, and a stall of the first branching raises BranchingStall:
-    the README rules it out for a LOF that satisfies the hypothesis, and
-    `edmonds_condition` finds the cut of any other selection graph.  A
-    stall of the second branching or a failed verification, which the
-    construction rules out, raises a plain RuntimeError.
+    an added root joined by two arcs to each of them (README).  `_grow`
+    grows both.  The first admits an arc only when its removal keeps every
+    vertex reachable from the roots in the arcs not yet used, which
+    preserves the cut condition for the second; a spanning forest of those
+    arcs, re-hung when one of its own arcs is taken, decides that exactly,
+    whatever forest is kept.  The second takes any arc that is left.  Both
+    are verified on arc numbers, and only then are their (owner, kind) keys
+    built.  The construction stalls exactly when some vertex set avoiding
+    the roots has delta < 2, and a stall of the first branching raises
+    BranchingStall: the README rules it out for a LOF that satisfies the
+    hypothesis, and `edmonds_condition` finds the cut of any other
+    selection graph.  A stall of the second branching or a failed
+    verification, which the construction rules out, raises a plain
+    RuntimeError.
     """
-    number = {v: i for i, v in enumerate(sel.nodes)}
+    number = sel.node_number
     is_root = bytearray(len(sel.nodes))
     for root in roots:
         if root not in number or is_root[number[root]]:
             raise ValueError(f"unknown or repeated root {root!r}")
         is_root[number[root]] = 1
     nums = [number[root] for root in roots]
-    g = _index(sel)
-    src, dst, out, _ = g
-    used = bytearray(len(dst))
-    parent = _tree(g, is_root)  # spans the unused arcs
-    tree = [-1] * len(out)  # the tree of each vertex reached
-    for k, r in enumerate(nums):
-        tree[r] = k
-    left = len(out) - len(nums)
-    heap = [i for r in nums for i in out[r]]
-    heapq.heapify(heap)
-    first: list[list[int]] = [[] for _ in nums]
-    while left:
-        if not heap:
-            raise BranchingStall("first branching stalled: some cut has delta < 2")
-        i = heapq.heappop(heap)
-        w = dst[i]
-        if tree[w] >= 0:
-            continue  # never a candidate again: reached only grows
-        # an arc off the tree can go at once, a tree arc if its subtree re-hangs
-        if parent[w] == i and not _rehang(g, is_root, used, parent, i):
-            continue  # fails for good: used only grows
-        used[i] = 1
-        k = tree[w] = tree[src[i]]
-        left -= 1
-        first[k].append(i)
-        for j in out[w]:
-            heapq.heappush(heap, j)
-
-    second = _prim(g, nums, used)
+    used = bytearray(len(sel.dst))
+    parent = _tree(sel, is_root)  # spans the unused arcs
+    dst = sel.dst
+    # an arc off the tree can go at once, a tree arc if its subtree re-hangs;
+    # one that fails fails for good, since used only grows
+    first = _grow(sel, nums, used, lambda i: parent[dst[i]] != i or _rehang(sel, is_root, used, parent, i))
+    if first is None:
+        raise BranchingStall("first branching stalled: some cut has delta < 2")
+    second = _grow(sel, nums, used, lambda i: True)
     if second is None:
         raise RuntimeError("second branching stalled after the first was built")
     keys, nodes = sel.keys, sel.nodes
@@ -385,8 +331,7 @@ def verify_branching(sel: SelectionGraph, *trees: Branching) -> tuple[bool, Opti
     The arcs are mapped to numbers in order (each known, none repeated),
     then the roots are looked up; `_first_fault` checks the rest.
     """
-    number = sel.arc_number
-    nodes = {v: i for i, v in enumerate(sel.nodes)}
+    number, nodes = sel.arc_number, sel.node_number
     seen = bytearray(len(sel.keys))
     numbered = []
     for b in trees:

@@ -1,9 +1,10 @@
 """Command line front end.
 
-Exit codes: 0 success, 1 property failure, 2 parse error or a file that
-cannot be read or written, 3 hypothesis failure (including the non-generic
-relative case).  All outputs are UTF-8 with LF line endings and are
-deterministic functions of inputs, flags and seeds.
+Exit codes: 0 success, 1 property failure or an input nested too deeply
+or too large to certify, 2 parse error or a file that cannot be read or
+written, 3 hypothesis failure (including the non-generic relative case).
+All outputs are UTF-8 with LF line endings and are deterministic functions
+of inputs, flags and seeds.
 """
 
 from __future__ import annotations
@@ -352,6 +353,10 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    except (RecursionError, MemoryError) as exc:
+        # the exit code an uncaught exception gives, without the traceback
+        print(f"error: input nested too deeply or too large ({type(exc).__name__})", file=sys.stderr)
+        return EXIT_PROPERTY
 
 
 if __name__ == "__main__":

@@ -592,6 +592,8 @@ class _RootedForest(NamedTuple):
 
 
 def _rooted_forest(log: Log) -> _RootedForest:
+    if log.log_class.kind == "GeneralLOG":
+        raise ValueError("sub-LOT closures need a LOF (the underlying graph has a cycle)")
     n = len(log.vertices)
     ends = log.edge_ends
     adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
@@ -599,11 +601,9 @@ def _rooted_forest(log: Log) -> _RootedForest:
         adj[u].append((i, w))
         adj[w].append((i, u))
     parent, parent_edge, depth, component = [-1] * n, [-1] * n, [0] * n, [-1] * n
-    roots = 0
     for r in range(n):
         if component[r] >= 0:
             continue
-        roots += 1
         component[r] = r
         stack = [r]
         while stack:
@@ -613,9 +613,6 @@ def _rooted_forest(log: Log) -> _RootedForest:
                     component[w], parent[w], parent_edge[w] = r, u, i
                     depth[w] = depth[u] + 1
                     stack.append(w)
-    # a spanning forest has n - roots edges; any further edge closes a cycle
-    if len(log.edges) != n - roots:
-        raise ValueError("sub-LOT closures need a LOF (the underlying graph has a cycle)")
     return _RootedForest(parent, parent_edge, depth, component, ends)
 
 

@@ -18,9 +18,10 @@ vertex, and edge j's a-arc is arc 2j and its b-arc arc 2j+1.  The branching
 stage reads the integer lists src and dst (the node numbers of each arc's
 tail and head) and keys, each arc's (owner, kind) key, which is what a
 certificate writes.  The arc rows (owner, kind, src, dst), for witnesses,
-DOT output and the oracles, are built on first read, and so is arc_number,
-which maps keys back to numbers for `verify_branching` on branchings read
-from outside.
+DOT output and the oracles, are built on first read.  So are the node and
+arc numbers of each name and key, and each node's out-arc and in-arc lists,
+which the branchings and the dominator pass share: a LOG caches its
+selection graph, so each is built at most once per LOG.
 """
 
 from __future__ import annotations
@@ -70,6 +71,21 @@ class SelectionGraph:
     def arc_number(self) -> dict[ArcKey, int]:
         """The number of the arc with each key."""
         return {k: i for i, k in enumerate(self.keys)}
+
+    @cached_property
+    def node_number(self) -> dict[str, int]:
+        """The number of each node."""
+        return {v: i for i, v in enumerate(self.nodes)}
+
+    @cached_property
+    def arc_lists(self) -> tuple[list[list[int]], list[list[int]]]:
+        """The numbers of the arcs out of and into each node, in arc order."""
+        out: list[list[int]] = [[] for _ in self.nodes]
+        into: list[list[int]] = [[] for _ in self.nodes]
+        for i, (u, v) in enumerate(zip(self.src, self.dst)):
+            out[u].append(i)
+            into[v].append(i)
+        return out, into
 
 
 # Arc colors of a two-coloring; black arcs become the positive side.

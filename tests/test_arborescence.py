@@ -17,8 +17,7 @@ from lotcert import (
 from lotcert.arborescence import (
     Branching,
     CutWitness,
-    _index,
-    _prim,
+    _grow,
     cut_delta,
     edmonds_condition,
     with_added_root,
@@ -35,7 +34,7 @@ from lotcert.oracle import (
 
 def greedy_arborescence(sel, root):
     """One branching rooted at root, grown from the smallest-index frontier arc, or None."""
-    chosen = _prim(_index(sel), [sel.nodes.index(root)], bytearray(len(sel.arcs)))
+    chosen = _grow(sel, [sel.node_number[root]], bytearray(len(sel.arcs)), lambda i: True)
     if chosen is None:
         return None
     return Branching(root, tuple(sel.arcs[i].key for i in chosen[0]))
@@ -312,9 +311,9 @@ def test_dominator_pass_matches_max_flow_on_path_lots(n):
         _assert_matches_oracles(build_selection_graph(lot), non_label_vertices(lot)[0])
 
 
-def _depth_first_tree(g, is_root):
+def _depth_first_tree(sel, is_root):
     """A depth-first spanning forest from the roots, in `arborescence._tree`'s form."""
-    _, dst, out, _ = g
+    dst, (out, _) = sel.dst, sel.arc_lists
     parent = [-1] * len(out)
     seen = bytearray(is_root)
     stack = [iter(out[r]) for r, flag in enumerate(is_root) if flag]
@@ -333,7 +332,7 @@ def _depth_first_tree(g, is_root):
 def _root_mask(sel, roots):
     is_root = bytearray(len(sel.nodes))
     for root in roots:
-        is_root[sel.nodes.index(root)] = 1
+        is_root[sel.node_number[root]] = 1
     return is_root
 
 
@@ -346,7 +345,7 @@ def test_branchings_do_not_depend_on_the_initial_spanning_tree(monkeypatch):
     lots += [lot for n in PATH_SIZES for lot in path_corpus(n)]
     cases += [(build_selection_graph(lot), non_label_vertices(lot)[0]) for lot in lots]
     breadth_first = [branchings_or_none(sel, [root]) for sel, root in cases]
-    trees = [(_root_mask(sel, [root]), _index(sel)) for sel, root in cases]
+    trees = [(_root_mask(sel, [root]), sel) for sel, root in cases]
     differ = sum(arborescence._tree(g, r) != _depth_first_tree(g, r) for r, g in trees)
     assert differ >= 2000
     monkeypatch.setattr(arborescence, "_tree", _depth_first_tree)

@@ -663,6 +663,37 @@ def test_a_stalled_lof_takes_its_cut_from_one_dominator_pass(monkeypatch):
     assert cert.witnesses["cut"] == nested
 
 
+def test_the_stall_and_the_cut_share_one_arc_index(monkeypatch):
+    # the first branching's stall and the dominator pass read the out/in-arc
+    # lists that the LOG's selection graph keeps, built once
+    from functools import cached_property
+
+    from lotcert import arborescence
+    from lotcert.selection import SelectionGraph
+
+    build, built = SelectionGraph.arc_lists.func, []
+
+    def counting(sel):
+        built.append(build(sel))
+        return built[-1]
+
+    lists = cached_property(counting)
+    lists.__set_name__(SelectionGraph, "arc_lists")
+    monkeypatch.setattr(SelectionGraph, "arc_lists", lists)
+    grown = _count_calls(monkeypatch, arborescence._grow)
+    passes = _count_calls(monkeypatch, arborescence._disjoint_paths)
+    for log in (BADSUB, bad_nested_lot(8)):
+        for calls in (built, grown, passes):
+            calls.clear()
+        fresh = Log(log.vertices, log.edges)
+        cert = certify_lof(fresh)
+        assert cert.hypothesis["reduced"] and cert.hypothesis["injective"]
+        assert cert.hypothesis["all_sub_lots_boundary_reduced"] is False
+        assert len(built) == len(grown) == len(passes) == 1
+        assert grown[0][0] is passes[0][0] is fresh.selection
+        assert fresh.selection.arc_lists is built[0]
+
+
 def test_plain_certify_of_a_stalled_lot_takes_linear_memory():
     # the stall's cut comes from one dominator pass, linear in the LOT, and
     # no closure table of the nested closures, which is quadratic here
@@ -1006,11 +1037,19 @@ def test_certificate_digest_matches_serialization():
 def test_missing_branching_pair_raises(monkeypatch):
     from lotcert import arborescence
 
-    # a stalled construction is a RuntimeError, not a certificate
-    monkeypatch.setattr(arborescence, "_prim", lambda g, roots, removed: None)
+    # a stalled construction is a RuntimeError, not a certificate: the
+    # first call of the grower builds the first branching, the second stalls
+    grow, calls = arborescence._grow, []
+
+    def second_stalls(*args):
+        calls.append(args)
+        return grow(*args) if len(calls) == 1 else None
+
+    monkeypatch.setattr(arborescence, "_grow", second_stalls)
     with pytest.raises(RuntimeError, match="second branching stalled") as raised:
         certify_lof(PATH3)
     assert raised.type is RuntimeError  # not a first-branching stall
+    assert len(calls) == 2
 
 
 def test_failed_reorientation_raises(monkeypatch):

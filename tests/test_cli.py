@@ -96,6 +96,30 @@ def test_a_certificate_too_deep_for_orjson_is_written_by_the_stdlib_encoder(tmp_
     assert out.read_text(encoding="utf-8") == text
 
 
+@pytest.mark.parametrize("error", [RecursionError("maximum recursion depth exceeded"), MemoryError()])
+def test_a_deep_or_huge_input_gives_one_error_line(files, monkeypatch, capsys, error):
+    # the exit code stays the one an uncaught exception gives; the traceback goes
+    def fail(log):
+        raise error
+
+    monkeypatch.setattr(cli.certify, "certify_lof", fail)
+    monkeypatch.setattr(cli.certify, "certify_relative", fail)
+    for argv in (["certify", files["path3"]], ["certify", files["path3"], "--relative"]):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert type(error).__name__ in captured.err and "Traceback" not in captured.err
+
+    def stalls(log):
+        raise RuntimeError("stalled")
+
+    # any other RuntimeError is not caught
+    monkeypatch.setattr(cli.certify, "certify_lof", stalls)
+    with pytest.raises(RuntimeError, match="stalled"):
+        main(["certify", files["path3"]])
+
+
 def test_certify_json_overwrites_a_longer_file(files, tmp_path, capsys):
     out = tmp_path / "cert.json"
     assert main(["certify", files["badsub"], "--relative", "--json", str(out)]) == 0

@@ -64,6 +64,25 @@ def test_only_the_oracles_define_a_max_flow():
     assert found == {"oracle.py": ["_max_flow"]}
 
 
+def test_one_heap_grower_builds_both_branchings():
+    # both branchings come from arborescence._grow, on the out/in-arc lists
+    # the selection graph keeps; no module rebuilds them or copies the loop
+    defined, popping = {}, []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.name in ("_prim", "_index"):
+                defined.setdefault(path.name, []).append(node.name)
+    assert defined == {}
+    tree = ast.parse((SRC / "arborescence.py").read_text(encoding="utf-8"))
+    for fn in ast.walk(tree):
+        if isinstance(fn, ast.FunctionDef):
+            calls = [n.func for n in ast.walk(fn) if isinstance(n, ast.Call)]
+            if any(isinstance(f, ast.Attribute) and f.attr == "heappop" for f in calls):
+                popping.append(fn.name)
+    assert popping == ["_grow"]
+
+
 def test_plain_certify_imports_nothing_from_the_closure_layer():
     # the branchings or the dominator cut decide the hypothesis, so the
     # certify module names no closure function, and the added root that
