@@ -5,7 +5,8 @@ are boundary reduced: two disjoint branchings of the selection graph,
 rooted at its non-label vertices with one tree per root, give an
 admissible partition, the partition selects a reorientation whose link
 splits into a positive and a negative tree, and pulling the signs back
-yields a bi-forest witness for the input.  The induced zero/one angle
+yields a bi-forest witness for the input.  These are one fact, decided by
+one union-find pass over the edge ends (README).  The induced zero/one angle
 structure passes the coloring test, which is what the downstream
 asphericity claims cite.  A LOT has one non-label vertex and a LOF as many
 as it has components, and both take the same path: the README proves that
@@ -45,7 +46,6 @@ from typing import Container, NamedTuple, Optional
 import orjson
 
 from . import arborescence, link_complex, selection
-from .arborescence import Branching
 from .link_complex import (
     MINUS,
     PLUS,
@@ -54,7 +54,6 @@ from .link_complex import (
     corner_key_str,
     corner_names,
     curvature,
-    grow_forest,
     is_forest,
 )
 from .log_model import (
@@ -144,21 +143,42 @@ def lbf_check(log: Log, eps: link_complex.SignAssignment) -> BiForestResult:
     return _bi_forest(log.link, _side_mask(log, eps), ("epsilon", "minus_epsilon"))
 
 
+def _reoriented_strong_lbf(lot: Log, flipped: Container[int]) -> bool:
+    """strong_lbf_check(oracle.reorient(lot, flips)).ok, from the edge ends alone.
+
+    flipped holds the numbers of the flipped edges; with none it is
+    strong_lbf_check(lot).ok.  The all-plus side of the reoriented link is
+    its positive corners (s+, l+), the all-minus side its negative corners
+    (l-, t-): corners 4j and 4j+1, two per edge.  The two sides share no
+    node, so one union-find over all link nodes tests both for cycles.
+    """
+    union = _UnionFind(2 * len(lot.vertices)).union
+    for j, (s, t, l) in enumerate(lot.edge_ends):
+        if j in flipped:
+            s, t = t, s
+        if not (union(2 * s, 2 * l) and union(2 * l + 1, 2 * t + 1)):
+            return False
+    return True
+
+
 def _sign_choice(
     log: Log, eps: link_complex.SignAssignment
 ) -> tuple[list[int], list[int], list[int], bool]:
     """The angles of the sign choice eps, indexed by corner number: 0 on the
     corners joining equal sign classes, 1 across them; then the epsilon and
     minus-epsilon sides of lbf_check(log, eps) and its verdict, from one side
-    mask and one pass.
+    mask.
 
-    The two sides lie on disjoint node sets, so one union-find grown over
-    both of them is the angle-0 forest, and it decides both sides at once.
-    No witness is built.
+    Swapping x+ and x- at the vertices whose sign is minus maps the epsilon
+    side onto the all-plus side of the LOG reoriented at the edges whose
+    label is minus, and the minus-epsilon side onto its all-minus side
+    (README), so the verdict is that reorientation's strong bi-forest
+    check, decided on the edge ends.  No witness is built.
     """
-    link = log.link
-    angles, side, coside = _split(link, _side_mask(log, eps))
-    return angles, side, coside, grow_forest(link, side + coside)[1] < 0
+    on = _side_mask(log, eps)
+    angles, side, coside = _split(log.link, on)
+    minus = {j for j, (_, _, l) in enumerate(log.edge_ends) if on[2 * l + 1]}
+    return angles, side, coside, _reoriented_strong_lbf(log, minus)
 
 
 def _coloring_ok(lbf: bool, report: link_complex.CurvatureReport) -> bool:
@@ -297,53 +317,6 @@ def _hypothesis_flags(log: Log) -> dict:
     }
 
 
-def _certify_lot_core(
-    log: Log,
-) -> tuple[tuple[Branching, ...], tuple[Branching, ...], dict, dict, list[int]]:
-    """The branchings of a LOF that satisfies the hypothesis, and what they select.
-
-    The branchings are rooted at the non-label vertices, one tree per root;
-    a LOT has one.  Returns the two branchings, each edge's arc kind in
-    each, and the numbers of the edges the partition flips.  A stall of the
-    first branching raises arborescence.BranchingStall: the cut condition
-    fails, and on an injective LOF so does the hypothesis.  The paper's
-    theorem says that a pair, once built, is admissible and its
-    reorientation has a strong bi-forest link (README), so a second stall,
-    a failed verification, an inadmissible pair or a failed reorientation
-    raises a plain RuntimeError.
-    """
-    b1, b2 = arborescence.two_disjoint_branchings(log.selection, non_label_vertices(log))
-    # each edge's arc kind in each branching; admissible: one arc in each
-    black = {owner: kind for t in b1 for owner, kind in t.arcs}
-    white = {owner: kind for t in b2 for owner, kind in t.arcs}
-    for e in log.edges:
-        if (black.get(e.eid), white.get(e.eid)) not in (("a", "b"), ("b", "a")):
-            raise RuntimeError(f"branching pair not admissible at {e.eid!r}")
-    # flipping the edges whose a-arc is white makes every a-arc black
-    flipped = [j for j, e in enumerate(log.edges) if white[e.eid] == "a"]
-    if not _reoriented_strong_lbf(log, set(flipped)):
-        raise RuntimeError("the selected reorientation fails the strong bi-forest check")
-    return b1, b2, black, white, flipped
-
-
-def _reoriented_strong_lbf(lot: Log, flipped: Container[int]) -> bool:
-    """strong_lbf_check(oracle.reorient(lot, flips)).ok, from the edge ends alone.
-
-    flipped holds the numbers of the flipped edges; with none it is
-    strong_lbf_check(lot).ok.  The all-plus side of the reoriented link is
-    its positive corners (s+, l+), the all-minus side its negative corners
-    (l-, t-): corners 4j and 4j+1, two per edge.  The two sides share no
-    node, so one union-find over all link nodes tests both for cycles.
-    """
-    union = _UnionFind(2 * len(lot.vertices)).union
-    for j, (s, t, l) in enumerate(lot.edge_ends):
-        if j in flipped:
-            s, t = t, s
-        if not (union(2 * s, 2 * l) and union(2 * l + 1, 2 * t + 1)):
-            return False
-    return True
-
-
 def _dominator_cut(log: Log) -> Optional[dict]:
     """The cut that refutes an injective LOF's hypothesis, or None when it holds.
 
@@ -381,28 +354,32 @@ def certify_lof(log: Log) -> Certificate:
     sub-LOT gets the cut that rules out its two disjoint branchings
     (Edmonds 1973), with the leaf and the edges of the bad sub-LOT.
     Otherwise the LOT or LOF is certified in one pass from its branchings,
-    and `_certify_lot_core` raises on the outcomes the theorem rules out.
+    one tree per root.  The paper's theorem says that a pair, once built,
+    is admissible and its reorientation has a strong bi-forest link, which
+    is the lbf verdict of the signs pulled back from it (README); so a
+    second stall, a failed verification, an inadmissible pair or a failed
+    reorientation raises a plain RuntimeError.
     """
     base = _hypothesis_flags(log)
     decided = base["forest"] and base["injective"]
-    core = cut = None
+    branchings = cut = None
     if all(base.values()):
         try:
-            core = _certify_lot_core(log)
+            branchings = arborescence.two_disjoint_branchings(log.selection, non_label_vertices(log))
         except arborescence.BranchingStall:
             if (cut := _dominator_cut(log)) is None:
                 raise RuntimeError("first branching stalled, yet the dominator pass finds no cut")
     elif decided:
         cut = _dominator_cut(log)
     hypothesis = {
-        "satisfied": core is not None,
+        "satisfied": branchings is not None,
         **base,
         "all_sub_lots_boundary_reduced": cut is None if decided else NOT_EVALUATED,
         "note": "sub-LOT conditions range over connected subtrees with at least one edge",
     }
     flags = _flags_section(log)
 
-    if core is None:
+    if branchings is None:
         witnesses = {} if cut is None else {"cut": cut}
         hypothesis["suggestion"] = "certify-relative"
         verdicts, provenance, citations = _verdict_scaffold(HYPOTHESIS_FAILED)
@@ -413,14 +390,25 @@ def certify_lof(log: Log) -> Certificate:
     verdicts["relative_coloring_test"] = NOT_EVALUATED
     provenance["relative_coloring_test"] = NOT_EVALUATED
 
-    b1, b2, black, white, flipped = core
+    b1, b2 = branchings
     # a label is entered only by its edge's a- and b-arc, one in each
     # branching, so a root on an edge has an arc in one of its two trees;
     # a root on no edge has none, and its trees are not listed
     trees = [pair for pair in zip(b1, b2) if pair[0].arcs or pair[1].arcs]
+    # each edge's arc kind in each branching; admissible: one arc in each
+    black = {owner: kind for t in b1 for owner, kind in t.arcs}
+    white = {owner: kind for t in b2 for owner, kind in t.arcs}
+    for e in log.edges:
+        if (black.get(e.eid), white.get(e.eid)) not in (("a", "b"), ("b", "a")):
+            raise RuntimeError(f"branching pair not admissible at {e.eid!r}")
+    # flipping the edges whose a-arc is white makes every a-arc black; they
+    # are the edges whose label eps makes minus, so lbf decides the reorientation
+    flipped = [j for j, e in enumerate(log.edges) if white[e.eid] == "a"]
     flipped_labels = {log.edges[j].lab for j in flipped}
     eps = {v: (MINUS if v in flipped_labels else PLUS) for v in log.vertices}
     angles, side, coside, lbf = _sign_choice(log, eps)
+    if not lbf:
+        raise RuntimeError("the selected reorientation fails the strong bi-forest check")
     report = curvature(log, angles)
     coloring = _coloring_ok(lbf, report)
     names = log.link.names

@@ -150,7 +150,7 @@ class Log:
 
     @cached_property
     def selection(self):
-        """build_selection_graph(self), the selection graph on the LOG's numbering."""
+        """build_selection_graph(self), numbered by vertex_index."""
         from . import selection
 
         return selection.build_selection_graph(self)

@@ -14,13 +14,13 @@ branchings black and white; `certify` reads admissibility and the edges to
 flip (those whose a-arc is white) off the branchings' arc keys.
 
 build_selection_graph numbers the graph once: node i is the LOG's i-th
-vertex, and edge j's a-arc is arc 2j and its b-arc arc 2j+1.  The branching
-stage reads the integer lists src and dst (the node numbers of each arc's
-tail and head) and keys, each arc's (owner, kind) key, which is what a
-certificate writes.  The arc rows (owner, kind, src, dst), for witnesses,
-DOT output and the oracles, are built on first read.  So are the node and
-arc numbers of each name and key, and each node's out-arc and in-arc lists,
-which the branchings and the dominator pass share: a LOG caches its
+vertex, so node_number is log.vertex_index, and edge j's a-arc is arc 2j and
+its b-arc arc 2j+1.  The branching stage reads the integer lists src and dst
+(the node numbers of each arc's tail and head) and keys, each arc's (owner,
+kind) key, which is what a certificate writes.  The arc rows, the arc number
+of each key, the node numbers of a graph built directly (an added root's)
+and each node's out-arc and in-arc lists are built on first read; the last
+are shared by the branchings and the dominator pass, and a LOG caches its
 selection graph, so each is built at most once per LOG.
 """
 
@@ -74,7 +74,7 @@ class SelectionGraph:
 
     @cached_property
     def node_number(self) -> dict[str, int]:
-        """The number of each node."""
+        """The number of each node; a LOG's graph shares log.vertex_index."""
         return {v: i for i, v in enumerate(self.nodes)}
 
     @cached_property
@@ -103,7 +103,9 @@ def build_selection_graph(log: Log) -> SelectionGraph:
         src += (s, t)
         dst += (lab, lab)
     keys = [(e.eid, kind) for e in log.edges for kind in ("a", "b")]
-    return SelectionGraph(log.vertices, src, dst, keys)
+    sel = SelectionGraph(log.vertices, src, dst, keys)
+    sel.node_number = log.vertex_index
+    return sel
 
 
 def selection_to_dot(sel: SelectionGraph, partition: Optional[Partition2] = None) -> str:

@@ -416,6 +416,26 @@ def test_reoriented_check_matches_strong_lbf_of_the_reorientation():
     assert outcomes.count(True) > 100 and outcomes.count(False) > 100
 
 
+def test_signs_pull_back_from_the_reorientation_at_their_minus_labels():
+    # swapping x+ and x- at the minus vertices maps the epsilon side onto
+    # the all-plus side of the reorientation at the edges whose label is
+    # minus, and the minus-epsilon side onto its all-minus side (README);
+    # references only, on LOGs with loops and parallel corners too
+    corpus = [random_log(n, m, s) for n in range(1, 8) for m in range(0, 2 * n + 2) for s in range(2)]
+    corpus += [random_lof(n, s) for n in range(2, 16) for s in range(3)]
+    corpus += [random_reduced_injective_lot(3 + s % 14, s) for s in range(40)]
+    assert sum(e.src == e.tgt for log in corpus for e in log.edges) > 20
+    rng = seeded_rng("pull-back")
+    outcomes = []
+    for log in corpus:
+        for _ in range(3):
+            eps = {v: rng.choice("+-") for v in log.vertices}
+            minus = [e.eid for e in log.edges if eps[e.lab] == "-"]
+            outcomes.append(lbf_check(log, eps).ok)
+            assert outcomes[-1] == strong_lbf_check(reorient(log, minus)).ok
+    assert outcomes.count(True) >= 50 and outcomes.count(False) >= 50
+
+
 def test_verdict_only_checks_match_their_references():
     # the certify path decides these checks without building a cycle; each
     # verdict equals the result of the check that builds one
@@ -631,6 +651,28 @@ def test_a_lof_whose_branchings_are_built_builds_no_closure_table(monkeypatch):
     assert tables == passes == []
 
 
+def test_a_satisfied_certificate_decides_its_bi_forest_on_the_edge_ends(monkeypatch):
+    # the sign choice's verdict is the selected reorientation's, so a
+    # satisfied certificate runs the edge-end check twice, for strong_lbf
+    # and for the sign choice, and grows no forest on the link
+    from lotcert import link_complex
+    from test_acceptance import corpus_good_lots
+
+    fixtures = sorted((Path(__file__).parent / "fixtures").glob("lof_*.lot"))
+    inputs = list(corpus_good_lots())
+    inputs += [parse_log(path.read_text(encoding="utf-8")) for path in fixtures]
+    inputs += [path_lot(128, s) for s in range(3)]
+    assert len(fixtures) == 3
+    edge_end_checks = _count_calls(monkeypatch, _reoriented_strong_lbf)
+    forests = _count_calls(monkeypatch, link_complex.grow_forest)
+    for log in inputs:
+        edge_end_checks.clear()
+        cert = certify_lof(log)
+        assert cert.hypothesis["satisfied"] is True and cert.verdicts["lbf"] is True
+        assert len(edge_end_checks) == 2
+    assert forests == []
+
+
 def test_a_stalled_lof_takes_its_cut_from_one_dominator_pass(monkeypatch):
     # the first branching stalls, and one dominator pass gives the cut and
     # the bad sub-LOT it names; no closure table is built
@@ -817,22 +859,24 @@ def test_relative_level_rests_on_its_quotient(monkeypatch, broken):
     # quotient: a quotient that does not pass leaves it non-generic, and
     # the outside corners follow the quotient's angles, whatever they are
     if broken == "quotient_fails":
-        real = certify_module._sign_choice
-        quotients = []
+        real_lof, real_ok = certify_module.certify_lof, certify_module._coloring_ok
+        quotients, failed = [], []
 
-        def failing_quotient(log, eps):
-            # BADSUB has parts: the first sign choice is its quotient's
-            angles, side, coside, lbf = real(log, eps)
-            if not quotients:
-                quotients.append(log)
-                lbf = False
-            return angles, side, coside, lbf
+        def recording_lof(log):
+            quotients.append(log)
+            return real_lof(log)
 
-        monkeypatch.setattr(certify_module, "_sign_choice", failing_quotient)
+        def failing_quotient(lbf, report):
+            # BADSUB has parts: the first coloring test is its quotient's
+            failed.append(lbf)
+            return real_ok(lbf, report) and len(failed) > 1
+
+        monkeypatch.setattr(certify_module, "certify_lof", recording_lof)
+        monkeypatch.setattr(certify_module, "_coloring_ok", failing_quotient)
         cert = certify_relative(BADSUB)
         qverdicts = cert.witnesses["quotient"]["certificate"]["verdicts"]
-        assert qverdicts["lbf"] is False and qverdicts["coloring_test"] is False
-        assert len(quotients) == 1
+        assert qverdicts["lbf"] is True and qverdicts["coloring_test"] is False
+        assert len(quotients) == len(failed) == 1
         assert serialize_log(quotients[0]) == cert.witnesses["quotient"]["log"]
         v = cert.verdicts
         for k in ("relative_coloring_test", "aspherical_claim", "VA_claim"):

@@ -231,3 +231,18 @@ def test_selection_dot_deterministic():
         },
     )
     assert 'color="black"' in colored and 'color="white"' in colored
+
+
+def test_a_log_numbers_its_vertices_once():
+    # the graph of a LOG shares the LOG's vertex numbering; a graph built
+    # directly, like one with an added root, numbers its own nodes
+    from conftest import path_lot
+    from lotcert import certify_lof
+    from lotcert.arborescence import with_added_root
+
+    log = path_lot(64, 0)
+    certify_lof(log)
+    assert log.selection.node_number is log.vertex_index
+    graph, root = with_added_root(build_selection_graph(PATH3), ["x", "z"])
+    assert root == ":" and graph.node_number[":"] == len(graph.nodes) - 1
+    assert graph.node_number == {v: i for i, v in enumerate(graph.nodes)}

@@ -99,3 +99,27 @@ def test_plain_certify_imports_nothing_from_the_closure_layer():
     assert [name for name, fns in defined.items() if "with_added_root" in fns or "_with_added_root" in fns] == [
         "arborescence.py"
     ]
+
+
+def test_certify_decides_the_bi_forest_in_one_edge_end_pass():
+    # the sign choice's verdict is the selected reorientation's, so no layer
+    # wraps the branchings and certify grows no forest on the link
+    defined = [
+        path.name
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.FunctionDef) and node.name == "_certify_lot_core"
+    ]
+    assert defined == []
+    tree = ast.parse((SRC / "certify.py").read_text(encoding="utf-8"))
+    names = {n.split(".")[-1] for n in _imported_modules(tree)}
+    names |= {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    names |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    assert "grow_forest" not in names
+    building = [
+        fn.name
+        for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef)
+        and any(isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == "_UnionFind" for n in ast.walk(fn))
+    ]
+    assert building == ["_reoriented_strong_lbf"]
