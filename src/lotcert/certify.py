@@ -7,20 +7,23 @@ admissible partition, the partition selects a reorientation whose link
 splits into a positive and a negative tree, and pulling the signs back
 yields a bi-forest witness for the input.  These are one fact, decided by
 one union-find pass over the edge ends (README).  The induced zero/one angle
-structure passes the coloring test, which is what the downstream
-asphericity claims cite.  A LOT has one non-label vertex and a LOF as many
-as it has components, and both take the same path: the README proves that
-on a reduced injective LOF the branchings exist exactly when the hypothesis
-holds.  So the branchings are built first and decide it; only a stalled
-first branching sends the LOF to one dominator pass, whose delta = 1 cut
-names a bad sub-LOT.
+structure makes every cell flat, so it passes the coloring test, which is
+what the downstream asphericity claims cite.  The theorem fixes those
+verdicts: a satisfied certificate writes them as true, and invariant checks
+(the bi-forest, Gauss-Bonnet, flat cells) raise RuntimeError rather than
+write a certificate that contradicts it.  A LOT has one non-label vertex
+and a LOF as many as it has components, and both take the same path: the
+README proves that on a reduced injective LOF the branchings exist exactly
+when the hypothesis holds.  So the branchings are built first and decide
+it; only a stalled first branching sends the LOF to one dominator pass,
+whose delta = 1 cut names a bad sub-LOT.
 
 The relative pipeline collapses the maximal proper sub-LOTs, certifies the
-quotient and reads the level's relative coloring test off the quotient's
-coloring test: a forest in the quotient is a relative forest in the LOG,
-and sign-choice angles make every cell flat (README).  The level reads its
-angles off the quotient's certificate too; parts are then certified
-recursively after boundary reduction.
+quotient and reads the level's relative coloring test off whether the
+quotient satisfies the hypothesis: a forest in the quotient is a relative
+forest in the LOG, and sign-choice angles make every cell flat (README).
+The level reads its angles off the quotient's certificate too; parts are
+then certified recursively after boundary reduction.
 
 Certificates are JSON documents (schema 5) with canonical serialization:
 sorted keys, no whitespace, arrays in deterministic construction order.
@@ -181,18 +184,6 @@ def _sign_choice(
     return angles, side, coside, _reoriented_strong_lbf(log, minus)
 
 
-def _coloring_ok(lbf: bool, report: link_complex.CurvatureReport) -> bool:
-    """verify_coloring_test(log, angles).ok for the angles of a sign choice
-    whose lbf verdict is lbf, given their curvature report.
-
-    The angle-0 corners are the two sides, so they form a forest iff lbf
-    holds.  Each angle-0 component then lies on one side, and an angle-1
-    corner joins a node on the side to one off it, so it always joins two
-    components: what is left of the test is the curvature condition.
-    """
-    return lbf and all(k <= 0 for k in report.kappa_cells.values())
-
-
 # ---------------------------------------------------------------------------
 # certificate
 
@@ -281,17 +272,6 @@ def _flags_section(log: Log) -> dict:
     }
 
 
-def _curvature_dict(report: link_complex.CurvatureReport) -> dict:
-    lhs, rhs = report.gauss_bonnet
-    return {
-        "kappa_vertex": report.kappa_vertex,
-        "kappa_cells": report.kappa_cells,
-        "chi_complex": report.chi_complex,
-        "chi_link": report.chi_link,
-        "gauss_bonnet": [lhs, rhs],
-    }
-
-
 _BY_CITATION = ("DR_claim", "aspherical_claim", "locally_indicable_claim", "VA_claim")
 
 
@@ -356,9 +336,12 @@ def certify_lof(log: Log) -> Certificate:
     Otherwise the LOT or LOF is certified in one pass from its branchings,
     one tree per root.  The paper's theorem says that a pair, once built,
     is admissible and its reorientation has a strong bi-forest link, which
-    is the lbf verdict of the signs pulled back from it (README); so a
-    second stall, a failed verification, an inadmissible pair or a failed
-    reorientation raises a plain RuntimeError.
+    is the lbf verdict of the signs pulled back from it, and that the
+    signs' angles make every cell flat (README).  So a second stall, a
+    failed verification, an inadmissible pair, a failed reorientation or a
+    curved cell raises a plain RuntimeError, and a certificate that gets
+    past them writes lbf, coloring_test and the by-citation verdicts as
+    true without computing them; strong_lbf is the one verdict decided.
     """
     base = _hypothesis_flags(log)
     decided = base["forest"] and base["injective"]
@@ -385,11 +368,6 @@ def certify_lof(log: Log) -> Certificate:
         verdicts, provenance, citations = _verdict_scaffold(HYPOTHESIS_FAILED)
         return Certificate(log, flags, hypothesis, witnesses, verdicts, provenance, citations)
 
-    verdicts, provenance, citations = _verdict_scaffold(False)
-    verdicts["strong_lbf"] = _reoriented_strong_lbf(log, ())
-    verdicts["relative_coloring_test"] = NOT_EVALUATED
-    provenance["relative_coloring_test"] = NOT_EVALUATED
-
     b1, b2 = branchings
     # a label is entered only by its edge's a- and b-arc, one in each
     # branching, so a root on an edge has an arc in one of its two trees;
@@ -410,12 +388,16 @@ def certify_lof(log: Log) -> Certificate:
     if not lbf:
         raise RuntimeError("the selected reorientation fails the strong bi-forest check")
     report = curvature(log, angles)
-    coloring = _coloring_ok(lbf, report)
+    # sign-choice angles make every cell flat (README), and an angle-1 corner
+    # joins the two sides, so with lbf the coloring test holds
+    bent = [eid for eid, k in report.kappa_cells.items() if k]
+    if bent:
+        raise RuntimeError(f"the sign choice's angles leave cell {bent[0]!r} curved")
     names = log.link.names
     witnesses = dict(
         epsilon=eps,
         angles=dict(zip(names, angles)),
-        curvature=_curvature_dict(report),
+        curvature={**report._asdict(), "gauss_bonnet": list(report.gauss_bonnet)},
         forests={
             "epsilon_side": [names[c] for c in side],
             "minus_epsilon_side": [names[c] for c in coside],
@@ -430,11 +412,11 @@ def certify_lof(log: Log) -> Certificate:
         roots=[t.root for t, _ in trees],
         reoriented_strong_lbf=True,
     )
-
-    verdicts["lbf"] = lbf
-    verdicts["coloring_test"] = coloring
-    for k in _BY_CITATION:
-        verdicts[k] = coloring
+    # the theorem fixes every verdict but strong_lbf once the invariants hold
+    verdicts, provenance, citations = _verdict_scaffold(True)
+    verdicts["strong_lbf"] = _reoriented_strong_lbf(log, ())
+    verdicts["relative_coloring_test"] = NOT_EVALUATED
+    provenance["relative_coloring_test"] = NOT_EVALUATED
     return Certificate(log, flags, hypothesis, witnesses, verdicts, provenance, citations)
 
 
@@ -446,17 +428,17 @@ def certify_relative(log: Log) -> Certificate:
     """Certificate for the relative pipeline.
 
     The parts are the inclusion-maximal proper sub-LOTs.  When they are
-    pairwise disjoint and the quotient LOF passes the coloring test, the
-    level's relative coloring test is the quotient's: a forest in the
-    quotient lifts to a relative forest, and the lifted angles make every
-    cell flat (README).  The level writes the lifted angles, read off the
-    quotient's: an outside corner has its quotient corner's angle, and a
-    collapsed cell's corners have 0, 0, 1, 1.  It evaluates neither its
-    plain coloring test nor its lbf, and certifies each part recursively
-    after boundary reduction.  Overlapping maximal sub-LOTs or a quotient
-    that fails yield the non-generic verdict.  The aspherical and VA
-    claims of a passing level are True when every part's claim is, and
-    non-generic otherwise.
+    pairwise disjoint and the quotient LOF satisfies the hypothesis, its
+    certificate passes the coloring test, and the level passes the
+    relative one: a forest in the quotient lifts to a relative forest, and
+    the lifted angles make every cell flat (README).  The level writes the
+    lifted angles, read off the quotient's: an outside corner has its
+    quotient corner's angle, and a collapsed cell's corners have 0, 0, 1,
+    1.  It evaluates neither its plain coloring test nor its lbf, and
+    certifies each part recursively after boundary reduction.  Overlapping
+    maximal sub-LOTs or a quotient with a bad sub-LOT yield the non-generic
+    verdict.  The aspherical and VA claims of a passing level are True when
+    every part's claim is, and non-generic otherwise.
     """
     work = log
     moves: tuple = ()
@@ -512,8 +494,7 @@ def certify_relative(log: Log) -> Certificate:
             "vertex_map": vmap,
             "certificate": qcert.to_dict(),
         }
-        # the quotient's coloring test includes its lbf verdict
-        certified = qcert.verdicts["coloring_test"] is True
+        certified = qcert.hypothesis["satisfied"]
         if not certified:
             hypothesis["note"] = "quotient LOF does not certify"
     if not certified:
@@ -548,7 +529,7 @@ def certify_relative(log: Log) -> Certificate:
         )
 
     base_witnesses.update(angles=angles, part_certificates=part_certs)
-    verdicts["relative_coloring_test"] = qcert.verdicts["coloring_test"]
+    verdicts["relative_coloring_test"] = True
     verdicts["aspherical_claim"] = verdicts["VA_claim"] = True if parts_ok else NON_GENERIC
     for k in ("lbf", "coloring_test", "DR_claim", "locally_indicable_claim"):
         provenance[k] = NOT_EVALUATED

@@ -38,7 +38,6 @@ from lotcert.certify import (
     HYPOTHESIS_FAILED,
     NON_GENERIC,
     NOT_EVALUATED,
-    _coloring_ok,
     _reoriented_strong_lbf,
     _side_mask,
     _sign_choice,
@@ -484,8 +483,9 @@ def test_verdict_only_checks_match_their_references():
             angles, side, coside, lbf = _sign_choice(log, eps)
             ref = lbf_check(log, eps)
             assert (side, coside, lbf) == (ref.first, ref.second, ref.ok)
-            coloring = _coloring_ok(lbf, curvature(log, angles))
-            assert coloring == verify_coloring_test(log, angles).ok
+            # sign-choice angles make every cell flat, so the coloring test is lbf
+            coloring = verify_coloring_test(log, angles).ok
+            assert coloring == lbf
             outcomes["lbf"].append(lbf)
             outcomes["coloring"].append(coloring)
             if log.log_class.kind not in ("LOT", "LOF"):
@@ -853,30 +853,41 @@ def test_certify_relative_badsub():
     assert w["part_certificates"][0]["certificate"]["verdicts"]["aspherical_claim"] is True
 
 
+def test_a_curved_cell_raises(monkeypatch):
+    # sign-choice angles make every cell flat, so a satisfied certificate
+    # writes its coloring test as true; a curved cell contradicts the theorem
+    real = certify_module.curvature
+
+    def bent(log, angles):
+        report = real(log, angles)
+        cells = dict(report.kappa_cells)
+        cells[next(iter(cells))] += 1
+        return report._replace(kappa_cells=cells)
+
+    monkeypatch.setattr(certify_module, "curvature", bent)
+    with pytest.raises(RuntimeError, match="leave cell 'e1' curved"):
+        certify_lof(PATH3)
+
+
 @pytest.mark.parametrize("broken", ["quotient_fails", "quotient_angles"])
 def test_relative_level_rests_on_its_quotient(monkeypatch, broken):
     # a level with parts reads its relative test and its angles off the
     # quotient: a quotient that does not pass leaves it non-generic, and
     # the outside corners follow the quotient's angles, whatever they are
     if broken == "quotient_fails":
-        real_lof, real_ok = certify_module.certify_lof, certify_module._coloring_ok
-        quotients, failed = [], []
+        real_lof = certify_module.certify_lof
+        quotients = []
 
-        def recording_lof(log):
+        def failing_quotient(log):
+            # BADSUB has parts: the first plain certificate is its quotient's,
+            # and a hypothesis-failed one stands in for it
             quotients.append(log)
-            return real_lof(log)
+            return real_lof(NONCOMP if len(quotients) == 1 else log)
 
-        def failing_quotient(lbf, report):
-            # BADSUB has parts: the first coloring test is its quotient's
-            failed.append(lbf)
-            return real_ok(lbf, report) and len(failed) > 1
-
-        monkeypatch.setattr(certify_module, "certify_lof", recording_lof)
-        monkeypatch.setattr(certify_module, "_coloring_ok", failing_quotient)
+        monkeypatch.setattr(certify_module, "certify_lof", failing_quotient)
         cert = certify_relative(BADSUB)
-        qverdicts = cert.witnesses["quotient"]["certificate"]["verdicts"]
-        assert qverdicts["lbf"] is True and qverdicts["coloring_test"] is False
-        assert len(quotients) == len(failed) == 1
+        assert cert.witnesses["quotient"]["certificate"]["hypothesis"]["satisfied"] is False
+        assert len(quotients) == 1
         assert serialize_log(quotients[0]) == cert.witnesses["quotient"]["log"]
         v = cert.verdicts
         for k in ("relative_coloring_test", "aspherical_claim", "VA_claim"):

@@ -123,3 +123,31 @@ def test_certify_decides_the_bi_forest_in_one_edge_end_pass():
         and any(isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == "_UnionFind" for n in ast.walk(fn))
     ]
     assert building == ["_reoriented_strong_lbf"]
+
+
+def test_certify_writes_the_verdicts_the_theorem_fixes():
+    # once the invariant checks pass, lbf, the coloring test and the
+    # by-citation verdicts are true; no code decides them, and the flat-cell
+    # check is the one place certify reads the cell curvatures
+    from lotcert.certify import _BY_CITATION
+
+    defined = [
+        path.name
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.FunctionDef) and node.name == "_coloring_ok"
+    ]
+    assert defined == []
+    tree = ast.parse((SRC / "certify.py").read_text(encoding="utf-8"))
+    functions = [fn for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)]
+    (certify_lof,) = [fn for fn in functions if fn.name == "certify_lof"]
+    written = [
+        target.slice.value if isinstance(target.slice, ast.Constant) else None
+        for node in ast.walk(certify_lof)
+        if isinstance(node, ast.Assign)
+        for target in node.targets
+        if isinstance(target, ast.Subscript) and isinstance(target.value, ast.Name) and target.value.id == "verdicts"
+    ]
+    assert written and not set(written) & {None, "lbf", "coloring_test", *_BY_CITATION}, written
+    reading = [fn.name for fn in functions if any(isinstance(n, ast.Attribute) and n.attr == "kappa_cells" for n in ast.walk(fn))]
+    assert reading == ["certify_lof"]
